@@ -92,6 +92,8 @@ std::string_view name(Gauge gauge) noexcept {
       return "pass_in_flight";
     case Gauge::kArenaBytesHeld:
       return "arena_bytes_held";
+    case Gauge::kLiveRequests:
+      return "live_requests";
     case Gauge::kCount_:
       break;
   }

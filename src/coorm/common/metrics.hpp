@@ -78,6 +78,7 @@ enum class Gauge : std::uint16_t {
   kLiveSessions,    ///< connected application sessions
   kPassInFlight,    ///< scheduling passes currently executing (0 or 1)
   kArenaBytesHeld,  ///< bytes parked in segment-arena free lists
+  kLiveRequests,    ///< requests the RMS server holds (reclaimed ones leave)
   kCount_,          ///< not a gauge — number of gauges
 };
 
@@ -87,7 +88,7 @@ enum class Gauge : std::uint16_t {
 /// (< 6.25% relative error). The unit is part of the name.
 enum class Histo : std::uint16_t {
   kPassLatencyUs,    ///< scheduling pass, runPass() entry to commit done
-  kPassPruneUs,      ///< pass phase: prune ended requests/sessions
+  kPassPruneUs,      ///< pass phase: reclaim ended requests
   kPassCaptureUs,    ///< pass phase: snapshot recapture of the live sets
   kPassScheduleUs,   ///< pass phase: Scheduler::schedulePass (Steps 1-3)
   kPassWriteBackUs,  ///< pass phase: snapshot write-back + lease renewal

@@ -214,6 +214,8 @@ void RmsClient::disconnect() {
 void RmsClient::onIo(short events) {
   if ((events & IoExecutor::kError) != 0) {
     onConnectionLost();
+    // A resume hands over the frames that rode in behind its ack.
+    if (fd_.valid() && !dead_) parseBuffered();
     return;
   }
   if ((events & IoExecutor::kReadable) != 0) readFrames();
@@ -226,9 +228,11 @@ bool RmsClient::readFrames() {
   const DrainStatus status = drainReadable(fd_.get(), inbound_);
   if (!parseBuffered()) return false;
   if (status != DrainStatus::kOk) {
-    // The peer vanished; a resume (policy permitting) revives fd_.
+    // The peer vanished; a resume (policy permitting) revives fd_ and hands
+    // over the frames that rode in behind its ack. Parse them now: no
+    // readable event is due for bytes already read.
     onConnectionLost();
-    return fd_.valid() && !dead_;
+    return fd_.valid() && !dead_ && parseBuffered();
   }
   return true;
 }

@@ -60,7 +60,10 @@ struct Request {
   Time duration = 0;
   RequestType type = RequestType::kNonPreemptible;
   Relation relatedHow = Relation::kFree;
-  Request* relatedTo = nullptr;  ///< resolved by the server at submission
+  /// Resolved by the server at submission. An unstarted request keeps its
+  /// target alive; once it has started, the server clears the link when it
+  /// reclaims the ended target (nothing reads a started request's parent).
+  Request* relatedTo = nullptr;
 
   // --- set while computing a schedule ------------------------------------
   NodeCount nAlloc = 0;          ///< nodes that will effectively be granted

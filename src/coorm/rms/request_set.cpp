@@ -13,15 +13,6 @@ void RequestSet::add(Request* request) {
   ++version_;
 }
 
-void RequestSet::remove(RequestId id) {
-  const auto it = std::find_if(items_.begin(), items_.end(),
-                               [&](const Request* r) { return r->id == id; });
-  if (it != items_.end()) {
-    items_.erase(it);
-    ++version_;
-  }
-}
-
 bool RequestSet::contains(const Request* request) const {
   return std::find(items_.begin(), items_.end(), request) != items_.end();
 }

@@ -22,8 +22,12 @@ class RequestSet {
   RequestSet() = default;
 
   void add(Request* request);
-  /// Removes the request from the set (does not destroy it).
-  void remove(RequestId id);
+  /// Removes every member `pred` selects in one pass, keeping the rest in
+  /// order (does not destroy them).
+  template <typename Pred>
+  void removeIf(Pred&& pred) {
+    if (std::erase_if(items_, pred) > 0) ++version_;
+  }
 
   [[nodiscard]] bool contains(const Request* request) const;
   [[nodiscard]] Request* find(RequestId id) const;
@@ -64,7 +68,7 @@ class RequestSet {
   [[nodiscard]] std::size_t size() const { return items_.size(); }
 
   /// Monotonic membership version: bumped by every add() and by every
-  /// remove() that actually erased a member. Snapshot captures record the
+  /// removeIf() that actually erased a member. Snapshot captures record the
   /// versions they saw; the epoch-skip fast path cross-checks them so a
   /// membership change whose owner forgot the `mutationEpoch` bump is
   /// caught (debug builds assert, release builds fall back to a walk)

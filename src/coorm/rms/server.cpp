@@ -114,6 +114,8 @@ Server::~Server() {
     }
     Executor::cancel(commitEvent_);
   }
+  metrics::add(metrics::Gauge::kLiveRequests,
+               -static_cast<std::int64_t>(requestIndex_.size()));
 }
 
 Session* Server::connect(AppEndpoint& endpoint, std::string name) {
@@ -191,7 +193,7 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
   if (spec.relatedHow != Relation::kFree) {
     const auto it = requestIndex_.find(spec.relatedTo.value);
     if (it == requestIndex_.end() || it->second.first != st.app) {
-      // Constraint target unknown (e.g. already pruned) or not owned by
+      // Constraint target unknown (e.g. already reclaimed) or not owned by
       // this application: reject (paper A.6: invalid requests are not
       // handled gracefully — but they must not take the RMS down).
       COORM_LOG(LogLevel::kWarn, "rms")
@@ -246,6 +248,7 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
       requestIndex_.emplace(wrapper->id.value,
                             std::make_pair(st.app, wrapper));
       st.owned.push_back(std::move(wrapped));
+      metrics::add(metrics::Gauge::kLiveRequests, 1);
     }
   }
 
@@ -270,6 +273,7 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
   setFor(st, spec.type).add(raw);
   requestIndex_.emplace(raw->id.value, std::make_pair(st.app, raw));
   st.owned.push_back(std::move(request));
+  metrics::add(metrics::Gauge::kLiveRequests, 1);
   if (wrapper != nullptr) st.wrapperOf.emplace(raw, wrapper);
 
   if (cookie != 0) {
@@ -318,11 +322,7 @@ void Server::handleDisconnect(SessionState& st) {
   for (auto& owned : st.owned) {
     Request& r = *owned;
     if (r.ended()) continue;
-    const auto timer = expiryTimers_.find(r.id.value);
-    if (timer != expiryTimers_.end()) {
-      Executor::cancel(timer->second);
-      expiryTimers_.erase(timer);
-    }
+    cancelExpiryTimer(r.id);
     releaseAllIds(st, r);
     r.endedAt = executor_.now();
     notifyPaEnd(st, r);
@@ -387,12 +387,7 @@ void Server::endRequest(SessionState& st, Request& r,
   COORM_CHECK(r.started() && !r.ended());
   markDirty(st);
   const Time now = executor_.now();
-
-  const auto timer = expiryTimers_.find(r.id.value);
-  if (timer != expiryTimers_.end()) {
-    Executor::cancel(timer->second);
-    expiryTimers_.erase(timer);
-  }
+  cancelExpiryTimer(r.id);
 
   // Paper done(): the duration becomes the time actually used.
   r.duration = std::max<Time>(now - r.startedAt, 0);
@@ -413,23 +408,7 @@ void Server::endRequest(SessionState& st, Request& r,
   } else {
     releaseAllIds(st, r);
   }
-
-  // An implicit wrapper PA lives exactly as long as the request it wraps.
-  const auto wit = st.wrapperOf.find(&r);
-  if (wit != st.wrapperOf.end()) {
-    Request* wrapper = wit->second;
-    st.wrapperOf.erase(wit);
-    if (!wrapper->ended()) {
-      if (wrapper->started()) {
-        wrapper->duration = std::max<Time>(now - wrapper->startedAt, 0);
-        wrapper->endedAt = now;
-        journalEnded(*wrapper, now, wrapper->duration, {});
-        notifyPaEnd(st, *wrapper);
-      } else {
-        cancelUnstarted(st, *wrapper);
-      }
-    }
-  }
+  endImplicitWrapper(st, r);
 
   if (!st.killed && !st.disconnected && !r.implicit &&
       st.endpoint != nullptr) {
@@ -454,23 +433,7 @@ void Server::cancelUnstarted(SessionState& st, Request& r) {
   }
   r.endedAt = executor_.now();
   journalEnded(r, r.endedAt, r.duration, {});
-  // Cancel the implicit wrapper PA along with the request it wraps.
-  const auto wit = st.wrapperOf.find(&r);
-  if (wit != st.wrapperOf.end()) {
-    Request* wrapper = wit->second;
-    st.wrapperOf.erase(wit);
-    if (!wrapper->ended()) {
-      if (wrapper->started()) {
-        wrapper->duration =
-            std::max<Time>(executor_.now() - wrapper->startedAt, 0);
-        wrapper->endedAt = executor_.now();
-        journalEnded(*wrapper, wrapper->endedAt, wrapper->duration, {});
-        notifyPaEnd(st, *wrapper);
-      } else {
-        cancelUnstarted(st, *wrapper);
-      }
-    }
-  }
+  endImplicitWrapper(st, r);
   if (!st.killed && !st.disconnected && !r.implicit &&
       st.endpoint != nullptr) {
     r.endNotified = true;
@@ -478,6 +441,33 @@ void Server::cancelUnstarted(SessionState& st, Request& r) {
     const RequestId id = r.id;
     executor_.after(0, [endpoint, id] { endpoint->onEnded(id); });
   }
+}
+
+void Server::endImplicitWrapper(SessionState& st, Request& r) {
+  // An implicit wrapper PA lives exactly as long as the request it wraps.
+  const auto wit = st.wrapperOf.find(&r);
+  if (wit == st.wrapperOf.end()) return;
+  Request* wrapper = wit->second;
+  st.wrapperOf.erase(wit);
+  if (wrapper->ended()) return;
+  if (!wrapper->started()) {
+    cancelUnstarted(st, *wrapper);
+    return;
+  }
+  // A wrapper ending early must not leave its walltime expiry armed.
+  cancelExpiryTimer(wrapper->id);
+  const Time now = executor_.now();
+  wrapper->duration = std::max<Time>(now - wrapper->startedAt, 0);
+  wrapper->endedAt = now;
+  journalEnded(*wrapper, now, wrapper->duration, {});
+  notifyPaEnd(st, *wrapper);
+}
+
+void Server::cancelExpiryTimer(RequestId id) {
+  const auto timer = expiryTimers_.find(id.value);
+  if (timer == expiryTimers_.end()) return;
+  Executor::cancel(timer->second);
+  expiryTimers_.erase(timer);
 }
 
 void Server::onExpiryTimer(AppId app, RequestId id) {
@@ -535,11 +525,7 @@ void Server::killApp(SessionState& st) {
   for (auto& owned : st.owned) {
     Request& r = *owned;
     if (r.ended()) continue;
-    const auto timer = expiryTimers_.find(r.id.value);
-    if (timer != expiryTimers_.end()) {
-      Executor::cancel(timer->second);
-      expiryTimers_.erase(timer);
-    }
+    cancelExpiryTimer(r.id);
     releaseAllIds(st, r);
     r.endedAt = executor_.now();
     notifyPaEnd(st, r);
@@ -996,41 +982,68 @@ void Server::pushViews() {
 }
 
 void Server::pruneEnded() {
+  // Runs at pass launch only, with no pass in flight: the snapshot about to
+  // be captured is the first reader of the sets after this, and every
+  // session touched here is marked dirty so no capture skips it.
+  std::vector<const Request*> pinned;
   for (auto& stPtr : sessions_) {
     SessionState& st = *stPtr;
-    // A request can be destroyed once it has ended and nothing references
-    // it any more (constraint targets must stay resolvable, and wrapper
-    // PAs must outlive the request they wrap).
-    std::vector<const Request*> referenced;
-    for (const auto& owned : st.owned) {
-      if (owned->relatedTo != nullptr) referenced.push_back(owned->relatedTo);
-    }
-    for (const auto& [np, pa] : st.wrapperOf) {
-      referenced.push_back(np);
-      referenced.push_back(pa);
-    }
-    auto isReferenced = [&](const Request* r) {
-      return std::find(referenced.begin(), referenced.end(), r) !=
-             referenced.end();
-    };
+    const bool live = !st.killed && !st.disconnected;
+    // A dead session never schedules again: its wrapper pairs are over.
+    if (!live) st.wrapperOf.clear();
 
-    for (auto it = st.owned.begin(); it != st.owned.end();) {
-      Request* r = it->get();
-      // An end the application has not been told about yet (its endpoint
-      // was detached, or the request was replayed from the journal) must
-      // survive pruning until a resume re-announces it.
-      const bool endPending = !r->implicit && !r->endNotified && !st.killed &&
-                              !st.disconnected;
-      if (r->ended() && !isReferenced(r) && !endPending) {
-        markDirty(st);
-        setFor(st, r->type).remove(r->id);
-        requestIndex_.erase(r->id.value);
-        expiryTimers_.erase(r->id.value);
-        it = st.owned.erase(it);
-      } else {
-        ++it;
+    // The lifetime rule: an ended request is reclaimed unless an unstarted
+    // request still names it as its NEXT/COALLOC target (the successor is
+    // placed relative to it and inherits its node IDs), it is half of a
+    // live implicit-wrapper pair, or its end is not yet announced (the
+    // endpoint was detached, or the request was replayed from the journal:
+    // a resume re-announces it first).
+    pinned.clear();
+    for (const auto& owned : st.owned) {
+      if (owned->relatedTo != nullptr && !owned->started() &&
+          !owned->ended()) {
+        pinned.push_back(owned->relatedTo);
       }
     }
+    for (const auto& [np, pa] : st.wrapperOf) {
+      pinned.push_back(np);
+      pinned.push_back(pa);
+    }
+    std::sort(pinned.begin(), pinned.end());
+    const auto reclaimable = [&](const Request& r) {
+      const bool endPending = live && !r.implicit && !r.endNotified;
+      return r.ended() && !endPending &&
+             !std::binary_search(pinned.begin(), pinned.end(), &r);
+    };
+
+    std::int64_t freed = 0;
+    for (const auto& owned : st.owned) {
+      Request& r = *owned;
+      if (reclaimable(r)) {
+        ++freed;
+      } else if (r.relatedTo != nullptr && reclaimable(*r.relatedTo)) {
+        // Only a started (or ended) request can name a reclaimable target,
+        // and nothing reads such a request's parent any more: it becomes a
+        // root, exactly as a compacted journal (-1 link) restores it.
+        r.relatedTo = nullptr;
+      }
+    }
+    if (freed == 0) continue;
+
+    markDirty(st);
+    for (RequestSet* set :
+         {&st.preAllocations, &st.nonPreemptible, &st.preemptible}) {
+      set->removeIf([&](const Request* r) { return reclaimable(*r); });
+    }
+    for (auto& owned : st.owned) {
+      if (!reclaimable(*owned)) continue;
+      // Every path that ends a request cancels its expiry timer.
+      COORM_DCHECK(!expiryTimers_.contains(owned->id.value));
+      requestIndex_.erase(owned->id.value);
+      owned.reset();
+    }
+    std::erase(st.owned, nullptr);
+    metrics::add(metrics::Gauge::kLiveRequests, -freed);
   }
 }
 
@@ -1359,6 +1372,7 @@ bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
         st->preAllocations.add(wrapper);
         requestIndex_.emplace(wrapperId, std::make_pair(app, wrapper));
         st->owned.push_back(std::move(wrapped));
+        metrics::add(metrics::Gauge::kLiveRequests, 1);
         nextRequestId_ = std::max(nextRequestId_, wrapperId + 1);
       }
 
@@ -1381,6 +1395,7 @@ bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
       setFor(*st, rtype).add(raw);
       requestIndex_.emplace(id.value, std::make_pair(app, raw));
       st->owned.push_back(std::move(request));
+      metrics::add(metrics::Gauge::kLiveRequests, 1);
       if (wrapper != nullptr) st->wrapperOf.emplace(raw, wrapper);
       if (cookie != 0) {
         if (st->cookieCache.size() >= kCookieCacheCap) {
@@ -1456,11 +1471,7 @@ bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
       }
       SessionState* st = findSession(req->app);
       COORM_CHECK(st != nullptr);
-      const auto timer = expiryTimers_.find(id.value);
-      if (timer != expiryTimers_.end()) {
-        Executor::cancel(timer->second);
-        expiryTimers_.erase(timer);
-      }
+      cancelExpiryTimer(id);
 
       if (req->started()) {
         // Mirror endRequest: explicit releases back to the pool, the
@@ -1517,11 +1528,7 @@ bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
       for (auto& owned : st->owned) {
         Request& req = *owned;
         if (req.ended()) continue;
-        const auto timer = expiryTimers_.find(req.id.value);
-        if (timer != expiryTimers_.end()) {
-          Executor::cancel(timer->second);
-          expiryTimers_.erase(timer);
-        }
+        cancelExpiryTimer(req.id);
         if (!req.nodeIds.empty()) {
           pool_.release(req.nodeIds);
           req.nodeIds.clear();
@@ -1621,6 +1628,7 @@ bool Server::replaySnapshot(const std::vector<std::uint8_t>& payload,
       setFor(st, req.type).add(raw);
       requestIndex_.emplace(req.id.value, std::make_pair(app, raw));
       st.owned.push_back(std::move(request));
+      metrics::add(metrics::Gauge::kLiveRequests, 1);
       if (relatedTo >= 0) pendingRelated.emplace_back(raw, relatedTo);
       if (raw->started() && !raw->ended() && !isInf(raw->duration)) {
         const RequestId id = raw->id;

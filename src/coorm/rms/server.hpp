@@ -290,6 +290,12 @@ class Server {
                                     : CaptureStats{};
   }
 
+  /// Requests the most recent pass captured (test/bench introspection):
+  /// bounded by the live requests, not by the lease history.
+  [[nodiscard]] std::size_t capturedRequestCount() const {
+    return passSnapshot_ != nullptr ? passSnapshot_->requestCount() : 0;
+  }
+
   /// Snapshot of the process-wide metrics registry (common/metrics.hpp).
   /// The daemon's STATS reply is built from exactly this call, so a remote
   /// query and an in-process read observe the same counters.
@@ -302,7 +308,7 @@ class Server {
   /// (used by tests and the throughput benchmark).
   void runSchedulingPassNow();
 
-  /// Look up a request (nullptr if unknown or already pruned). Commits any
+  /// Look up a request (nullptr if unknown or already reclaimed). Commits any
   /// in-flight pass first so scheduling attributes are current. Test
   /// helper.
   [[nodiscard]] const Request* findRequest(RequestId id);
@@ -353,7 +359,7 @@ class Server {
 
   // --- scheduling ----------------------------------------------------------
   void requestReschedule();
-  /// Pass launch: prunes, freezes the request sets into a snapshot and
+  /// Pass launch: reclaims, freezes the request sets into a snapshot and
   /// either hands the pass to the background lane (pipeline mode) or runs
   /// it inline; a `synchronous` launch always commits before returning.
   void runPass(bool synchronous = false);
@@ -371,6 +377,10 @@ class Server {
   bool tryStart(SessionState& st, Request& r, Time now);
   void pushViews();
   void checkViolations();
+  /// Pass-launch reclamation of ended requests (the lifetime rule in
+  /// README "Pipelined serving"): frees every ended request no unstarted
+  /// request, live implicit-wrapper pair or unannounced end still needs,
+  /// and unlinks the started requests that named one.
   void pruneEnded();
   /// End-of-commit bookkeeping: pass-latency histogram sample, the "pass"
   /// trace span, and the Config::slowPass outlier breakdown line.
@@ -389,6 +399,9 @@ class Server {
   }
   void endRequest(SessionState& st, Request& r, std::vector<NodeId> released);
   void cancelUnstarted(SessionState& st, Request& r);
+  /// Ends (or cancels) the implicit wrapper PA of `r`, if it has one.
+  void endImplicitWrapper(SessionState& st, Request& r);
+  void cancelExpiryTimer(RequestId id);
   void onExpiryTimer(AppId app, RequestId id);
   void killApp(SessionState& st);
   void releaseIds(SessionState& st, Request& r, std::vector<NodeId> ids);

@@ -13,6 +13,7 @@
 
 #include <cctype>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -203,6 +204,63 @@ TEST(MetricsLoopback, SessionsAndCleanGoodbyesAreNotDeadPeers) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ((*reply)[Gauge::kLiveSessions], 0);
   EXPECT_EQ((*reply)[Event::kDeadPeerDrops], 0u);  // GOODBYE is not a drop
+
+  statsq.disconnect();
+}
+
+TEST(MetricsLoopback, LiveRequestsRiseWithSubmissionsAndReturnToZero) {
+  // A short re-scheduling interval: the pass a GOODBYE arms must run
+  // within the poll window, since that pass reclaims the ended requests.
+  Server::Config config;
+  config.reschedInterval = msec(10);
+  nettest::DaemonFixture daemon(config, 64);
+  metrics::reset();
+
+  net::PollExecutor executor;
+  NullEndpoint endpoints[2];
+  std::vector<std::unique_ptr<net::RmsClient>> apps;
+  for (NullEndpoint& endpoint : endpoints) {
+    apps.push_back(std::make_unique<net::RmsClient>(
+        executor,
+        net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},
+                               "app"}));
+    apps.back()->connect(endpoint);
+  }
+  net::RmsClient statsq(
+      executor,
+      net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},
+                             "statsq"});
+  statsq.dial();
+
+  RequestSpec rigid;  // a bare NP request: held with its implicit wrapper
+  rigid.nodes = 4;
+  rigid.duration = sec(60);
+  rigid.type = RequestType::kNonPreemptible;
+  ASSERT_TRUE(apps[0]->request(rigid).valid());
+  std::optional<metrics::Snapshot> reply = statsq.stats();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ((*reply)[Gauge::kLiveRequests], 2);
+
+  RequestSpec lease;
+  lease.nodes = 8;
+  lease.duration = kTimeInf;
+  lease.type = RequestType::kPreemptible;
+  const RequestId first = apps[1]->request(lease);
+  ASSERT_TRUE(first.valid());
+  lease.relatedHow = Relation::kNext;
+  lease.relatedTo = first;
+  ASSERT_TRUE(apps[1]->request(lease).valid());
+  reply = statsq.stats();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ((*reply)[Gauge::kLiveRequests], 4);
+
+  // Disconnecting ends everything; the pass the GOODBYE arms reclaims it.
+  for (auto& app : apps) app->disconnect();
+  reply = pollStats(statsq, [](const metrics::Snapshot& snap) {
+    return snap[Gauge::kLiveRequests] == 0 && snap[Gauge::kLiveSessions] == 0;
+  });
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ((*reply)[Gauge::kLiveRequests], 0);
 
   statsq.disconnect();
 }

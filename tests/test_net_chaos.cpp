@@ -11,7 +11,11 @@
 //    clock and serve the rest of its life normally;
 //  - mid-handshake: a second application's connect() spans the kill and
 //    the restart — its dial/HELLO retries (client backoff policy) bridge
-//    the outage, while the first application RESUMEs its session.
+//    the outage, while the first application RESUMEs its session;
+//  - after a reclaiming compaction: a 1,000-transition filler lease chain
+//    is killed once the journal has been compacted behind a pass that
+//    reclaimed ended leases, so the restart replays running leases whose
+//    predecessor links were cleared (written as -1).
 //
 // Alignment: all injected chaos is gated on client-observed post-commit
 // events (a started/ended line in a trace), so both runs decompose into
@@ -370,6 +374,130 @@ TEST(NetChaos, KillMidSteadyStateWithLeasesMatchesPristineServer) {
   EXPECT_GT(stats->events[eventIndex(metrics::Event::kLeasesRenewed)] +
                 stats->events[eventIndex(metrics::Event::kLeasesPreempted)],
             0u);
+}
+
+/// Filler lease chain (the PSA/filler pattern): every start immediately
+/// triggers the next transition — a NEXT successor of the next size, then
+/// the end of the current lease naming the node IDs the successor does not
+/// keep. On a 1024-node machine with leases of 256–1024 nodes every start
+/// record carries kilobytes of node IDs, so the journal crosses its 1 MiB
+/// compaction threshold every ~150 transitions; each such compaction runs
+/// at a pass commit, right after that pass's launch reclaimed the chain's
+/// ended leases.
+struct ChainRun {
+  static constexpr int kTransitions = 1000;
+  ScriptApp filler;
+  Scenario scenario;
+  /// Fires once the client has seen lease `kKillAfter` end (its successor
+  /// is acked and its end journaled); remote runs kill the daemon here.
+  static constexpr int kKillAfter = 600;
+  std::function<void()> atKillPoint;
+
+  static NodeCount sizeOf(int ordinal) {
+    return 256 + (static_cast<NodeCount>(ordinal) * 397) % 769;
+  }
+
+  void wire(Transport& transport) {
+    filler.onFirstViews = [this] {
+      RequestSpec lease;
+      lease.nodes = sizeOf(0);
+      lease.duration = kTimeInf;
+      lease.type = RequestType::kPreemptible;
+      filler.submit(lease);
+    };
+    filler.onStartedHook = [this](int o) {
+      if (o < 0 || o >= kTransitions) return;
+      RequestSpec next;
+      next.nodes = sizeOf(o + 1);
+      next.duration = kTimeInf;
+      next.type = RequestType::kPreemptible;
+      next.relatedHow = Relation::kNext;
+      next.relatedTo = filler.submitted[static_cast<std::size_t>(o)];
+      filler.submit(next);
+      const std::vector<NodeId>& held =
+          filler.granted[static_cast<std::size_t>(o)];
+      std::vector<NodeId> released;
+      if (std::ssize(held) > next.nodes) {
+        released.assign(held.begin() + next.nodes, held.end());
+      }
+      filler.finish(o, std::move(released));
+    };
+    const std::string killMark = "ended #" + std::to_string(kKillAfter);
+    scenario.steps = {
+        {[] { return true; },
+         [this, &transport] { filler.bind(transport.add(filler, "filler")); }},
+        {[this, killMark] { return contains(filler.trace, killMark); },
+         [this] {
+           if (atKillPoint) atKillPoint();
+         }},
+    };
+    scenario.finished = [this] {
+      return filler.startedCount > kTransitions;
+    };
+  }
+};
+
+TEST(NetChaos, KillAfterReclaimingCompactionMatchesUninterruptedServer) {
+  Server::Config config = chaosConfig();
+  config.reschedInterval = msec(10);
+  ChainRun reference;
+  Engine engine;
+  Server server(engine, Machine::single(1024), config);
+  InProcessTransport direct(server);
+  reference.wire(direct);
+  ASSERT_TRUE(runInProcess(engine, reference.scenario))
+      << "in-process reference run did not finish";
+
+  ChildDaemon daemon(COORM_RMSD_PATH, journalPath("chain"),
+                     {"--nodes", "1024", "--resched", "0.01", "--no-pipeline",
+                      "--resume-grace", "30", "--io-backend", "epoll",
+                      "--delta-views", "on", "--coalesce", "on"});
+  daemon.start();
+  net::PollExecutor clientLoop;
+  std::uint64_t compactionsBeforeKill = 0;
+  ChainRun remote;
+  // The kill point: the journal has been compacted (a snapshot holding the
+  // running leases with their reclaimed predecessors' links written as -1)
+  // and has grown records since; the restarted daemon replays both.
+  remote.atKillPoint = [&] {
+    net::RmsClient statsq(
+        clientLoop,
+        net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},
+                               "statsq"});
+    statsq.dial();
+    const auto stats = statsq.stats();
+    statsq.disconnect();
+    if (stats.has_value()) {
+      compactionsBeforeKill =
+          stats->events[eventIndex(metrics::Event::kJournalCompactions)];
+    }
+    daemon.restart();
+  };
+  ReconnectTransport transport(clientLoop, daemon.port());
+  remote.wire(transport);
+  ASSERT_TRUE(runLoopback(clientLoop, remote.scenario, msec(600), sec(120)))
+      << "chaos run did not finish";
+
+  EXPECT_GE(compactionsBeforeKill, 1u);
+  EXPECT_EQ(reference.filler.trace, remote.filler.trace);
+  EXPECT_GE(transport.clients[0]->reconnects(), 1u);
+
+  // The restarted daemon rebuilt the chain from the compacted journal and
+  // reclaimed it as it ran: it holds the last lease and a few links, not
+  // the ~400 leases it served after the restart.
+  net::RmsClient statsq(
+      clientLoop,
+      net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},
+                             "statsq"});
+  statsq.dial();
+  const auto stats = statsq.stats();
+  statsq.disconnect();
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_GT(stats->events[eventIndex(metrics::Event::kJournalRecordsReplayed)],
+            0u);
+  EXPECT_LE(stats->gauges[static_cast<std::size_t>(
+                metrics::Gauge::kLiveRequests)],
+            3);
 }
 
 TEST(NetChaos, KillMidHandshakeMatchesUninterruptedServer) {

@@ -5,6 +5,11 @@
 namespace coorm {
 namespace {
 
+/// removeIf() selector for one id.
+auto withId(std::int64_t id) {
+  return [id](const Request* r) { return r->id == RequestId{id}; };
+}
+
 Request makeRequest(std::int64_t id, Relation how = Relation::kFree,
                     Request* parent = nullptr) {
   Request r;
@@ -22,7 +27,7 @@ TEST(RequestSet, AddFindRemove) {
   EXPECT_EQ(set.size(), 1u);
   EXPECT_EQ(set.find(RequestId{1}), &a);
   EXPECT_TRUE(set.contains(&a));
-  set.remove(RequestId{1});
+  set.removeIf(withId(1));
   EXPECT_TRUE(set.empty());
   EXPECT_EQ(set.find(RequestId{1}), nullptr);
 }
@@ -31,13 +36,13 @@ TEST(RequestSet, RemoveMissingIsNoop) {
   Request a = makeRequest(1);
   RequestSet set;
   set.add(&a);
-  set.remove(RequestId{99});
+  set.removeIf(withId(99));
   EXPECT_EQ(set.size(), 1u);
 }
 
 TEST(RequestSet, VersionBumpsOnEveryMembershipMutation) {
   // The membership version backs the snapshot's stale-skip guard: every
-  // add() and every remove() that actually erased a member must move it,
+  // add() and every removeIf() that actually erased a member must move it,
   // and nothing else may (a stable version is what lets the epoch-skip
   // fast path trust its captured image).
   Request a = makeRequest(1);
@@ -59,16 +64,16 @@ TEST(RequestSet, VersionBumpsOnEveryMembershipMutation) {
   (void)set.children(a);
   EXPECT_EQ(set.version(), v2);
 
-  // A remove() that misses is a no-op, version included.
-  set.remove(RequestId{99});
+  // A removeIf() that misses is a no-op, version included.
+  set.removeIf(withId(99));
   EXPECT_EQ(set.version(), v2);
 
-  set.remove(RequestId{1});
+  set.removeIf(withId(1));
   const std::uint64_t v3 = set.version();
   EXPECT_NE(v3, v2);
 
   // Removing the same id twice only counts once.
-  set.remove(RequestId{1});
+  set.removeIf(withId(1));
   EXPECT_EQ(set.version(), v3);
 
   // Re-adding after a remove is a fresh mutation: the version must not
@@ -206,7 +211,7 @@ TEST(RequestSetOrder, RemoveKeepsRelativeOrderOfTheRest) {
   set.add(&b);
   set.add(&c);
   set.add(&d);
-  set.remove(RequestId{2});
+  set.removeIf(withId(2));
 
   std::vector<std::int64_t> order;
   set.forEachRoot([&](Request* r) { order.push_back(r->id.value); });

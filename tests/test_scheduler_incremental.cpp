@@ -30,6 +30,7 @@
 #include "coorm/rms/scheduler.hpp"
 #include "coorm/rms/server.hpp"
 #include "coorm/sim/engine.hpp"
+#include "lease_chain.hpp"
 
 namespace coorm {
 namespace {
@@ -537,11 +538,16 @@ struct ServerOutcome {
   NodeCount freeC1 = 0;
   std::uint64_t passes = 0;
   std::uint64_t leasesRenewed = 0;
+  int chainTransitions = 0;
 };
 
+/// `chainTransitions` > 0 adds a malleable filler whose NEXT lease chain
+/// (tests/lease_chain.hpp) competes with the lease holders on cluster 0;
+/// its log is the last entry of ServerOutcome::appLogs.
 ServerOutcome runServerScenario(std::uint64_t seed, bool incremental,
                                 bool pipeline, int threads,
-                                Time horizon = minutes(20)) {
+                                Time horizon = minutes(20),
+                                int chainTransitions = 0) {
   const metrics::Snapshot before = metrics::snapshot();
   Engine engine;
   Machine machine;
@@ -563,10 +569,24 @@ ServerOutcome runServerScenario(std::uint64_t seed, bool incremental,
         std::make_unique<LeaseApp>(engine, rng.fork().engine()()));
     apps.back()->attach(server);
   }
+  std::unique_ptr<testing_support::LeaseChainApp> chain;
+  if (chainTransitions > 0) {
+    testing_support::LeaseChainApp::Config chainConfig;
+    chainConfig.maxNodes = 12;
+    chainConfig.transitions = chainTransitions;
+    chainConfig.seed = rng.fork().engine()();
+    chain = std::make_unique<testing_support::LeaseChainApp>(engine,
+                                                             chainConfig);
+    chain->attach(server);
+  }
   engine.runUntil(horizon);
 
   ServerOutcome outcome;
   for (const auto& app : apps) outcome.appLogs.push_back(app->events());
+  if (chain != nullptr) {
+    outcome.appLogs.push_back(chain->events());
+    outcome.chainTransitions = chain->transitions();
+  }
   for (const Trace::Entry& entry : trace.entries()) {
     outcome.trace.push_back("t=" + std::to_string(entry.at) + " " +
                             entry.actor + ": " + entry.what);
@@ -625,6 +645,39 @@ TEST(SchedulerIncremental, ServerLongHorizonMatchesPristineSerialServer) {
   }
   // The horizon must actually exercise the steady state: leases renewed.
   EXPECT_GT(totalRenewed, 0u);
+}
+
+TEST(SchedulerIncremental, LeaseChainMatchesPristineSerialServer) {
+  // The lease holders plus a filler making 1,000 NEXT transitions: every
+  // launch reclaims the chain's ended leases (a membership change for the
+  // filler, an epoch-clean pass for the quiet holders) and both servers
+  // must still agree request for request.
+  constexpr int kTransitions = 1000;
+  for (std::uint64_t seed = 4; seed <= 5; ++seed) {
+    const ServerOutcome pristine =
+        runServerScenario(seed, /*incremental=*/false, /*pipeline=*/false,
+                          /*threads=*/1, minutes(25), kTransitions);
+    EXPECT_GE(pristine.chainTransitions, kTransitions) << "seed=" << seed;
+    for (const int threads : {1, 4}) {
+      const ServerOutcome inc =
+          runServerScenario(seed, /*incremental=*/true, /*pipeline=*/true,
+                            threads, minutes(25), kTransitions);
+      SCOPED_TRACE("chain seed=" + std::to_string(seed) +
+                   " threads=" + std::to_string(threads));
+      ASSERT_EQ(pristine.appLogs.size(), inc.appLogs.size());
+      for (std::size_t i = 0; i < pristine.appLogs.size(); ++i) {
+        EXPECT_EQ(pristine.appLogs[i], inc.appLogs[i]) << "app " << i;
+      }
+      EXPECT_EQ(pristine.freeC0, inc.freeC0);
+      EXPECT_EQ(pristine.freeC1, inc.freeC1);
+      EXPECT_EQ(pristine.passes, inc.passes);
+      EXPECT_EQ(canonicalized(pristine.trace), canonicalized(inc.trace));
+    }
+    const ServerOutcome serialInc =
+        runServerScenario(seed, /*incremental=*/true, /*pipeline=*/false,
+                          /*threads=*/1, minutes(25), kTransitions);
+    EXPECT_EQ(pristine.trace, serialInc.trace) << "seed=" << seed;
+  }
 }
 
 }  // namespace

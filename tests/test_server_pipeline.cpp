@@ -28,12 +28,16 @@
 #include "coorm/common/rng.hpp"
 #include "coorm/rms/server.hpp"
 #include "coorm/sim/engine.hpp"
+#include "lease_chain.hpp"
 
 namespace coorm {
 namespace {
 
 const ClusterId kC0{0};
 const ClusterId kC1{1};
+/// The lease-chain filler's own cluster: the scripted population keeps the
+/// other two full, and a filler with nothing to fill makes no transitions.
+const ClusterId kChain{2};
 
 /// A scripted application performing deterministic pseudo-random protocol
 /// action bursts, recording everything the server tells it.
@@ -229,14 +233,20 @@ struct Outcome {
   NodeCount freeC1 = 0;
   std::uint64_t passes = 0;
   std::uint64_t overlapped = 0;
+  int chainTransitions = 0;
 };
 
+/// `chainTransitions` > 0 adds a malleable filler running an endless NEXT
+/// lease chain (tests/lease_chain.hpp) on a third cluster next to the
+/// scripted applications; its log is the last entry of Outcome::appLogs.
 Outcome runScenario(std::uint64_t seed, bool pipeline, int threads,
-                    int napps = 5, Time horizon = minutes(8)) {
+                    int napps = 5, Time horizon = minutes(8),
+                    int chainTransitions = 0) {
   Engine engine;
   Machine machine;
   machine.clusters.push_back({kC0, 16});
   machine.clusters.push_back({kC1, 8});
+  if (chainTransitions > 0) machine.clusters.push_back({kChain, 16});
   Server::Config config;
   config.reschedInterval = sec(1);
   config.violationGrace = sec(5);
@@ -263,10 +273,26 @@ Outcome runScenario(std::uint64_t seed, bool pipeline, int threads,
     }
   }
 
+  std::unique_ptr<testing_support::LeaseChainApp> chain;
+  if (chainTransitions > 0) {
+    testing_support::LeaseChainApp::Config chainConfig;
+    chainConfig.cluster = kChain;
+    chainConfig.maxNodes = 12;
+    chainConfig.transitions = chainTransitions;
+    chainConfig.seed = rng.fork().engine()();
+    chain = std::make_unique<testing_support::LeaseChainApp>(engine,
+                                                             chainConfig);
+    chain->attach(server);
+  }
+
   engine.runUntil(horizon);
 
   Outcome outcome;
   for (const auto& app : apps) outcome.appLogs.push_back(app->events());
+  if (chain != nullptr) {
+    outcome.appLogs.push_back(chain->events());
+    outcome.chainTransitions = chain->transitions();
+  }
   for (const Trace::Entry& entry : trace.entries()) {
     outcome.trace.push_back("t=" + std::to_string(entry.at) + " " +
                             entry.actor + ": " + entry.what);
@@ -328,6 +354,25 @@ TEST(ServerPipeline, OutputBitIdenticalToSerialServerAcrossThreadCounts) {
   // The suite must actually exercise the overlap path: across the seeds,
   // some passes saw request()/connect() arrive while in flight.
   EXPECT_GT(totalOverlapped, 0u);
+}
+
+TEST(ServerPipeline, LeaseChainOutputBitIdenticalToSerialServer) {
+  // The same scripted population plus a filler whose NEXT lease chain runs
+  // past 1,000 transitions: every pass launch reclaims ended leases and
+  // unlinks running successors while the pipelined commit reconciles.
+  constexpr int kTransitions = 1000;
+  constexpr std::uint64_t kSeed = 21;
+  const Outcome serial = runScenario(kSeed, /*pipeline=*/false, 1, 5,
+                                     minutes(18), kTransitions);
+  EXPECT_GE(serial.chainTransitions, kTransitions);
+  for (const int threads : {1, 4}) {
+    const Outcome pipelined = runScenario(kSeed, /*pipeline=*/true, threads,
+                                          5, minutes(18), kTransitions);
+    expectSameOutput(serial, pipelined,
+                     "chain threads=" + std::to_string(threads));
+    EXPECT_EQ(canonicalized(serial.trace), canonicalized(pipelined.trace))
+        << "threads=" << threads;
+  }
 }
 
 TEST(ServerPipeline, PipelinedTracesAreDeterministic) {
