@@ -56,7 +56,7 @@ void BM_JournalAppend(benchmark::State& state) {
     // rare enough (every 1<<16 appends) not to move the number.
     if (journal.bytes() > (8u << 20)) {
       state.PauseTiming();
-      journal.compact(record);
+      journal.compact({record});
       state.ResumeTiming();
     }
   }

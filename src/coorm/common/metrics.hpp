@@ -56,7 +56,7 @@ enum class Event : std::uint16_t {
   kJournalRecordsAppended,    ///< records appended to the session journal
   kJournalBytesAppended,      ///< journal bytes written (records incl. framing)
   kJournalFsyncs,             ///< journal fsync barriers (commit boundaries)
-  kJournalCompactions,        ///< journal rewrites behind a snapshot record
+  kJournalCompactions,        ///< journal rewrites to the live state
   kJournalRecordsReplayed,    ///< records replayed at startup recovery
   kSessionsResumed,           ///< RESUME handshakes re-attaching a session
   kReconnects,                ///< client reconnects completed (both ends count)

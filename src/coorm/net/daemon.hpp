@@ -59,13 +59,10 @@ class Daemon {
     /// Sequenced delta view pushes (VIEWS_DELTA). false restores the v2
     /// behaviour of a whole VIEWS frame per pass.
     bool deltaViews = true;
-    /// Batch frames per session and flush once per loop turn (all frames
-    /// of one pass commit become one send syscall). false flushes on
-    /// every frame, as in PR 5–8.
-    bool coalesceWrites = true;
-    /// Coalescing safety valve: a session whose unflushed bytes reach
-    /// this mark flushes immediately instead of waiting for the
-    /// zero-delay flush event.
+    /// Frames are batched per session and flushed once per loop turn (all
+    /// frames of one pass commit become one send syscall). Safety valve:
+    /// a session whose unflushed bytes reach this mark flushes immediately
+    /// instead of waiting for the zero-delay flush event.
     std::size_t flushHighWater = 256u << 10;
   };
 
@@ -110,7 +107,7 @@ class Daemon {
   void pushViews(Connection& conn, const View& nonPreemptive,
                  const View& preemptive);
   /// Appends an encoded frame to the connection's outbound buffer;
-  /// flushes now (high-water or coalescing off) or arms the
+  /// flushes now (past the high-water mark) or arms the
   /// one-per-loop-turn flush event.
   void send(Connection& conn, MsgType type);
   void flush(Connection& conn);

@@ -188,19 +188,23 @@ void Journal::sync() {
   metrics::increment(metrics::Event::kJournalFsyncs);
 }
 
-void Journal::compact(std::span<const std::uint8_t> snapshotPayload) {
+void Journal::compact(const std::vector<std::vector<std::uint8_t>>& records) {
   const std::string tmp = path_ + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                         0644);
   COORM_CHECK(fd >= 0 && "cannot open journal temp for compaction");
 
+  // One buffer, one write: compaction runs on the pass-commit path.
   scratch_.clear();
   net::Writer w(scratch_);
   w.u32(kJournalMagic);
   w.u32(kJournalVersion);
-  w.u32(static_cast<std::uint32_t>(snapshotPayload.size()));
-  w.u32(crc32(snapshotPayload));
-  w.bytes(snapshotPayload.data(), snapshotPayload.size());
+  for (const std::vector<std::uint8_t>& payload : records) {
+    COORM_CHECK(!payload.empty() && payload.size() <= kJournalMaxRecord);
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.u32(crc32(payload));
+    w.bytes(payload.data(), payload.size());
+  }
   writeAll(fd, scratch_.data(), scratch_.size());
   COORM_CHECK(::fsync(fd) == 0);
   COORM_CHECK(::close(fd) == 0);

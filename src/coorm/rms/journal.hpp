@@ -10,7 +10,7 @@
 // On-disk format (all integers big-endian, like the wire codec):
 //
 //   file   := header record*
-//   header := magic:u32 (0xC0524A4E) version:u32 (1)
+//   header := magic:u32 (0xC0524A4E) version:u32 (2)
 //   record := len:u32 crc:u32 payload[len]
 //
 // `crc` is CRC-32 (reflected, poly 0xEDB88320) over the payload;
@@ -32,9 +32,12 @@
 // request, ends, kills) and once per scheduling pass for the rest — the
 // pass hot path never fsyncs except at commit (ISSUE 7 / BM_JournalAppend).
 //
-// Compaction: once the Server writes a Snapshot record that supersedes
-// the whole prefix, `compact()` atomically rewrites the file as
-// header + that one record (write temp, fsync, rename, fsync dir).
+// Compaction: the Server re-emits its live state as ordinary records — a
+// Counters record first, then per live session its SessionOpen, Request,
+// Started and Ended records — and `compact()` atomically rewrites the file
+// as header + those records (one write to a temp file, fsync, rename,
+// fsync dir). Replay has one decoder: a compacted log and a grown one are
+// read the same way.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +48,9 @@
 namespace coorm::rms {
 
 inline constexpr std::uint32_t kJournalMagic = 0xC0524A4E;  // 0xC052 "JN"
-inline constexpr std::uint32_t kJournalVersion = 1;
+/// 2: one Request record per request (implicit wrappers get their own),
+/// and a Counters record heads a compacted log.
+inline constexpr std::uint32_t kJournalVersion = 2;
 /// Hard ceiling on one record's payload; anything larger in the log is
 /// corruption, not data (matches the wire codec's frame bound).
 inline constexpr std::uint32_t kJournalMaxRecord = 4u << 20;
@@ -54,14 +59,16 @@ inline constexpr std::uint32_t kJournalMaxRecord = 4u << 20;
 /// forwards-compatible the same way the wire MsgType range is; reusing or
 /// renumbering is not.
 enum class RecordType : std::uint8_t {
-  kSessionOpen = 1,    ///< app id, session token, client name
-  kRequest = 2,        ///< accepted request (+ implicit wrapper), cookie
+  kSessionOpen = 1,    ///< app id, session token, client name, time
+  kRequest = 2,        ///< one accepted request: shape, constraint, implicit
+                       ///< flag, the wrapper it is paired with, cookie
   kStarted = 3,        ///< request start: time, nAlloc, concrete node ids
   kEnded = 4,          ///< request end/cancel: time, final duration, releases
   kSessionClosed = 5,  ///< orderly GOODBYE at a given time
   kAppKilled = 6,      ///< violation kill at a given time
   kPassCommit = 7,     ///< scheduling pass committed at a given time
-  kSnapshot = 8,       ///< full-state snapshot superseding the prefix
+  kCounters = 8,       ///< head of a compacted log: time, next app id, next
+                       ///< request id, last pass time
 };
 
 /// CRC-32 (IEEE 802.3 reflected, poly 0xEDB88320), table-driven.
@@ -105,11 +112,12 @@ class Journal {
   /// fsync barrier. Everything appended so far survives a crash.
   void sync();
 
-  /// Atomically replaces the log with header + one snapshot record:
-  /// write `path.tmp`, fsync, rename over `path`, fsync the directory.
-  /// The old fd is swapped for the new file; a crash at any point leaves
-  /// either the old or the new journal intact, never a mix.
-  void compact(std::span<const std::uint8_t> snapshotPayload);
+  /// Atomically replaces the log with header + `records` (payloads, as
+  /// append() takes them): all framed into one buffer, one write to
+  /// `path.tmp`, fsync, rename over `path`, fsync the directory. The old
+  /// fd is swapped for the new file; a crash at any point leaves either
+  /// the old or the new journal intact, never a mix.
+  void compact(const std::vector<std::vector<std::uint8_t>>& records);
 
   /// Current file size in bytes (header + records appended/compacted).
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }

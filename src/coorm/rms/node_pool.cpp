@@ -38,20 +38,23 @@ NodeCount NodePool::totalCount(ClusterId cid) const {
   return static_cast<NodeCount>(state(cid).free.size());
 }
 
-std::vector<NodeId> NodePool::allocate(ClusterId cid, NodeCount count) {
+std::vector<NodeId> NodePool::lowestFree(ClusterId cid,
+                                         NodeCount count) const {
   COORM_CHECK(count >= 0);
-  ClusterState& st = state(cid);
+  const ClusterState& st = state(cid);
   COORM_CHECK(count <= st.freeCount);
   std::vector<NodeId> result;
   result.reserve(static_cast<std::size_t>(count));
   for (std::size_t i = 0; i < st.free.size() && std::ssize(result) < count;
        ++i) {
-    if (st.free[i]) {
-      st.free[i] = false;
-      result.push_back(NodeId{cid, static_cast<std::int32_t>(i)});
-    }
+    if (st.free[i]) result.push_back(NodeId{cid, static_cast<std::int32_t>(i)});
   }
-  st.freeCount -= count;
+  return result;
+}
+
+std::vector<NodeId> NodePool::allocate(ClusterId cid, NodeCount count) {
+  std::vector<NodeId> result = lowestFree(cid, count);
+  claim(result);
   return result;
 }
 

@@ -24,15 +24,20 @@ class NodePool {
   /// Total nodes on a cluster.
   [[nodiscard]] NodeCount totalCount(ClusterId cid) const;
 
-  /// Take `count` free nodes (lowest indices first). Aborts if fewer are
-  /// free — callers check freeCount() first.
+  /// The `count` free nodes allocate() would take (lowest indices first),
+  /// without taking them. Aborts if fewer are free — callers check
+  /// freeCount() first.
+  [[nodiscard]] std::vector<NodeId> lowestFree(ClusterId cid,
+                                               NodeCount count) const;
+
+  /// Take `count` free nodes: lowestFree() then claim().
   [[nodiscard]] std::vector<NodeId> allocate(ClusterId cid, NodeCount count);
 
   /// Return nodes to the pool. Double-free aborts.
   void release(std::span<const NodeId> nodes);
 
-  /// Take specific nodes by ID (journal replay restoring the exact
-  /// allocation a started request held). Aborts if any is already taken.
+  /// Take specific nodes by ID (a request start, live or replayed from
+  /// the journal). Aborts if any is already taken.
   void claim(std::span<const NodeId> nodes);
 
   [[nodiscard]] bool isFree(NodeId node) const;

@@ -1,6 +1,7 @@
 #include "coorm/rms/server.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <random>
 #include <span>
 
@@ -123,20 +124,16 @@ Session* Server::connect(AppEndpoint& endpoint, std::string name) {
   // snapshot and to its commit (which is scoped to the launch-time
   // sessions), so connecting overlaps the pass instead of draining it.
   ++stateEpoch_;
-  auto st = std::make_unique<SessionState>();
-  st->app = AppId{nextAppId_++};
-  st->endpoint = &endpoint;
-  st->token = mixToken(tokenSeed_ ^ static_cast<std::uint64_t>(st->app.value));
-  st->name = std::move(name);
-  st->session.reset(new Session(this, st->app));
-  Session* session = st->session.get();
-  journalSessionOpen(*st);
-  sessions_.push_back(std::move(st));
-  metrics::add(metrics::Gauge::kLiveSessions, 1);
-  trace(toString(session->app()), "connect");
+  const AppId app{nextAppId_++};
+  SessionState& st = openSession(
+      app, mixToken(tokenSeed_ ^ static_cast<std::uint64_t>(app.value)),
+      std::move(name));
+  st.endpoint = &endpoint;
+  journalSessionOpen(st);
+  trace(toString(app), "connect");
   journalSyncNow();
   requestReschedule();
-  return session;
+  return st.session.get();
 }
 
 Server::SessionState* Server::findSession(AppId app) {
@@ -144,6 +141,11 @@ Server::SessionState* Server::findSession(AppId app) {
     if (st->app == app) return st.get();
   }
   return nullptr;
+}
+
+Request* Server::indexedRequest(RequestId id) {
+  const auto it = requestIndex_.find(id.value);
+  return it != requestIndex_.end() ? it->second : nullptr;
 }
 
 RequestSet& Server::setFor(SessionState& st, RequestType type) {
@@ -158,13 +160,145 @@ RequestSet& Server::setFor(SessionState& st, RequestType type) {
 
 const Request* Server::findRequest(RequestId id) {
   syncPass();  // scheduling attributes are written at commit
-  const auto it = requestIndex_.find(id.value);
-  return it != requestIndex_.end() ? it->second.second : nullptr;
+  return indexedRequest(id);
 }
 
 void Server::trace(const std::string& actor, const std::string& what) {
   if (trace_ != nullptr) trace_->record(executor_.now(), actor, what);
   COORM_LOG(LogLevel::kDebug, "rms") << actor << ": " << what;
+}
+
+// ---------------------------------------------------------------------------
+// State transitions (shared by the live handlers and journal replay)
+// ---------------------------------------------------------------------------
+
+Server::SessionState& Server::openSession(AppId app, std::uint64_t token,
+                                          std::string name) {
+  auto st = std::make_unique<SessionState>();
+  st->app = app;
+  st->token = token;
+  st->name = std::move(name);
+  st->session.reset(new Session(this, app));
+  sessions_.push_back(std::move(st));
+  metrics::add(metrics::Gauge::kLiveSessions, 1);
+  nextAppId_ = std::max(nextAppId_, app.value + 1);
+  return *sessions_.back();
+}
+
+Request& Server::admitRequest(SessionState& st, Request fields,
+                              Request* wrapper, std::uint64_t cookie) {
+  markDirty(st);
+  auto owned = std::make_unique<Request>(std::move(fields));
+  Request& r = *owned;
+  setFor(st, r.type).add(&r);
+  requestIndex_.emplace(r.id.value, &r);
+  st.owned.push_back(std::move(owned));
+  metrics::add(metrics::Gauge::kLiveRequests, 1);
+  nextRequestId_ = std::max(nextRequestId_, r.id.value + 1);
+  if (wrapper != nullptr) st.wrapperOf.emplace(&r, wrapper);
+  if (cookie != 0) {
+    if (st.cookieCache.size() >= kCookieCacheCap) {
+      st.cookieCache.erase(st.cookieCache.begin());
+    }
+    st.cookieCache.emplace_back(cookie, r.id);
+  }
+  return r;
+}
+
+void Server::startRequest(SessionState& st, Request& r, Time at,
+                          Time scheduledAt, NodeCount nAlloc,
+                          std::vector<NodeId> nodeIds) {
+  markDirty(st);
+  std::vector<NodeId> held = r.nodeIds;
+  std::vector<NodeId> granted = nodeIds;
+  std::sort(held.begin(), held.end());
+  std::sort(granted.begin(), granted.end());
+  std::vector<NodeId> excess;
+  std::set_difference(held.begin(), held.end(), granted.begin(), granted.end(),
+                      std::back_inserter(excess));
+  std::vector<NodeId> fresh;
+  std::set_difference(granted.begin(), granted.end(), held.begin(), held.end(),
+                      std::back_inserter(fresh));
+  returnToPool(st, r, excess, at);
+  if (!fresh.empty()) {
+    pool_.claim(fresh);
+    for (AllocationObserver* observer : observers_) {
+      observer->onAllocationChanged(st.app, r.cluster, std::ssize(fresh),
+                                    r.type, at);
+    }
+  }
+  r.nodeIds = std::move(nodeIds);
+  r.nAlloc = nAlloc;
+  r.scheduledAt = scheduledAt;
+  r.startedAt = at;
+  if (!isInf(r.duration)) {
+    const AppId app = st.app;
+    const RequestId id = r.id;
+    expiryTimers_[id.value] = executor_.schedule(
+        r.plannedEnd(), [this, app, id] { onExpiryTimer(app, id); });
+  }
+  if (r.type == RequestType::kPreAllocation) {
+    // Pre-allocations carry no node IDs but occupy capacity: report them
+    // so accounting can charge for marked-but-unused resources (§7).
+    for (AllocationObserver* observer : observers_) {
+      observer->onAllocationChanged(st.app, r.cluster, r.nodes, r.type, at);
+    }
+  }
+}
+
+void Server::finishRequest(SessionState& st, Request& r, Time at,
+                           Time duration, std::span<const NodeId> released) {
+  markDirty(st);
+  cancelExpiryTimer(r.id);
+  r.duration = duration;
+  r.endedAt = at;
+  if (r.started()) {
+    notifyPaEnd(st, r, at);
+    Request* successor = findUnstartedNextChild(st, r);
+    if (successor != nullptr) {
+      // NEXT transition: the application keeps common resources. Whatever
+      // it chose to release goes back to the pool; the rest moves to the
+      // successor (extra IDs, if the successor grows, are attached when it
+      // starts).
+      releaseIds(st, r, released, at);
+      successor->nodeIds.insert(successor->nodeIds.end(), r.nodeIds.begin(),
+                                r.nodeIds.end());
+      r.nodeIds.clear();
+    } else {
+      releaseAllIds(st, r, at);
+    }
+  } else {
+    // Inherited node IDs stashed on a pending NEXT successor go back.
+    releaseAllIds(st, r, at);
+    // Orphan children: they lose their constraint rather than dangle.
+    for (auto& owned : st.owned) {
+      if (owned->relatedTo == &r) {
+        owned->relatedTo = nullptr;
+        owned->relatedHow = Relation::kFree;
+      }
+    }
+  }
+  st.wrapperOf.erase(&r);
+}
+
+void Server::closeSession(SessionState& st, Time at, bool killed) {
+  (killed ? st.killed : st.disconnected) = true;
+  metrics::add(metrics::Gauge::kLiveSessions, -1);
+  markDirty(st);
+  Executor::cancel(st.violationTimer);
+  for (auto& owned : st.owned) {
+    Request& r = *owned;
+    if (r.ended()) continue;
+    cancelExpiryTimer(r.id);
+    releaseAllIds(st, r, at);
+    r.endedAt = at;
+    notifyPaEnd(st, r, at);
+  }
+  if (killed) {
+    for (AllocationObserver* observer : observers_) {
+      observer->onAppKilled(st.app, at);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -191,8 +325,8 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
 
   Request* related = nullptr;
   if (spec.relatedHow != Relation::kFree) {
-    const auto it = requestIndex_.find(spec.relatedTo.value);
-    if (it == requestIndex_.end() || it->second.first != st.app) {
+    related = indexedRequest(spec.relatedTo);
+    if (related == nullptr || related->app != st.app) {
       // Constraint target unknown (e.g. already reclaimed) or not owned by
       // this application: reject (paper A.6: invalid requests are not
       // handled gracefully — but they must not take the RMS down).
@@ -202,7 +336,6 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
       trace(toString(st.app), "request rejected (bad constraint target)");
       return RequestId{};
     }
-    related = it->second.second;
   }
 
   // Submissions overlap an in-flight pass instead of draining it: they only
@@ -213,81 +346,54 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
   // request.
   ++stateEpoch_;
 
-  markDirty(st);
+  const auto fresh = [&](RequestType type) {
+    Request r;
+    r.id = RequestId{nextRequestId_++};
+    r.app = st.app;
+    r.cluster = spec.cluster;
+    r.nodes = spec.nodes;
+    r.duration = spec.duration;
+    r.type = type;
+    r.relatedHow = spec.relatedHow;
+    r.relatedTo = related;
+    return r;
+  };
 
   // Implicit pre-allocation wrap (§3.2): a bare non-preemptible request of
   // an application that manages no explicit pre-allocation gets a shadow PA
   // of the same shape, so it is schedulable "inside a pre-allocation".
   Request* wrapper = nullptr;
-  if (spec.type == RequestType::kNonPreemptible && config_.implicitWrap) {
-    bool hasExplicitPa = false;
-    for (const Request* pa : st.preAllocations) {
-      if (!pa->implicit && !pa->ended()) {
-        hasExplicitPa = true;
-        break;
-      }
+  if (spec.type == RequestType::kNonPreemptible &&
+      std::none_of(st.preAllocations.begin(), st.preAllocations.end(),
+                   [](const Request* pa) {
+                     return !pa->implicit && !pa->ended();
+                   })) {
+    Request pa = fresh(RequestType::kPreAllocation);
+    pa.implicit = true;
+    if (related != nullptr) {
+      // Mirror the NP chain on the PA side when the target has a wrapper.
+      Request* relatedWrapper = pairedWrapper(st, *related);
+      if (relatedWrapper != nullptr) pa.relatedTo = relatedWrapper;
     }
-    if (!hasExplicitPa) {
-      auto wrapped = std::make_unique<Request>();
-      wrapped->id = RequestId{nextRequestId_++};
-      wrapped->app = st.app;
-      wrapped->cluster = spec.cluster;
-      wrapped->nodes = spec.nodes;
-      wrapped->duration = spec.duration;
-      wrapped->type = RequestType::kPreAllocation;
-      wrapped->relatedHow = spec.relatedHow;
-      wrapped->implicit = true;
-      if (related != nullptr) {
-        // Mirror the NP chain on the PA side when the target has a wrapper.
-        const auto wit = st.wrapperOf.find(related);
-        wrapped->relatedTo =
-            wit != st.wrapperOf.end() ? wit->second : related;
-      }
-      wrapper = wrapped.get();
-      st.preAllocations.add(wrapper);
-      requestIndex_.emplace(wrapper->id.value,
-                            std::make_pair(st.app, wrapper));
-      st.owned.push_back(std::move(wrapped));
-      metrics::add(metrics::Gauge::kLiveRequests, 1);
-    }
+    wrapper = &admitRequest(st, std::move(pa), nullptr, 0);
+    journalRequest(*wrapper, nullptr, 0);
   }
 
-  auto request = std::make_unique<Request>();
-  request->id = RequestId{nextRequestId_++};
-  request->app = st.app;
-  request->cluster = spec.cluster;
-  request->nodes = spec.nodes;
-  request->duration = spec.duration;
-  request->type = spec.type;
-  request->relatedHow = spec.relatedHow;
-  request->relatedTo = related;
+  Request fields = fresh(spec.type);
   if (wrapper != nullptr && spec.relatedHow == Relation::kFree) {
     // Anchor the bare NP request to its shadow PA so they start together.
     // NEXT/COALLOC relations are kept as sent (node-ID inheritance relies
     // on them); their wrappers mirror the chain instead.
-    request->relatedHow = Relation::kCoAlloc;
-    request->relatedTo = wrapper;
+    fields.relatedHow = Relation::kCoAlloc;
+    fields.relatedTo = wrapper;
   }
-
-  Request* raw = request.get();
-  setFor(st, spec.type).add(raw);
-  requestIndex_.emplace(raw->id.value, std::make_pair(st.app, raw));
-  st.owned.push_back(std::move(request));
-  metrics::add(metrics::Gauge::kLiveRequests, 1);
-  if (wrapper != nullptr) st.wrapperOf.emplace(raw, wrapper);
-
-  if (cookie != 0) {
-    if (st.cookieCache.size() >= kCookieCacheCap) {
-      st.cookieCache.erase(st.cookieCache.begin());
-    }
-    st.cookieCache.emplace_back(cookie, raw->id);
-  }
-  journalRequest(st, *raw, wrapper, cookie);
+  const Request& r = admitRequest(st, std::move(fields), wrapper, cookie);
+  journalRequest(r, wrapper, cookie);
   journalSyncNow();  // durable before the caller can ack the id
 
-  trace(toString(st.app), "request " + raw->describe());
+  trace(toString(st.app), "request " + r.describe());
   requestReschedule();
-  return raw->id;
+  return r.id;
 }
 
 void Server::handleDone(SessionState& st, RequestId id,
@@ -296,10 +402,8 @@ void Server::handleDone(SessionState& st, RequestId id,
   // cancelled depends on whether the commit started it, and the node IDs it
   // releases must reach the pool in commit order.
   syncPass();
-  const auto it = requestIndex_.find(id.value);
-  if (it == requestIndex_.end() || it->second.first != st.app) return;
-  Request* r = it->second.second;
-  if (r->ended()) return;
+  Request* r = indexedRequest(id);
+  if (r == nullptr || r->app != st.app || r->ended()) return;
 
   trace(toString(st.app),
         "done " + toString(id) + " releasing " +
@@ -307,7 +411,7 @@ void Server::handleDone(SessionState& st, RequestId id,
   if (!r->started()) {
     cancelUnstarted(st, *r);
   } else {
-    endRequest(st, *r, std::move(released));
+    endRequest(st, *r, released);
   }
   journalSyncNow();  // ends release nodes others may be granted: durable
   requestReschedule();
@@ -316,20 +420,9 @@ void Server::handleDone(SessionState& st, RequestId id,
 void Server::handleDisconnect(SessionState& st) {
   syncPass();  // releases node IDs: must observe commit-time pool state
   trace(toString(st.app), "disconnect");
-  journalSessionEvent(rms::RecordType::kSessionClosed, st.app,
-                      executor_.now());
-  markDirty(st);
-  for (auto& owned : st.owned) {
-    Request& r = *owned;
-    if (r.ended()) continue;
-    cancelExpiryTimer(r.id);
-    releaseAllIds(st, r);
-    r.endedAt = executor_.now();
-    notifyPaEnd(st, r);
-  }
-  st.disconnected = true;
-  metrics::add(metrics::Gauge::kLiveSessions, -1);
-  Executor::cancel(st.violationTimer);
+  const Time now = executor_.now();
+  closeSession(st, now, /*killed=*/false);
+  journalSessionEvent(rms::RecordType::kSessionClosed, st.app, now);
   journalSyncNow();
   requestReschedule();
 }
@@ -338,17 +431,26 @@ void Server::handleDisconnect(SessionState& st) {
 // Request lifecycle
 // ---------------------------------------------------------------------------
 
-void Server::notifyPaEnd(SessionState& st, Request& r) {
+void Server::notifyPaEnd(SessionState& st, const Request& r, Time at) {
   if (r.type != RequestType::kPreAllocation || !r.started()) return;
   for (AllocationObserver* observer : observers_) {
-    observer->onAllocationChanged(st.app, r.cluster, -r.nodes, r.type,
-                                  executor_.now());
+    observer->onAllocationChanged(st.app, r.cluster, -r.nodes, r.type, at);
+  }
+}
+
+void Server::returnToPool(SessionState& st, const Request& r,
+                          std::span<const NodeId> ids, Time at) {
+  if (ids.empty()) return;
+  markDirty(st);
+  pool_.release(ids);
+  for (AllocationObserver* observer : observers_) {
+    observer->onAllocationChanged(st.app, r.cluster, -std::ssize(ids), r.type,
+                                  at);
   }
 }
 
 void Server::releaseIds(SessionState& st, Request& r,
-                        std::vector<NodeId> ids) {
-  if (ids.empty()) return;
+                        std::span<const NodeId> ids, Time at) {
   // Keep only IDs the request actually holds (tolerate sloppy callers).
   std::vector<NodeId> actual;
   for (const NodeId& id : ids) {
@@ -358,20 +460,15 @@ void Server::releaseIds(SessionState& st, Request& r,
       actual.push_back(id);
     }
   }
-  if (actual.empty()) return;
-  markDirty(st);
-  pool_.release(actual);
-  for (AllocationObserver* observer : observers_) {
-    observer->onAllocationChanged(st.app, r.cluster, -std::ssize(actual),
-                                  r.type, executor_.now());
-  }
+  returnToPool(st, r, actual, at);
 }
 
-void Server::releaseAllIds(SessionState& st, Request& r) {
-  releaseIds(st, r, r.nodeIds);
+void Server::releaseAllIds(SessionState& st, Request& r, Time at) {
+  returnToPool(st, r, r.nodeIds, at);
+  r.nodeIds.clear();
 }
 
-Request* Server::findUnstartedNextChild(SessionState& st, Request& r) {
+Request* Server::findUnstartedNextChild(SessionState& st, const Request& r) {
   for (Request* candidate : setFor(st, r.type)) {
     if (candidate->relatedTo == &r &&
         candidate->relatedHow == Relation::kNext && !candidate->started() &&
@@ -382,85 +479,53 @@ Request* Server::findUnstartedNextChild(SessionState& st, Request& r) {
   return nullptr;
 }
 
+Request* Server::pairedWrapper(SessionState& st, Request& r) {
+  const auto it = st.wrapperOf.find(&r);
+  return it != st.wrapperOf.end() ? it->second : nullptr;
+}
+
 void Server::endRequest(SessionState& st, Request& r,
-                        std::vector<NodeId> released) {
+                        std::span<const NodeId> released) {
   COORM_CHECK(r.started() && !r.ended());
-  markDirty(st);
   const Time now = executor_.now();
-  cancelExpiryTimer(r.id);
-
+  Request* wrapper = pairedWrapper(st, r);
   // Paper done(): the duration becomes the time actually used.
-  r.duration = std::max<Time>(now - r.startedAt, 0);
-  r.endedAt = now;
-  journalEnded(r, now, r.duration, released);
-  notifyPaEnd(st, r);
-
-  Request* successor = findUnstartedNextChild(st, r);
-  if (successor != nullptr) {
-    // NEXT transition: the application keeps common resources. Whatever it
-    // chose to release goes back to the pool; the rest moves to the
-    // successor (extra IDs, if the successor grows, are attached when it
-    // starts).
-    releaseIds(st, r, std::move(released));
-    successor->nodeIds.insert(successor->nodeIds.end(), r.nodeIds.begin(),
-                              r.nodeIds.end());
-    r.nodeIds.clear();
-  } else {
-    releaseAllIds(st, r);
-  }
-  endImplicitWrapper(st, r);
-
-  if (!st.killed && !st.disconnected && !r.implicit &&
-      st.endpoint != nullptr) {
-    r.endNotified = true;
-    AppEndpoint* endpoint = st.endpoint;
-    const RequestId id = r.id;
-    executor_.after(0, [endpoint, id] { endpoint->onEnded(id); });
-  }
+  finishRequest(st, r, now, std::max<Time>(now - r.startedAt, 0), released);
+  journalEnded(r, released);
+  endImplicitWrapper(st, wrapper);
+  notifyEnded(st, r);
 }
 
 void Server::cancelUnstarted(SessionState& st, Request& r) {
   COORM_CHECK(!r.started() && !r.ended());
-  markDirty(st);
-  // Inherited node IDs stashed on a pending NEXT successor go back.
-  releaseAllIds(st, r);
-  // Orphan children: they lose their constraint rather than dangle.
-  for (auto& owned : st.owned) {
-    if (owned->relatedTo == &r) {
-      owned->relatedTo = nullptr;
-      owned->relatedHow = Relation::kFree;
-    }
-  }
-  r.endedAt = executor_.now();
-  journalEnded(r, r.endedAt, r.duration, {});
-  endImplicitWrapper(st, r);
-  if (!st.killed && !st.disconnected && !r.implicit &&
-      st.endpoint != nullptr) {
-    r.endNotified = true;
-    AppEndpoint* endpoint = st.endpoint;
-    const RequestId id = r.id;
-    executor_.after(0, [endpoint, id] { endpoint->onEnded(id); });
-  }
+  Request* wrapper = pairedWrapper(st, r);
+  finishRequest(st, r, executor_.now(), r.duration, {});
+  journalEnded(r, {});
+  endImplicitWrapper(st, wrapper);
+  notifyEnded(st, r);
 }
 
-void Server::endImplicitWrapper(SessionState& st, Request& r) {
+void Server::endImplicitWrapper(SessionState& st, Request* wrapper) {
   // An implicit wrapper PA lives exactly as long as the request it wraps.
-  const auto wit = st.wrapperOf.find(&r);
-  if (wit == st.wrapperOf.end()) return;
-  Request* wrapper = wit->second;
-  st.wrapperOf.erase(wit);
-  if (wrapper->ended()) return;
+  if (wrapper == nullptr || wrapper->ended()) return;
   if (!wrapper->started()) {
     cancelUnstarted(st, *wrapper);
     return;
   }
-  // A wrapper ending early must not leave its walltime expiry armed.
-  cancelExpiryTimer(wrapper->id);
   const Time now = executor_.now();
-  wrapper->duration = std::max<Time>(now - wrapper->startedAt, 0);
-  wrapper->endedAt = now;
-  journalEnded(*wrapper, now, wrapper->duration, {});
-  notifyPaEnd(st, *wrapper);
+  finishRequest(st, *wrapper, now,
+                std::max<Time>(now - wrapper->startedAt, 0), {});
+  journalEnded(*wrapper, {});
+}
+
+void Server::notifyEnded(SessionState& st, Request& r) {
+  if (st.killed || st.disconnected || r.implicit || st.endpoint == nullptr) {
+    return;
+  }
+  r.endNotified = true;
+  AppEndpoint* endpoint = st.endpoint;
+  const RequestId id = r.id;
+  executor_.after(0, [endpoint, id] { endpoint->onEnded(id); });
 }
 
 void Server::cancelExpiryTimer(RequestId id) {
@@ -474,10 +539,8 @@ void Server::onExpiryTimer(AppId app, RequestId id) {
   syncPass();  // ending a request interacts with commit-time starts
   SessionState* st = findSession(app);
   if (st == nullptr || st->killed || st->disconnected) return;
-  const auto it = requestIndex_.find(id.value);
-  if (it == requestIndex_.end()) return;
-  Request* r = it->second.second;
-  if (r->ended()) return;
+  Request* r = indexedRequest(id);
+  if (r == nullptr || r->ended()) return;
 
   expiryTimers_.erase(id.value);
   trace("rms", "expiry of " + toString(id));
@@ -506,9 +569,8 @@ void Server::onExpiryTimer(AppId app, RequestId id) {
     syncPass();
     SessionState* session = findSession(app);
     if (session == nullptr || session->killed || session->disconnected) return;
-    const auto entry = requestIndex_.find(id.value);
-    if (entry == requestIndex_.end()) return;
-    if (!entry->second.second->ended()) {
+    const Request* entry = indexedRequest(id);
+    if (entry != nullptr && !entry->ended()) {
       trace("rms", "killing " + toString(app) + ": request " + toString(id) +
                        " not terminated after expiry");
       killApp(*session);
@@ -517,22 +579,9 @@ void Server::onExpiryTimer(AppId app, RequestId id) {
 }
 
 void Server::killApp(SessionState& st) {
-  st.killed = true;
-  journalSessionEvent(rms::RecordType::kAppKilled, st.app, executor_.now());
-  metrics::add(metrics::Gauge::kLiveSessions, -1);
-  markDirty(st);
-  Executor::cancel(st.violationTimer);
-  for (auto& owned : st.owned) {
-    Request& r = *owned;
-    if (r.ended()) continue;
-    cancelExpiryTimer(r.id);
-    releaseAllIds(st, r);
-    r.endedAt = executor_.now();
-    notifyPaEnd(st, r);
-  }
-  for (AllocationObserver* observer : observers_) {
-    observer->onAppKilled(st.app, executor_.now());
-  }
+  const Time now = executor_.now();
+  closeSession(st, now, /*killed=*/true);
+  journalSessionEvent(rms::RecordType::kAppKilled, st.app, now);
   if (st.endpoint != nullptr) {
     AppEndpoint* endpoint = st.endpoint;
     executor_.after(0, [endpoint] { endpoint->onKilled(); });
@@ -748,7 +797,7 @@ void Server::commitPass() {
       w.i64(lastPassAt_);
       journalAppend(journalScratch_);
       journalSyncNow();
-      maybeCompactJournal();
+      if (journal_->bytes() > config_.journalCompactBytes) compactJournal();
     }
     passPhases_.commitUs = watch.elapsedMicros();
     metrics::record(metrics::Histo::kPassCommitUs, passPhases_.commitUs);
@@ -819,67 +868,35 @@ bool Server::tryStart(SessionState& st, Request& r, Time now) {
   // (whose clock is frozen during a pass). Per-request clock reads would
   // let wall-clock stamps straddle a millisecond and split occupation
   // breakpoints that the serial reference merges.
+  std::vector<NodeId> grant = r.nodeIds;
+  NodeCount nAlloc = r.nAlloc;
   if (r.type != RequestType::kPreAllocation) {
     const NodeCount needed =
         r.type == RequestType::kPreemptible ? r.nAlloc : r.nodes;
-    const NodeCount have = std::ssize(r.nodeIds);
+    const NodeCount have = std::ssize(grant);
     if (have > needed) {
       // The application released fewer IDs than the shrink required; trim
       // deterministically from the tail.
-      std::vector<NodeId> excess(r.nodeIds.begin() + needed, r.nodeIds.end());
       COORM_LOG(LogLevel::kWarn, "rms")
           << toString(r.id) << " over-inherited; trimming "
-          << excess.size() << " nodes";
-      releaseIds(st, r, std::move(excess));
+          << (have - needed) << " nodes";
+      grant.resize(static_cast<std::size_t>(needed));
     } else if (have < needed) {
-      const NodeCount extra = needed - have;
-      if (pool_.freeCount(r.cluster) < extra) return false;  // stay pending
-      markDirty(st);
-      std::vector<NodeId> fresh = pool_.allocate(r.cluster, extra);
-      r.nodeIds.insert(r.nodeIds.end(), fresh.begin(), fresh.end());
-      for (AllocationObserver* observer : observers_) {
-        observer->onAllocationChanged(st.app, r.cluster, extra, r.type, now);
-      }
+      if (pool_.freeCount(r.cluster) < needed - have) return false;  // pending
+      const std::vector<NodeId> extra =
+          pool_.lowestFree(r.cluster, needed - have);
+      grant.insert(grant.end(), extra.begin(), extra.end());
     }
-    if (r.type != RequestType::kPreemptible) r.nAlloc = r.nodes;
+    if (r.type != RequestType::kPreemptible) nAlloc = r.nodes;
   }
 
-  markDirty(st);
-  r.startedAt = now;
-  journalStarted(r);  // durable at the commit-end fsync, before any notify
-  if (!isInf(r.duration)) {
-    const AppId app = st.app;
-    const RequestId id = r.id;
-    expiryTimers_[id.value] = executor_.schedule(
-        r.plannedEnd(), [this, app, id] { onExpiryTimer(app, id); });
-  }
-
+  startRequest(st, r, now, r.scheduledAt, nAlloc, std::move(grant));
+  journalStarted(r, r.nodeIds);  // durable at the commit-end fsync
   // Start the implicit wrapper PA together with the request it wraps.
-  const auto wit = st.wrapperOf.find(&r);
-  if (wit != st.wrapperOf.end() && !wit->second->started()) {
-    Request& wrapper = *wit->second;
-    wrapper.startedAt = now;
-    wrapper.scheduledAt = now;
-    wrapper.nAlloc = wrapper.nodes;
-    journalStarted(wrapper);
-    for (AllocationObserver* observer : observers_) {
-      observer->onAllocationChanged(st.app, wrapper.cluster, wrapper.nodes,
-                                    wrapper.type, now);
-    }
-    if (!isInf(wrapper.duration)) {
-      const AppId app = st.app;
-      const RequestId id = wrapper.id;
-      expiryTimers_[id.value] = executor_.schedule(
-          wrapper.plannedEnd(), [this, app, id] { onExpiryTimer(app, id); });
-    }
-  }
-
-  if (r.type == RequestType::kPreAllocation) {
-    // Pre-allocations carry no node IDs but occupy capacity: report them
-    // so accounting can charge for marked-but-unused resources (§7).
-    for (AllocationObserver* observer : observers_) {
-      observer->onAllocationChanged(st.app, r.cluster, r.nodes, r.type, now);
-    }
+  Request* wrapper = pairedWrapper(st, r);
+  if (wrapper != nullptr && !wrapper->started()) {
+    startRequest(st, *wrapper, now, now, wrapper->nodes, {});
+    journalStarted(*wrapper, {});
   }
 
   trace("rms", "start " + r.describe() + " with " +
@@ -1048,11 +1065,27 @@ void Server::pruneEnded() {
 }
 
 // ---------------------------------------------------------------------------
-// Crash safety: journal emit (rms/journal.hpp)
+// Crash safety: journal emit & compaction (rms/journal.hpp)
 // ---------------------------------------------------------------------------
 
+namespace {
+
+void writeNodeIds(net::Writer& w, std::span<const NodeId> ids) {
+  w.u32(static_cast<std::uint32_t>(ids.size()));
+  for (const NodeId& id : ids) {
+    w.i32(id.cluster.value);
+    w.i32(id.index);
+  }
+}
+
+}  // namespace
+
 void Server::journalAppend(const std::vector<std::uint8_t>& payload) {
-  journal_->append(payload);
+  if (compactSink_ != nullptr) {
+    compactSink_->push_back(payload);
+  } else {
+    journal_->append(payload);
+  }
 }
 
 void Server::journalSyncNow() {
@@ -1072,33 +1105,27 @@ void Server::journalSessionOpen(const SessionState& st) {
   journalAppend(journalScratch_);
 }
 
-void Server::journalRequest(const SessionState& st, const Request& r,
-                            const Request* wrapper, std::uint64_t cookie) {
+void Server::journalRequest(const Request& r, const Request* wrapper,
+                            std::uint64_t cookie) {
   if (journal_ == nullptr) return;
   journalScratch_.clear();
   net::Writer w(journalScratch_);
   w.u8(static_cast<std::uint8_t>(rms::RecordType::kRequest));
-  w.i32(st.app.value);
+  w.i32(r.app.value);
   w.i64(r.id.value);
-  // The wrapper's constraint fields are recorded post-rewrite (mirror
-  // chain resolved), so replay restores them without re-deriving.
-  w.i64(wrapper != nullptr ? wrapper->id.value : -1);
-  w.u8(wrapper != nullptr ? static_cast<std::uint8_t>(wrapper->relatedHow)
-                          : 0);
-  w.i64(wrapper != nullptr && wrapper->relatedTo != nullptr
-            ? wrapper->relatedTo->id.value
-            : -1);
-  w.u64(cookie);
   w.i32(r.cluster.value);
   w.i64(r.nodes);
   w.i64(r.duration);
   w.u8(static_cast<std::uint8_t>(r.type));
   w.u8(static_cast<std::uint8_t>(r.relatedHow));
   w.i64(r.relatedTo != nullptr ? r.relatedTo->id.value : -1);
+  w.u8(r.implicit ? 1 : 0);
+  w.i64(wrapper != nullptr ? wrapper->id.value : -1);
+  w.u64(cookie);
   journalAppend(journalScratch_);
 }
 
-void Server::journalStarted(const Request& r) {
+void Server::journalStarted(const Request& r, std::span<const NodeId> nodeIds) {
   if (journal_ == nullptr) return;
   journalScratch_.clear();
   net::Writer w(journalScratch_);
@@ -1107,28 +1134,19 @@ void Server::journalStarted(const Request& r) {
   w.i64(r.startedAt);
   w.i64(r.scheduledAt);
   w.i64(r.nAlloc);
-  w.u32(static_cast<std::uint32_t>(r.nodeIds.size()));
-  for (const NodeId& id : r.nodeIds) {
-    w.i32(id.cluster.value);
-    w.i32(id.index);
-  }
+  writeNodeIds(w, nodeIds);
   journalAppend(journalScratch_);
 }
 
-void Server::journalEnded(const Request& r, Time endedAt, Time duration,
-                          const std::vector<NodeId>& released) {
+void Server::journalEnded(const Request& r, std::span<const NodeId> released) {
   if (journal_ == nullptr) return;
   journalScratch_.clear();
   net::Writer w(journalScratch_);
   w.u8(static_cast<std::uint8_t>(rms::RecordType::kEnded));
   w.i64(r.id.value);
-  w.i64(endedAt);
-  w.i64(duration);
-  w.u32(static_cast<std::uint32_t>(released.size()));
-  for (const NodeId& id : released) {
-    w.i32(id.cluster.value);
-    w.i32(id.index);
-  }
+  w.i64(r.endedAt);
+  w.i64(r.duration);
+  writeNodeIds(w, released);
   journalAppend(journalScratch_);
 }
 
@@ -1145,82 +1163,67 @@ void Server::journalSessionEvent(rms::RecordType type, AppId app, Time at) {
 void Server::attachJournal(rms::Journal* journal) {
   journal_ = journal;
   // A journal restored from disk still carries the previous process's
-  // record stream; supersede it with one snapshot record so replay cost
-  // stays proportional to live state, not history.
+  // record stream; supersede it with the live state so replay cost stays
+  // proportional to live state, not history.
   if (journal_ != nullptr && replayedRecords_ > 0) journalSnapshotNow();
 }
 
 void Server::journalSnapshotNow() {
   if (journal_ == nullptr) return;
-  syncPass();  // snapshot committed state only
-  journal_->compact(encodeSnapshot());
+  syncPass();  // compact committed state only
+  compactJournal();
 }
 
-void Server::maybeCompactJournal() {
-  if (journal_->bytes() > config_.journalCompactBytes) {
-    journal_->compact(encodeSnapshot());
+void Server::compactJournal() {
+  // State, not history: the records below, replayed through the same
+  // transitions, rebuild every live session and every request it still
+  // owns — nothing that was reclaimed, nothing about dead sessions.
+  std::vector<std::vector<std::uint8_t>> records;
+  compactSink_ = &records;
+  {
+    // Ids never go backwards: the newest request or session may already be
+    // reclaimed, so the counters travel explicitly.
+    journalScratch_.clear();
+    net::Writer w(journalScratch_);
+    w.u8(static_cast<std::uint8_t>(rms::RecordType::kCounters));
+    w.i64(executor_.now());
+    w.i32(nextAppId_);
+    w.i64(nextRequestId_);
+    w.i64(lastPassAt_);
+    journalAppend(journalScratch_);
   }
-}
-
-std::vector<std::uint8_t> Server::encodeSnapshot() {
-  std::vector<std::uint8_t> out;
-  net::Writer w(out);
-  w.u8(static_cast<std::uint8_t>(rms::RecordType::kSnapshot));
-  w.i64(executor_.now());
-  w.i32(nextAppId_);
-  w.i64(nextRequestId_);
-  w.i64(lastPassAt_);
-
-  std::uint32_t live = 0;
-  for (const auto& st : sessions_) {
-    if (!st->killed && !st->disconnected) ++live;
-  }
-  w.u32(live);
   for (const auto& stPtr : sessions_) {
-    const SessionState& st = *stPtr;
+    SessionState& st = *stPtr;
     if (st.killed || st.disconnected) continue;
-    w.i32(st.app.value);
-    w.u64(st.token);
-    w.u32(static_cast<std::uint32_t>(st.name.size()));
-    w.bytes(st.name.data(), st.name.size());
-    w.u32(static_cast<std::uint32_t>(st.owned.size()));
-    for (const auto& rp : st.owned) {
-      const Request& r = *rp;
-      w.i64(r.id.value);
-      w.i32(r.cluster.value);
-      w.i64(r.nodes);
-      w.i64(r.duration);
-      w.u8(static_cast<std::uint8_t>(r.type));
-      w.u8(static_cast<std::uint8_t>(r.relatedHow));
-      w.i64(r.relatedTo != nullptr ? r.relatedTo->id.value : -1);
-      w.i64(r.nAlloc);
-      w.i64(r.scheduledAt);
-      w.u8(r.fixed ? 1 : 0);
-      w.i64(r.earliestScheduleAt);
-      w.i64(r.startedAt);
-      w.i64(r.endedAt);
-      w.u8(r.implicit ? 1 : 0);
-      w.u8(static_cast<std::uint8_t>((r.startNotified ? 1 : 0) |
-                                     (r.expiryNotified ? 2 : 0) |
-                                     (r.endNotified ? 4 : 0)));
-      w.u32(static_cast<std::uint32_t>(r.nodeIds.size()));
-      for (const NodeId& id : r.nodeIds) {
-        w.i32(id.cluster.value);
-        w.i32(id.index);
+    journalSessionOpen(st);
+    // `owned` and the cookie cache are both in admission (= id) order, and
+    // a request only names older requests of its own application.
+    auto cookie = st.cookieCache.begin();
+    for (const auto& owned : st.owned) {
+      Request& r = *owned;
+      while (cookie != st.cookieCache.end() && cookie->second < r.id) ++cookie;
+      const bool cached =
+          cookie != st.cookieCache.end() && cookie->second == r.id;
+      journalRequest(r, pairedWrapper(st, r), cached ? cookie->first : 0);
+      if (r.started()) {
+        // An ended request whose unstarted NEXT successor inherited its
+        // node IDs is written as started with those IDs: replaying its end
+        // (below, once the successor exists) hands them over again.
+        const Request* heir = r.ended() ? findUnstartedNextChild(st, r)
+                                        : nullptr;
+        journalStarted(r, heir != nullptr ? heir->nodeIds : r.nodeIds);
+      } else if (r.ended()) {
+        // A cancel orphaned every older child, so only requests admitted
+        // after it still name it: its end goes right here.
+        journalEnded(r, {});
       }
     }
-    w.u32(static_cast<std::uint32_t>(st.wrapperOf.size()));
-    for (const auto& [np, pa] : st.wrapperOf) {
-      w.i64(np->id.value);
-      w.i64(pa->id.value);
-    }
-    w.u32(static_cast<std::uint32_t>(st.cookieCache.size()));
-    for (const auto& [cookie, id] : st.cookieCache) {
-      w.u64(cookie);
-      w.i64(id.value);
+    for (const auto& owned : st.owned) {
+      if (owned->started() && owned->ended()) journalEnded(*owned, {});
     }
   }
-  return out;
+  compactSink_ = nullptr;
+  journal_->compact(records);
 }
 
 // ---------------------------------------------------------------------------
@@ -1251,20 +1254,6 @@ std::vector<NodeId> readNodeIds(net::Reader& r) {
 }
 
 }  // namespace
-
-Server::SessionState& Server::restoredSession(AppId app, std::uint64_t token,
-                                              std::string name) {
-  auto st = std::make_unique<SessionState>();
-  st->app = app;
-  st->endpoint = nullptr;
-  st->token = token;
-  st->name = std::move(name);
-  st->session.reset(new Session(this, app));
-  sessions_.push_back(std::move(st));
-  metrics::add(metrics::Gauge::kLiveSessions, 1);
-  nextAppId_ = std::max(nextAppId_, app.value + 1);
-  return *sessions_.back();
-}
 
 bool Server::restoreFromJournal(
     const std::vector<std::vector<std::uint8_t>>& records, Time* lastTime,
@@ -1297,25 +1286,33 @@ bool Server::restoreFromJournal(
   return true;
 }
 
-bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
+bool Server::replayRecord(std::span<const std::uint8_t> payload, bool first,
                           Time* lastTime, std::string* error) {
   if (payload.empty()) return replayFail(error, "empty record");
   const auto type = static_cast<rms::RecordType>(payload[0]);
-  if (type == rms::RecordType::kSnapshot) {
-    if (!first) return replayFail(error, "snapshot record not at log head");
-    return replaySnapshot(payload, lastTime, error);
-  }
-  net::Reader r(std::span<const std::uint8_t>(payload).subspan(1));
-
-  auto lookup = [this](std::int64_t id) -> Request* {
-    const auto it = requestIndex_.find(id);
-    return it != requestIndex_.end() ? it->second.second : nullptr;
-  };
-  auto bump = [lastTime](Time at) {
+  net::Reader r(payload.subspan(1));
+  const auto bump = [lastTime](Time at) {
     *lastTime = std::max(*lastTime, at);
+  };
+  const auto liveSession = [this](AppId app) -> SessionState* {
+    SessionState* st = findSession(app);
+    return st != nullptr && !st->killed && !st->disconnected ? st : nullptr;
   };
 
   switch (type) {
+    case rms::RecordType::kCounters: {
+      const Time at = r.i64();
+      const std::int32_t nextApp = r.i32();
+      const std::int64_t nextRequest = r.i64();
+      const Time lastPass = r.i64();
+      if (!r.done()) return replayFail(error, "malformed counters record");
+      if (!first) return replayFail(error, "counters record not at log head");
+      nextAppId_ = nextApp;
+      nextRequestId_ = nextRequest;
+      lastPassAt_ = lastPass;
+      bump(at);
+      return true;
+    }
     case rms::RecordType::kSessionOpen: {
       const AppId app{r.i32()};
       const std::uint64_t token = r.u64();
@@ -1328,83 +1325,52 @@ bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
       if (findSession(app) != nullptr) {
         return replayFail(error, "duplicate session " + toString(app));
       }
-      restoredSession(app, token, std::move(name));
+      openSession(app, token, std::move(name));
       bump(at);
       return true;
     }
     case rms::RecordType::kRequest: {
-      const AppId app{r.i32()};
-      const RequestId id{r.i64()};
-      const std::int64_t wrapperId = r.i64();
-      const auto wrapperHow = static_cast<Relation>(r.u8());
-      const std::int64_t wrapperRelatedTo = r.i64();
+      Request fields;
+      fields.app = AppId{r.i32()};
+      fields.id = RequestId{r.i64()};
+      fields.cluster = ClusterId{r.i32()};
+      fields.nodes = r.i64();
+      fields.duration = r.i64();
+      const std::uint8_t rtype = r.u8();
+      const std::uint8_t how = r.u8();
+      const RequestId relatedTo{r.i64()};
+      const std::uint8_t implicit = r.u8();
+      const RequestId wrapperId{r.i64()};
       const std::uint64_t cookie = r.u64();
-      const ClusterId cluster{r.i32()};
-      const NodeCount nodes = r.i64();
-      const Time duration = r.i64();
-      const auto rtype = static_cast<RequestType>(r.u8());
-      const auto how = static_cast<Relation>(r.u8());
-      const std::int64_t relatedTo = r.i64();
-      if (!r.done()) return replayFail(error, "malformed request record");
-      SessionState* st = findSession(app);
-      if (st == nullptr || st->killed || st->disconnected) {
-        return replayFail(error, "request for unknown/dead " + toString(app));
+      if (!r.done() || !fields.id.valid() || fields.nodes <= 0 ||
+          rtype > 2 || how > 2 || implicit > 1 ||
+          scheduler_.machine().nodesOn(fields.cluster) <= 0) {
+        return replayFail(error, "malformed request record");
       }
-
+      fields.type = static_cast<RequestType>(rtype);
+      fields.relatedHow = static_cast<Relation>(how);
+      fields.implicit = implicit != 0;
+      SessionState* st = liveSession(fields.app);
+      if (st == nullptr) {
+        return replayFail(error,
+                          "request for unknown/dead " + toString(fields.app));
+      }
+      if (indexedRequest(fields.id) != nullptr) {
+        return replayFail(error, "duplicate request " + toString(fields.id));
+      }
+      // Constraint targets and wrappers are older requests of the same app.
+      const auto target = [&](RequestId id, Request** out) {
+        if (!id.valid()) return true;
+        *out = indexedRequest(id);
+        return *out != nullptr && (*out)->app == fields.app;
+      };
       Request* wrapper = nullptr;
-      if (wrapperId >= 0) {
-        auto wrapped = std::make_unique<Request>();
-        wrapped->id = RequestId{wrapperId};
-        wrapped->app = app;
-        wrapped->cluster = cluster;
-        wrapped->nodes = nodes;
-        wrapped->duration = duration;
-        wrapped->type = RequestType::kPreAllocation;
-        wrapped->relatedHow = wrapperHow;
-        wrapped->implicit = true;
-        if (wrapperRelatedTo >= 0) {
-          wrapped->relatedTo = lookup(wrapperRelatedTo);
-          if (wrapped->relatedTo == nullptr) {
-            return replayFail(error, "wrapper constraint target missing");
-          }
-        }
-        wrapper = wrapped.get();
-        st->preAllocations.add(wrapper);
-        requestIndex_.emplace(wrapperId, std::make_pair(app, wrapper));
-        st->owned.push_back(std::move(wrapped));
-        metrics::add(metrics::Gauge::kLiveRequests, 1);
-        nextRequestId_ = std::max(nextRequestId_, wrapperId + 1);
+      if (!target(relatedTo, &fields.relatedTo) ||
+          !target(wrapperId, &wrapper)) {
+        return replayFail(error, "constraint target missing for " +
+                                     toString(fields.id));
       }
-
-      auto request = std::make_unique<Request>();
-      request->id = id;
-      request->app = app;
-      request->cluster = cluster;
-      request->nodes = nodes;
-      request->duration = duration;
-      request->type = rtype;
-      request->relatedHow = how;
-      if (relatedTo >= 0) {
-        request->relatedTo = lookup(relatedTo);
-        if (request->relatedTo == nullptr) {
-          return replayFail(error, "constraint target missing for " +
-                                       toString(id));
-        }
-      }
-      Request* raw = request.get();
-      setFor(*st, rtype).add(raw);
-      requestIndex_.emplace(id.value, std::make_pair(app, raw));
-      st->owned.push_back(std::move(request));
-      metrics::add(metrics::Gauge::kLiveRequests, 1);
-      if (wrapper != nullptr) st->wrapperOf.emplace(raw, wrapper);
-      if (cookie != 0) {
-        if (st->cookieCache.size() >= kCookieCacheCap) {
-          st->cookieCache.erase(st->cookieCache.begin());
-        }
-        st->cookieCache.emplace_back(cookie, id);
-      }
-      nextRequestId_ = std::max(nextRequestId_, id.value + 1);
-      markDirty(*st);
+      admitRequest(*st, std::move(fields), wrapper, cookie);
       return true;
     }
     case rms::RecordType::kStarted: {
@@ -1412,50 +1378,30 @@ bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
       const Time startedAt = r.i64();
       const Time scheduledAt = r.i64();
       const NodeCount nAlloc = r.i64();
-      const std::vector<NodeId> ids = readNodeIds(r);
+      std::vector<NodeId> ids = readNodeIds(r);
       if (!r.done()) return replayFail(error, "malformed started record");
-      Request* req = lookup(id.value);
+      Request* req = indexedRequest(id);
       if (req == nullptr || req->started() || req->ended()) {
         return replayFail(error, "start of unknown/started " + toString(id));
       }
-      SessionState* st = findSession(req->app);
-      COORM_CHECK(st != nullptr);
-
-      // The record carries the complete post-start allocation; the request
-      // may already hold NEXT-inherited IDs. Claim what is new, return what
-      // the start trimmed (live tryStart released over-inheritance without
-      // its own record).
-      std::vector<NodeId> fresh;
-      for (const NodeId& nid : ids) {
-        if (std::find(req->nodeIds.begin(), req->nodeIds.end(), nid) ==
-            req->nodeIds.end()) {
-          fresh.push_back(nid);
-        }
+      // Every granted node exists, is granted once, and is free or already
+      // held by the request (inherited over a NEXT hand-over).
+      const auto grantable = [&](const NodeId& nid) {
+        return nid.index >= 0 &&
+               nid.index < scheduler_.machine().nodesOn(nid.cluster) &&
+               (pool_.isFree(nid) ||
+                std::find(req->nodeIds.begin(), req->nodeIds.end(), nid) !=
+                    req->nodeIds.end());
+      };
+      std::vector<NodeId> sorted = ids;
+      std::sort(sorted.begin(), sorted.end());
+      if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end() ||
+          !std::all_of(ids.begin(), ids.end(), grantable)) {
+        return replayFail(error, "start of " + toString(id) +
+                                     " grants a node allocated elsewhere");
       }
-      std::vector<NodeId> excess;
-      for (const NodeId& nid : req->nodeIds) {
-        if (std::find(ids.begin(), ids.end(), nid) == ids.end()) {
-          excess.push_back(nid);
-        }
-      }
-      for (const NodeId& nid : fresh) {
-        if (!pool_.isFree(nid)) {
-          return replayFail(error, "node " + toString(nid) +
-                                       " already allocated at replayed start");
-        }
-      }
-      pool_.claim(fresh);
-      if (!excess.empty()) pool_.release(excess);
-      req->nodeIds = ids;
-      req->nAlloc = nAlloc;
-      req->scheduledAt = scheduledAt;
-      req->startedAt = startedAt;
-      if (!isInf(req->duration)) {
-        const AppId app = req->app;
-        expiryTimers_[id.value] = executor_.schedule(
-            req->plannedEnd(), [this, app, id] { onExpiryTimer(app, id); });
-      }
-      markDirty(*st);
+      startRequest(*findSession(req->app), *req, startedAt, scheduledAt,
+                   nAlloc, std::move(ids));
       bump(startedAt);
       return true;
     }
@@ -1465,53 +1411,13 @@ bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
       const Time duration = r.i64();
       const std::vector<NodeId> released = readNodeIds(r);
       if (!r.done()) return replayFail(error, "malformed ended record");
-      Request* req = lookup(id.value);
+      Request* req = indexedRequest(id);
       if (req == nullptr || req->ended()) {
         return replayFail(error, "end of unknown/ended " + toString(id));
       }
-      SessionState* st = findSession(req->app);
-      COORM_CHECK(st != nullptr);
-      cancelExpiryTimer(id);
-
-      if (req->started()) {
-        // Mirror endRequest: explicit releases back to the pool, the
-        // remainder to an unstarted NEXT successor (or the pool).
-        std::vector<NodeId> actual;
-        for (const NodeId& nid : released) {
-          const auto it =
-              std::find(req->nodeIds.begin(), req->nodeIds.end(), nid);
-          if (it != req->nodeIds.end()) {
-            req->nodeIds.erase(it);
-            actual.push_back(nid);
-          }
-        }
-        if (!actual.empty()) pool_.release(actual);
-        Request* successor = findUnstartedNextChild(*st, *req);
-        if (successor != nullptr) {
-          successor->nodeIds.insert(successor->nodeIds.end(),
-                                    req->nodeIds.begin(), req->nodeIds.end());
-        } else if (!req->nodeIds.empty()) {
-          pool_.release(req->nodeIds);
-        }
-        req->nodeIds.clear();
-      } else {
-        // Mirror cancelUnstarted: inherited stash back, children orphaned.
-        if (!req->nodeIds.empty()) {
-          pool_.release(req->nodeIds);
-          req->nodeIds.clear();
-        }
-        for (auto& owned : st->owned) {
-          if (owned->relatedTo == req) {
-            owned->relatedTo = nullptr;
-            owned->relatedHow = Relation::kFree;
-          }
-        }
-      }
-      req->duration = duration;
-      req->endedAt = endedAt;
-      // The wrapper's own end arrives as its own record; just unlink.
-      st->wrapperOf.erase(req);
-      markDirty(*st);
+      // The implicit wrapper's own end follows as its own record.
+      finishRequest(*findSession(req->app), *req, endedAt, duration,
+                    released);
       bump(endedAt);
       return true;
     }
@@ -1520,28 +1426,12 @@ bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
       const AppId app{r.i32()};
       const Time at = r.i64();
       if (!r.done()) return replayFail(error, "malformed session event");
-      SessionState* st = findSession(app);
-      if (st == nullptr || st->killed || st->disconnected) {
+      SessionState* st = liveSession(app);
+      if (st == nullptr) {
         return replayFail(error, "close/kill of unknown/dead " +
                                      toString(app));
       }
-      for (auto& owned : st->owned) {
-        Request& req = *owned;
-        if (req.ended()) continue;
-        cancelExpiryTimer(req.id);
-        if (!req.nodeIds.empty()) {
-          pool_.release(req.nodeIds);
-          req.nodeIds.clear();
-        }
-        req.endedAt = at;
-      }
-      if (type == rms::RecordType::kAppKilled) {
-        st->killed = true;
-      } else {
-        st->disconnected = true;
-      }
-      metrics::add(metrics::Gauge::kLiveSessions, -1);
-      markDirty(*st);
+      closeSession(*st, at, type == rms::RecordType::kAppKilled);
       bump(at);
       return true;
     }
@@ -1552,127 +1442,9 @@ bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
       bump(at);
       return true;
     }
-    case rms::RecordType::kSnapshot:
-      break;  // handled above
   }
   return replayFail(error,
                     "unknown record type " + std::to_string(payload[0]));
-}
-
-bool Server::replaySnapshot(const std::vector<std::uint8_t>& payload,
-                            Time* lastTime, std::string* error) {
-  net::Reader r(std::span<const std::uint8_t>(payload).subspan(1));
-  const Time savedAt = r.i64();
-  nextAppId_ = r.i32();
-  nextRequestId_ = r.i64();
-  lastPassAt_ = r.i64();
-  const std::uint32_t nSessions = r.u32();
-  if (!r.ok() || nSessions > (1u << 20)) {
-    return replayFail(error, "malformed snapshot header");
-  }
-
-  for (std::uint32_t s = 0; s < nSessions; ++s) {
-    const AppId app{r.i32()};
-    const std::uint64_t token = r.u64();
-    const std::uint32_t nameLen = r.u32();
-    if (!r.ok() || nameLen > (1u << 16)) {
-      return replayFail(error, "malformed snapshot session");
-    }
-    const auto nameBytes = r.bytes(nameLen);
-    std::string name(nameBytes.begin(), nameBytes.end());
-    if (findSession(app) != nullptr) {
-      return replayFail(error, "duplicate snapshot session");
-    }
-    SessionState& st = restoredSession(app, token, std::move(name));
-
-    const std::uint32_t nOwned = r.u32();
-    if (!r.ok() || nOwned > (1u << 20)) {
-      return replayFail(error, "malformed snapshot request count");
-    }
-    std::vector<std::pair<Request*, std::int64_t>> pendingRelated;
-    for (std::uint32_t i = 0; i < nOwned; ++i) {
-      auto request = std::make_unique<Request>();
-      Request& req = *request;
-      req.id = RequestId{r.i64()};
-      req.app = app;
-      req.cluster = ClusterId{r.i32()};
-      req.nodes = r.i64();
-      req.duration = r.i64();
-      req.type = static_cast<RequestType>(r.u8());
-      req.relatedHow = static_cast<Relation>(r.u8());
-      const std::int64_t relatedTo = r.i64();
-      req.nAlloc = r.i64();
-      req.scheduledAt = r.i64();
-      req.fixed = r.u8() != 0;
-      req.earliestScheduleAt = r.i64();
-      req.startedAt = r.i64();
-      req.endedAt = r.i64();
-      req.implicit = r.u8() != 0;
-      const std::uint8_t notified = r.u8();
-      req.startNotified = (notified & 1) != 0;
-      req.expiryNotified = (notified & 2) != 0;
-      req.endNotified = (notified & 4) != 0;
-      req.nodeIds = readNodeIds(r);
-      if (!r.ok() || static_cast<std::uint8_t>(req.type) > 2 ||
-          static_cast<std::uint8_t>(req.relatedHow) > 2) {
-        return replayFail(error, "malformed snapshot request");
-      }
-      for (const NodeId& nid : req.nodeIds) {
-        if (!pool_.isFree(nid)) {
-          return replayFail(error, "snapshot allocates " + toString(nid) +
-                                       " twice");
-        }
-      }
-      pool_.claim(req.nodeIds);
-      Request* raw = request.get();
-      setFor(st, req.type).add(raw);
-      requestIndex_.emplace(req.id.value, std::make_pair(app, raw));
-      st.owned.push_back(std::move(request));
-      metrics::add(metrics::Gauge::kLiveRequests, 1);
-      if (relatedTo >= 0) pendingRelated.emplace_back(raw, relatedTo);
-      if (raw->started() && !raw->ended() && !isInf(raw->duration)) {
-        const RequestId id = raw->id;
-        expiryTimers_[id.value] = executor_.schedule(
-            raw->plannedEnd(), [this, app, id] { onExpiryTimer(app, id); });
-      }
-    }
-    for (auto& [req, targetId] : pendingRelated) {
-      const auto it = requestIndex_.find(targetId);
-      if (it == requestIndex_.end() || it->second.first != app) {
-        return replayFail(error, "snapshot constraint target missing");
-      }
-      req->relatedTo = it->second.second;
-    }
-
-    const std::uint32_t nWrappers = r.u32();
-    if (!r.ok() || nWrappers > (1u << 20)) {
-      return replayFail(error, "malformed snapshot wrapper count");
-    }
-    for (std::uint32_t i = 0; i < nWrappers; ++i) {
-      const std::int64_t np = r.i64();
-      const std::int64_t pa = r.i64();
-      const auto npIt = requestIndex_.find(np);
-      const auto paIt = requestIndex_.find(pa);
-      if (npIt == requestIndex_.end() || paIt == requestIndex_.end()) {
-        return replayFail(error, "snapshot wrapper pair missing");
-      }
-      st.wrapperOf.emplace(npIt->second.second, paIt->second.second);
-    }
-
-    const std::uint32_t nCookies = r.u32();
-    if (!r.ok() || nCookies > kCookieCacheCap) {
-      return replayFail(error, "malformed snapshot cookie count");
-    }
-    for (std::uint32_t i = 0; i < nCookies; ++i) {
-      const std::uint64_t cookie = r.u64();
-      const RequestId id{r.i64()};
-      st.cookieCache.emplace_back(cookie, id);
-    }
-    markDirty(st);
-  }
-  if (!r.done()) return replayFail(error, "snapshot record has trailing data");
-  *lastTime = std::max(*lastTime, savedAt);
-  return true;
 }
 
 // ---------------------------------------------------------------------------

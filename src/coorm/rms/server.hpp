@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -161,9 +162,6 @@ class Server {
     /// uses its background lane). Any value produces bit-identical
     /// schedules.
     int threads = 1;
-    /// Wrap bare non-preemptible requests of applications without an
-    /// explicit pre-allocation in implicit pre-allocations (§3.2).
-    bool implicitWrap = true;
     /// Two-stage pipelined serving (the default): passes run against
     /// immutable request-set snapshots on a background lane, overlapping
     /// protocol handling; a deterministic commit applies the results.
@@ -178,7 +176,7 @@ class Server {
     /// being re-derived each pass. Bit-identical either way.
     bool incremental = true;
     /// Once an attached journal grows past this many bytes, the next pass
-    /// commit rewrites it as a single snapshot record (rms/journal.hpp
+    /// commit rewrites it as the records of the live state (rms/journal.hpp
     /// compaction) instead of letting it grow without bound.
     std::uint64_t journalCompactBytes = 1u << 20;
     /// Log a structured one-line phase breakdown for any pass whose wall
@@ -218,8 +216,8 @@ class Server {
   /// open/close, accepted request, start, end, kill, pass commit) is
   /// appended, with fsync barriers at the reply-gating points. If any
   /// records were previously replayed via restoreFromJournal(), the log is
-  /// immediately compacted to one snapshot record. Not owned; pass nullptr
-  /// to detach.
+  /// immediately compacted to the records of the restored live state. Not
+  /// owned; pass nullptr to detach.
   void attachJournal(rms::Journal* journal);
 
   /// Rebuild state from scanned journal records (rms::Journal::scan) —
@@ -229,8 +227,10 @@ class Server {
   /// real-time executor to it (PollExecutor::advanceTo) so restored
   /// absolute times stay in the past. Returns false and sets `error` on
   /// any semantically inconsistent record — treat like corruption and
-  /// refuse startup. Restored sessions have no endpoint until a RESUME
-  /// re-attaches one.
+  /// refuse startup. Each record is applied by the same state transition
+  /// the live handler ran. Restored sessions have no endpoint until a
+  /// RESUME re-attaches one; every delivery flag starts cleared, so a
+  /// RESUME re-announces everything the log holds at least once.
   bool restoreFromJournal(
       const std::vector<std::vector<std::uint8_t>>& records, Time* lastTime,
       std::string* error);
@@ -257,9 +257,9 @@ class Server {
   /// credential a client presents in RESUME.
   [[nodiscard]] std::uint64_t sessionToken(AppId app);
 
-  /// Write a snapshot record and compact the attached journal now
-  /// (ops/test hook; pass commits do this automatically past
-  /// Config::journalCompactBytes).
+  /// Compact the attached journal now: rewrite it as the records that
+  /// rebuild the live state (ops/test hook; pass commits do this
+  /// automatically past Config::journalCompactBytes).
   void journalSnapshotNow();
 
   /// Register an allocation observer (several may be attached; they are
@@ -386,6 +386,33 @@ class Server {
   /// trace span, and the Config::slowPass outlier breakdown line.
   void finishPassTiming();
 
+  // --- state transitions ---------------------------------------------------
+  // The one implementation of each journaled state change. A live handler
+  // decides (fresh ids, the implicit wrap, node IDs to grant or trim,
+  // executor_.now()) and calls the transition; journal replay calls it
+  // with what the record carries. Transitions never journal, post
+  // notifications or arm passes: their callers do.
+
+  /// kSessionOpen: registers a session (no endpoint yet).
+  SessionState& openSession(AppId app, std::uint64_t token, std::string name);
+  /// kRequest: adopts `fields` as a new request of `st`, paired with
+  /// `wrapper` if non-null; a non-zero `cookie` enters the dedup cache.
+  Request& admitRequest(SessionState& st, Request fields, Request* wrapper,
+                        std::uint64_t cookie);
+  /// kStarted: `nodeIds` is the complete allocation from now on — held
+  /// (NEXT-inherited) IDs outside it go back to the pool, the others are
+  /// claimed. Arms the expiry timer.
+  void startRequest(SessionState& st, Request& r, Time at, Time scheduledAt,
+                    NodeCount nAlloc, std::vector<NodeId> nodeIds);
+  /// kEnded: a started request ends (`released` goes back, the rest moves
+  /// to an unstarted NEXT successor or the pool); an unstarted one is
+  /// cancelled (inherited IDs back, children orphaned). Unpairs `r` from
+  /// its implicit wrapper, which ends by its own transition.
+  void finishRequest(SessionState& st, Request& r, Time at, Time duration,
+                     std::span<const NodeId> released);
+  /// kSessionClosed / kAppKilled: ends every request, frees every node.
+  void closeSession(SessionState& st, Time at, bool killed);
+
   // --- request lifecycle ---------------------------------------------------
   /// Records a mutation of `st`'s requests or set membership. Every code
   /// path that touches them must call this (or mutate via snapshot
@@ -397,43 +424,54 @@ class Server {
     // 0 is the "unknown, always walk" sentinel — never hand it out on wrap.
     if (++st.mutationEpoch == 0) st.mutationEpoch = 1;
   }
-  void endRequest(SessionState& st, Request& r, std::vector<NodeId> released);
+  void endRequest(SessionState& st, Request& r,
+                  std::span<const NodeId> released);
   void cancelUnstarted(SessionState& st, Request& r);
-  /// Ends (or cancels) the implicit wrapper PA of `r`, if it has one.
-  void endImplicitWrapper(SessionState& st, Request& r);
+  /// Ends (or cancels) `wrapper`, the implicit PA whose request just
+  /// ended; nullptr and already-ended wrappers are left alone.
+  void endImplicitWrapper(SessionState& st, Request* wrapper);
+  /// Posts onEnded to an attached, live endpoint (not for implicit PAs).
+  void notifyEnded(SessionState& st, Request& r);
   void cancelExpiryTimer(RequestId id);
   void onExpiryTimer(AppId app, RequestId id);
   void killApp(SessionState& st);
-  void releaseIds(SessionState& st, Request& r, std::vector<NodeId> ids);
+  /// Returns the IDs of `ids` that `r` actually holds to the pool.
+  void releaseIds(SessionState& st, Request& r, std::span<const NodeId> ids,
+                  Time at);
+  void releaseAllIds(SessionState& st, Request& r, Time at);
+  /// Pool release + observer report of IDs `r` no longer holds.
+  void returnToPool(SessionState& st, const Request& r,
+                    std::span<const NodeId> ids, Time at);
   /// Report the end of a started pre-allocation to observers.
-  void notifyPaEnd(SessionState& st, Request& r);
-  void releaseAllIds(SessionState& st, Request& r);
+  void notifyPaEnd(SessionState& st, const Request& r, Time at);
 
   [[nodiscard]] SessionState* findSession(AppId app);
+  /// The request with this id (nullptr if unknown or reclaimed); no pass
+  /// sync, unlike findRequest().
+  [[nodiscard]] Request* indexedRequest(RequestId id);
   [[nodiscard]] RequestSet& setFor(SessionState& st, RequestType type);
-  [[nodiscard]] Request* findUnstartedNextChild(SessionState& st, Request& r);
-  void notifyViews(SessionState& st);
+  [[nodiscard]] Request* findUnstartedNextChild(SessionState& st,
+                                                const Request& r);
+  [[nodiscard]] static Request* pairedWrapper(SessionState& st, Request& r);
   void trace(const std::string& actor, const std::string& what);
 
   // --- journal emit & replay (no-ops while journal_ == nullptr) ------------
+  /// Appends to the journal, or to compactSink_ while compacting.
   void journalAppend(const std::vector<std::uint8_t>& payload);
   void journalSyncNow();
   void journalSessionOpen(const SessionState& st);
-  void journalRequest(const SessionState& st, const Request& r,
-                      const Request* wrapper, std::uint64_t cookie);
-  void journalStarted(const Request& r);
-  void journalEnded(const Request& r, Time endedAt, Time duration,
-                    const std::vector<NodeId>& released);
+  void journalRequest(const Request& r, const Request* wrapper,
+                      std::uint64_t cookie);
+  void journalStarted(const Request& r, std::span<const NodeId> nodeIds);
+  void journalEnded(const Request& r, std::span<const NodeId> released);
   void journalSessionEvent(rms::RecordType type, AppId app, Time at);
-  void maybeCompactJournal();
-  [[nodiscard]] std::vector<std::uint8_t> encodeSnapshot();
+  /// Rewrites the journal as the records that rebuild the live state.
+  void compactJournal();
 
-  SessionState& restoredSession(AppId app, std::uint64_t token,
-                                std::string name);
-  bool replayRecord(const std::vector<std::uint8_t>& payload, bool first,
+  /// Decodes and validates one record, then applies it through the
+  /// transition its live handler uses.
+  bool replayRecord(std::span<const std::uint8_t> payload, bool first,
                     Time* lastTime, std::string* error);
-  bool replaySnapshot(const std::vector<std::uint8_t>& payload, Time* lastTime,
-                      std::string* error);
 
   Executor& executor_;
   Scheduler scheduler_;
@@ -443,7 +481,7 @@ class Server {
   Trace* trace_ = nullptr;
 
   std::vector<std::unique_ptr<SessionState>> sessions_;  // connection order
-  std::unordered_map<std::int64_t, std::pair<AppId, Request*>> requestIndex_;
+  std::unordered_map<std::int64_t, Request*> requestIndex_;
   std::unordered_map<std::int64_t, EventHandle> expiryTimers_;
 
   std::int32_t nextAppId_ = 0;
@@ -456,6 +494,8 @@ class Server {
   std::uint64_t tokenSeed_ = 0;      ///< session-token mint state
   std::uint64_t replayedRecords_ = 0;
   std::vector<std::uint8_t> journalScratch_;  ///< reused record buffer
+  /// Non-null while compactJournal() collects the records it rewrites.
+  std::vector<std::vector<std::uint8_t>>* compactSink_ = nullptr;
 
   // --- pipeline state (all owned by the executor thread) -------------------
   std::unique_ptr<AsyncLane> lane_;  ///< present iff Config::pipeline

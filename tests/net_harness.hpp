@@ -267,7 +267,7 @@ inline bool runLoopback(net::IoExecutor& executor, Scenario& scenario,
 class DaemonFixture {
  public:
   /// `mutate` (optional) edits the daemon config before the listener comes
-  /// up — backend differential tests switch deltaViews/coalescing here.
+  /// up — backend differential tests switch deltaViews here.
   DaemonFixture(Server::Config config, NodeCount nodes,
                 IoBackend backend = IoBackend::kPoll,
                 std::function<void(net::Daemon::Config&)> mutate = {}) {

@@ -113,16 +113,6 @@ TEST(Cli, ParsesPipeline) {
   EXPECT_EQ(parse({"--pipeline"}).status, ParseStatus::kError);
 }
 
-TEST(Cli, NoPipelineAliasMatchesPipelineOff) {
-  // The pre-RuntimeOptions spelling must stay equivalent to the new one.
-  const ParseResult alias = parse({"--no-pipeline"});
-  const ParseResult canonical = parse({"--pipeline", "off"});
-  ASSERT_TRUE(alias.ok());
-  ASSERT_TRUE(canonical.ok());
-  EXPECT_EQ(alias.options.runtime.pipeline, canonical.options.runtime.pipeline);
-  EXPECT_FALSE(alias.options.runtime.pipeline);
-}
-
 TEST(Cli, ParsesStatsQuery) {
   const ParseResult r = parse({"--stats", "--connect", "127.0.0.1:7788"});
   ASSERT_TRUE(r.ok());
@@ -277,7 +267,7 @@ TEST(Cli, UsageMentionsEveryOption) {
   for (const char* flag :
        {"--nodes", "--seed", "--amr", "--amr-steps", "--amr-static",
         "--overcommit", "--announce", "--psa", "--jobs", "--swf", "--strict",
-        "--threads", "--pipeline", "--no-pipeline", "--until", "--timeline",
+        "--threads", "--pipeline", "--until", "--timeline",
         "--trace", "--listen", "--connect", "--resched", "--stats",
         "--stats-all", "--trace-out", "--slow-pass-ms", "--metrics-listen",
         "--help"}) {

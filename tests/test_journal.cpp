@@ -183,7 +183,7 @@ TEST(Journal, CompactReplacesLogWithOneSnapshotRecord) {
     const ScanResult scan = Journal::scan(path);
     Journal journal(path, scan.validBytes);
     const std::uint64_t before = journal.bytes();
-    journal.compact(snapshot);
+    journal.compact({snapshot});
     EXPECT_LT(journal.bytes(), before);
   }
   const ScanResult scan = Journal::scan(path);

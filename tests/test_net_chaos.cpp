@@ -53,19 +53,20 @@ Server::Config chaosConfig() {
 }
 
 // The chaos daemons run the full c100k serving path explicitly: epoll
-// backend, delta view pushes, write coalescing — a SIGKILL/restart must be
-// invisible through all three (the restarted daemon knows nothing of the
-// old delta sequence, so every resumed session restarts from a full push).
+// backend, delta view pushes, write coalescing (always on) — a
+// SIGKILL/restart must be invisible through all three (the restarted
+// daemon knows nothing of the old delta sequence, so every resumed session
+// restarts from a full push).
 const std::vector<std::string> kDaemonArgs = {
-    "--nodes", "16", "--resched", "0.1", "--no-pipeline",
+    "--nodes", "16", "--resched", "0.1", "--pipeline", "off",
     "--resume-grace", "30", "--io-backend", "epoll",
-    "--delta-views", "on", "--coalesce", "on"};
+    "--delta-views", "on"};
 
 /// The portable poll(2) fallback, same everything else.
 const std::vector<std::string> kPollDaemonArgs = {
-    "--nodes", "16", "--resched", "0.1", "--no-pipeline",
+    "--nodes", "16", "--resched", "0.1", "--pipeline", "off",
     "--resume-grace", "30", "--io-backend", "poll",
-    "--delta-views", "on", "--coalesce", "on"};
+    "--delta-views", "on"};
 
 std::string journalPath(const std::string& name) {
   const std::string path = testing::TempDir() + "coorm_chaos_" + name + ".journal";
@@ -449,9 +450,9 @@ TEST(NetChaos, KillAfterReclaimingCompactionMatchesUninterruptedServer) {
       << "in-process reference run did not finish";
 
   ChildDaemon daemon(COORM_RMSD_PATH, journalPath("chain"),
-                     {"--nodes", "1024", "--resched", "0.01", "--no-pipeline",
-                      "--resume-grace", "30", "--io-backend", "epoll",
-                      "--delta-views", "on", "--coalesce", "on"});
+                     {"--nodes", "1024", "--resched", "0.01", "--pipeline",
+                      "off", "--resume-grace", "30", "--io-backend", "epoll",
+                      "--delta-views", "on"});
   daemon.start();
   net::PollExecutor clientLoop;
   std::uint64_t compactionsBeforeKill = 0;

@@ -400,7 +400,7 @@ TEST(ServerReclaim, FinishedChainIsReclaimedInOnePassAfterRestore) {
 
 TEST(ServerReclaim, CompactedJournalRestoresClearedLinks) {
   // Compaction after a reclamation writes the running lease's cleared link
-  // as -1; a restore from that snapshot continues the chain.
+  // as -1; a restore from the compacted log continues the chain.
   const std::string path = tempJournal("compacted");
   AppId app{};
   std::uint64_t token = 0;
@@ -431,7 +431,9 @@ TEST(ServerReclaim, CompactedJournalRestoresClearedLinks) {
   }
 
   const rms::ScanResult scan = rms::Journal::scan(path);
-  ASSERT_EQ(scan.records.size(), 1u);  // the snapshot alone
+  // Live state only: the counters, the session and the running lease's
+  // request and start — none of the reclaimed chain.
+  ASSERT_EQ(scan.records.size(), 4u);
   Engine engine;
   Server server(engine, Machine::single(8));
   const std::int64_t base = liveRequests();

@@ -25,8 +25,7 @@ void printUsage(std::ostream& out) {
          "                     value yields bit-identical schedules)\n"
          "  --pipeline on|off  two-stage pipelined serving (default on);\n"
          "                     off = serial back-to-back scheduling passes\n"
-         "                     (identical results). --no-pipeline is an\n"
-         "                     alias for --pipeline off\n"
+         "                     (identical results)\n"
          "  --incremental on|off\n"
          "                     incremental scheduling passes (default on);\n"
          "                     off = every pass re-derives every app\n"
@@ -56,8 +55,6 @@ void printUsage(std::ostream& out) {
          "  --delta-views on|off\n"
          "                     coorm_rmsd: sequenced VIEWS_DELTA pushes\n"
          "                     (default on; off = full VIEWS per pass)\n"
-         "  --coalesce on|off  coorm_rmsd: batch each pass commit's frames\n"
-         "                     into one write per session (default on)\n"
          "  --connections N    coorm_loadgen: concurrent sessions to hold\n"
          "                     open (default 1)\n"
          "  --probe M          coorm_loadgen: REQUEST round-trip latency\n"
@@ -120,8 +117,6 @@ ParseResult parseArgs(int argc, const char* const* argv) {
         result.error = std::string("bad --pipeline value (want on|off): ") + v;
         return result;
       }
-    } else if (arg == "--no-pipeline") {  // alias for --pipeline off
-      options.runtime.pipeline = false;
     } else if (arg == "--incremental" && (v = value(i))) {
       if (std::strcmp(v, "on") == 0) {
         options.runtime.incremental = true;
@@ -178,15 +173,6 @@ ParseResult parseArgs(int argc, const char* const* argv) {
       } else {
         result.error =
             std::string("bad --delta-views value (want on|off): ") + v;
-        return result;
-      }
-    } else if (arg == "--coalesce" && (v = value(i))) {
-      if (std::strcmp(v, "on") == 0) {
-        options.coalesce = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        options.coalesce = false;
-      } else {
-        result.error = std::string("bad --coalesce value (want on|off): ") + v;
         return result;
       }
     } else if (arg == "--connections" && (v = value(i))) {

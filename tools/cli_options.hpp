@@ -36,9 +36,8 @@ struct Options {
   std::string swfPath;
   /// The shared runtime-tuning knobs (threads, pipeline, resched interval,
   /// strict equi-partitioning), parsed once here and projected into
-  /// Server::Config / SchedulerOptions by the drivers. The old flag
-  /// spellings (--strict, --threads, --no-pipeline, --resched) remain
-  /// as aliases for the canonical forms.
+  /// Server::Config / SchedulerOptions by the drivers (--strict,
+  /// --threads, --pipeline, --incremental, --resched).
   RuntimeOptions runtime;
   Time until = hours(24);
   bool showTimeline = false;
@@ -65,8 +64,6 @@ struct Options {
   /// coorm_rmsd: sequenced VIEWS_DELTA pushes (off = whole VIEWS frame
   /// per pass, the v2 behaviour — differential-test fodder).
   bool deltaViews = true;
-  /// coorm_rmsd: per-session write coalescing (off = one send per frame).
-  bool coalesce = true;
   /// coorm_loadgen: concurrent AppLink sessions to hold open (ramped up
   /// in batches so the daemon's accept loop is never the bottleneck).
   int connections = 1;
