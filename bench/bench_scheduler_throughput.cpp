@@ -19,7 +19,10 @@
 //  - BM_ServerPipeline: the full Server + Engine stack under a
 //    message-heavy multi-app protocol load, comparing the serial
 //    back-to-back server against the snapshot/commit pipeline
-//    (args {apps, threads, pipeline}).
+//    (args {apps, threads, pipeline});
+//  - BM_ScheduleIncremental / BM_SchedulePopulation: steady-state
+//    incremental passes over lease and pre-allocation populations, the
+//    latter shaped like servebench `population`.
 //
 // `tools/bench_report.py` turns `--benchmark_format=json` output from this
 // binary into the committed BENCH_scheduler.json trajectory.
@@ -28,6 +31,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "coorm/common/metrics.hpp"
 #include "coorm/common/rng.hpp"
@@ -416,10 +422,12 @@ void BM_ScheduleIncremental(benchmark::State& state) {
     r->cluster = ClusterId{a % kClusters};
     r->nodes = rng.uniformInt(4, 12);
     // Every 5th lease is open-ended: a congestion floor whose wants alone
-    // exceed the cluster everywhere, so the idle share is identically zero
-    // and a moved breakpoint never ripples into absent applications' views
-    // (the realistic steady state — churn with O(changed) output). The
-    // rest end staggered, spreading real Step 2 breakpoints.
+    // exceed the cluster everywhere. The rest end staggered, spreading real
+    // Step 2 breakpoints. The idle share (capacity over the active
+    // partitions) is therefore not zero: it steps at every lease end, and
+    // a churned lease end moves it for every application absent from that
+    // cluster — as in servebench `population`, where the idle share moves
+    // on every pass (BM_SchedulePopulation below).
     r->duration = a % 5 == 0 ? kTimeInf : sec(600 + 11 * (a % 797));
     r->type = RequestType::kPreemptible;
     r->startedAt = 0;
@@ -490,6 +498,129 @@ BENCHMARK(BM_ScheduleIncremental)
     ->Args({10000, 1, 0})
     ->Args({10000, 1, 1})
     ->Args({10000, 10, 1})
+    ->Unit(benchmark::kMillisecond);
+
+// Args: {napps}. The servebench `population` shape in-process, on one
+// 1024-node cluster. Every clean application holds a started
+// pre-allocation with a started non-preemptible request inside, all with
+// distinct multi-hour ends, so each view carries ~napps breakpoints. Each
+// iteration one rigid application's pre-allocation alternately starts and
+// ends (the free profile moves, so every non-preemptive view is
+// re-derived) and one malleable lease changes size (the idle share that
+// every absent application receives moves). Then one recapture +
+// schedulePass + writeBack round runs and the published views are stashed
+// the way Server::commitPass does (swapped into per-app slots).
+void BM_SchedulePopulation(benchmark::State& state) {
+  const int napps = static_cast<int>(state.range(0));
+  const ClusterId c0{0};
+  const Time kNow = sec(60);
+  Population population([] {
+    PopulationParams params;
+    params.napps = 0;  // built below
+    return params;
+  }());
+  population.machine.clusters.clear();
+  population.machine.clusters.push_back({c0, 1024});
+  std::int64_t nextId = 0;
+  std::int32_t nextNode = 0;
+  const auto addApp = [&]() -> AppSchedule& {
+    AppSchedule app;
+    app.app = AppId{static_cast<std::int32_t>(population.apps.size())};
+    for (RequestSet** set :
+         {&app.preAllocations, &app.nonPreemptible, &app.preemptible}) {
+      population.sets.push_back(std::make_unique<RequestSet>());
+      *set = population.sets.back().get();
+    }
+    app.epoch = 1;
+    population.apps.push_back(app);
+    return population.apps.back();
+  };
+  const auto newStarted = [&](NodeCount nodes, Time duration,
+                              RequestType type) -> Request* {
+    auto r = std::make_unique<Request>();
+    r->id = RequestId{nextId++};
+    r->cluster = c0;
+    r->nodes = nodes;
+    r->duration = duration;
+    r->type = type;
+    r->startedAt = 0;
+    for (NodeCount n = 0; n < nodes; ++n) {
+      r->nodeIds.push_back(NodeId{c0, nextNode++});
+    }
+    population.owned.push_back(std::move(r));
+    ++population.requestCount;
+    return population.owned.back().get();
+  };
+  population.apps.reserve(static_cast<std::size_t>(napps) + 2);
+  for (int a = 0; a < napps; ++a) {
+    AppSchedule& app = addApp();
+    Request* pa =
+        newStarted(1, sec(3600 + 37 * a), RequestType::kPreAllocation);
+    app.preAllocations->add(pa);
+    Request* np =
+        newStarted(1, sec(3000 + 37 * a), RequestType::kNonPreemptible);
+    np->relatedHow = Relation::kCoAlloc;
+    np->relatedTo = pa;
+    app.nonPreemptible->add(np);
+  }
+  AppSchedule& rigid = addApp();
+  Request* rigidPa = newStarted(16, sec(5000), RequestType::kPreAllocation);
+  rigid.preAllocations->add(rigidPa);
+  AppSchedule& malleable = addApp();
+  Request* lease = newStarted(48, kTimeInf, RequestType::kPreemptible);
+  malleable.preemptible->add(lease);
+
+  Scheduler scheduler(population.machine);
+  RequestSetSnapshot snapshot;
+  std::vector<View> stashNp(population.apps.size());
+  std::vector<View> stashP(population.apps.size());
+  const auto pass = [&] {
+    snapshot.recapture(population.apps);
+    scheduler.schedulePass(snapshot, kNow);
+    snapshot.writeBack();
+    const std::span<AppSnapshot> apps = snapshot.apps();
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      if (apps[i].viewsReused) continue;
+      std::swap(stashNp[i], apps[i].nonPreemptiveView);
+      std::swap(stashP[i], apps[i].preemptiveView);
+    }
+  };
+  pass();  // cold pass primes the cache outside the measured loop
+
+  bool rigidStarted = true;
+  const metrics::Snapshot before = metrics::snapshot();
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (rigidStarted) {
+      rigid.preAllocations->removeIf([&](Request* r) { return r == rigidPa; });
+    } else {
+      rigid.preAllocations->add(rigidPa);
+    }
+    rigidStarted = !rigidStarted;
+    ++rigid.epoch;
+    lease->nodeIds.resize(lease->nodeIds.size() == 48 ? 40 : 48,
+                          NodeId{c0, 0});
+    ++malleable.epoch;
+    state.ResumeTiming();
+    pass();
+  }
+  // Per pass: how many segment blocks the pass recycled from the
+  // scheduler's arena and how many it had to take from the heap.
+  const metrics::Snapshot after = metrics::snapshot();
+  state.counters["apps"] = static_cast<double>(napps);
+  state.counters["arena_hits"] = benchmark::Counter(
+      static_cast<double>(after[metrics::Event::kArenaHits] -
+                          before[metrics::Event::kArenaHits]),
+      benchmark::Counter::kAvgIterations);
+  state.counters["arena_slow_path"] = benchmark::Counter(
+      static_cast<double>(after[metrics::Event::kArenaSlowPath] -
+                          before[metrics::Event::kArenaSlowPath]),
+      benchmark::Counter::kAvgIterations);
+}
+
+BENCHMARK(BM_SchedulePopulation)
+    ->Arg(250)
+    ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ToView(benchmark::State& state) {

@@ -6,6 +6,7 @@ namespace coorm {
 
 bool diffWindow(std::span<const Segment> a, std::span<const Segment> b,
                 Time& lo, Time& hi) {
+  if (a.data() == b.data() && a.size() == b.size()) return false;  // shared
   std::size_t p = 0;
   const std::size_t maxCommon = std::min(a.size(), b.size());
   while (p < maxCommon && a[p] == b[p]) ++p;

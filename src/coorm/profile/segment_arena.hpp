@@ -1,4 +1,4 @@
-// Pooled, small-buffer-optimised storage for profile segments.
+// Pooled, small-buffer-optimised, shareable storage for profile segments.
 //
 // Profile arithmetic (the k-way sweeps behind StepFunction::combine and
 // View::accumulate, the scheduler's per-cluster scratch) used to build a
@@ -15,13 +15,26 @@
 //    recycle the same few blocks instead of hitting the allocator
 //    (metrics: arena_hits vs arena_slow_path).
 //
+// Ownership. Every granted block carries an atomic reference count in a
+// header in front of its payload (outside the size class: a class-C block
+// still holds C segments). A store that spilled holds one reference. Only
+// finished profiles share: a StepFunction copy adds a reference to the
+// source's block instead of copying it (SegmentStore::share) and clones
+// the block once before its first write (SegmentStore::unshare). Sweep
+// producers build into unshared stores, whose writes pay no check.
+//
 // Blocks are plain anonymous heap memory, not owned by the arena that
-// issued them: a store may be created on one thread and destroyed on
-// another (worker-pool fan-out) — the block simply joins the destroying
-// thread's free list. ArenaScope lets a long-lived owner (the scheduler)
-// pin its own arena as the calling thread's current one for a pass, so
-// pass-scoped scratch recycles within the pass owner instead of the
-// thread default.
+// issued them: a block may be granted on one thread and its last reference
+// dropped on another (worker-pool fan-out, a view pushed from the server's
+// loop thread after the pass lane computed it) — the block simply joins
+// the dropping thread's current arena. ArenaScope lets a long-lived owner
+// (the scheduler) pin its own arena as the calling thread's current one
+// for a pass, so pass-scoped scratch recycles within the pass owner
+// instead of the thread default.
+//
+// Under AddressSanitizer a parked block's payload is poisoned until the
+// arena grants it again, so a read through a reference released too early
+// is reported instead of silently seeing the next owner's segments.
 #pragma once
 
 #include <compare>
@@ -48,9 +61,14 @@ struct Segment {
 /// A thread-local free-list pool of Segment blocks in power-of-two size
 /// classes. Not thread-safe by itself — every instance is only ever
 /// touched by one thread (the TLS default, or an ArenaScope installation
-/// on the installing thread).
+/// on the installing thread). The reference counts of granted blocks are
+/// atomic: any thread may add or drop a reference.
 class SegmentArena {
  public:
+  /// Per-block header (reference count, free-list link); defined in
+  /// segment_arena.cpp.
+  struct BlockHeader;
+
   static constexpr std::size_t kMinBlockSegments = 16;
   /// Largest pooled size class. Covers the merged output of large n-ary
   /// sweeps (a 1024-view accumulate easily tops 4096 segments); anything
@@ -76,14 +94,15 @@ class SegmentArena {
   SegmentArena(SegmentArena&& other) noexcept;
   SegmentArena& operator=(SegmentArena&& other) noexcept;
 
-  /// Returns a block of at least `capacity` segments; `capacity` is
-  /// updated to the granted size-class capacity. Oversize requests
-  /// (> kMaxBlockSegments) come straight from the heap, granted exactly.
+  /// Returns a block of at least `capacity` segments, holding one
+  /// reference; `capacity` is updated to the granted size-class capacity.
+  /// Oversize requests (> kMaxBlockSegments) come straight from the heap,
+  /// granted exactly.
   [[nodiscard]] Segment* allocate(std::size_t& capacity);
 
   /// Returns a block previously granted with capacity `capacity` (from
-  /// any arena). Parked on the matching free list, or freed if the list
-  /// is full or the block is oversize.
+  /// any arena) whose references are all gone. Parked on the matching
+  /// free list, or freed if the list is full or the block is oversize.
   void release(Segment* block, std::size_t capacity) noexcept;
 
   /// Free blocks currently parked (all size classes).
@@ -94,22 +113,25 @@ class SegmentArena {
   /// during thread teardown after the default's destruction.
   [[nodiscard]] static SegmentArena* current() noexcept;
 
-  /// allocate()/release() routed through current(); falls back to the
-  /// plain heap when current() is null.
+  /// allocate() routed through current(); falls back to the plain heap
+  /// when current() is null.
   [[nodiscard]] static Segment* allocateBlock(std::size_t& capacity);
-  static void releaseBlock(Segment* block, std::size_t capacity) noexcept;
+
+  /// Reference counting of granted blocks, from any thread. retainBlock
+  /// adds a holder; dropBlock removes one and, for the last holder,
+  /// releases the block to current() (or the heap when current() is
+  /// null); sharedBlock is true while more than one holder exists.
+  static void retainBlock(const Segment* block) noexcept;
+  static void dropBlock(Segment* block, std::size_t capacity) noexcept;
+  [[nodiscard]] static bool sharedBlock(const Segment* block) noexcept;
 
  private:
   friend class ArenaScope;
 
-  struct FreeBlock {
-    FreeBlock* next;
-  };
-
   /// Frees every parked block and zeroes the lists.
   void purge() noexcept;
 
-  FreeBlock* free_[kBucketCount] = {};
+  BlockHeader* free_[kBucketCount] = {};
   std::uint32_t count_[kBucketCount] = {};
 };
 
@@ -132,7 +154,8 @@ class ArenaScope {
 /// A contiguous, growable sequence of Segments with an inline small
 /// buffer; spill storage comes from the calling thread's SegmentArena.
 /// Deliberately minimal — exactly the std::vector surface the profile
-/// layer uses.
+/// layer uses. Copies are deep; share() is the explicit copy-on-write
+/// alternative for finished profiles.
 class SegmentStore {
  public:
   static constexpr std::size_t kInlineCapacity = 8;
@@ -210,6 +233,27 @@ class SegmentStore {
     size_ = static_cast<std::uint32_t>(newSize);
   }
 
+  /// Makes this store a second holder of `other`'s spilled block (one
+  /// reference more, no copy); inline contents are copied. A holder must
+  /// call unshare() before writing through any member above or below:
+  /// they do not check, so a store that never shares pays nothing.
+  void share(const SegmentStore& other) {
+    if (data_ == other.data_) return;  // self, or already this block's holder
+    if (isInline() && other.isInline()) {  // the common small profile
+      std::memcpy(data_, other.data_, other.size_ * sizeof(Segment));
+      size_ = other.size_;
+      return;
+    }
+    shareSpilled(other);
+  }
+  /// True while the spilled block has another holder.
+  [[nodiscard]] bool shared() const noexcept {
+    return !isInline() && SegmentArena::sharedBlock(data_);
+  }
+  /// Gives this holder a private copy of a shared block (no-op when the
+  /// block is already private or the store is inline).
+  void unshare();
+
   void push_back(const Segment& segment) {
     if (size_ == capacity_) grow(size_ + 1);
     data_[size_++] = segment;
@@ -233,6 +277,7 @@ class SegmentStore {
 
   friend bool operator==(const SegmentStore& a, const SegmentStore& b) {
     if (a.size_ != b.size_) return false;
+    if (a.data_ == b.data_) return true;  // one shared block
     return std::memcmp(a.data_, b.data_,
                        a.size_ * sizeof(Segment)) == 0;
   }
@@ -265,11 +310,12 @@ class SegmentStore {
   }
 
   void releaseStorage() noexcept {
-    if (!isInline()) SegmentArena::releaseBlock(data_, capacity_);
+    if (!isInline()) SegmentArena::dropBlock(data_, capacity_);
   }
 
   void grow(std::size_t minCapacity);         ///< preserves contents
   void growDiscard(std::size_t minCapacity);  ///< contents abandoned
+  void shareSpilled(const SegmentStore& other);  ///< share(), either spilled
 
   Segment* data_ = reinterpret_cast<Segment*>(inline_);
   std::uint32_t size_ = 0;

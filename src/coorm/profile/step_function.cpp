@@ -256,6 +256,7 @@ StepFunction& StepFunction::addPulse(Time start, Time duration,
   COORM_CHECK(duration >= 0);
   if (duration == 0 || value == 0) return *this;
   const Time end = satAdd(start, duration);
+  segments_.unshare();  // the edit below is in place
 
   // Ensure breakpoints exist at start and (finite) end, bump every value
   // in between; only the two seams can need re-merging afterwards (the
@@ -301,16 +302,12 @@ StepFunction& StepFunction::pointwiseMin(const StepFunction& other) {
 }
 
 StepFunction& StepFunction::clampMin(NodeCount floor) {
-  // Most clamps are no-ops (profiles are usually already non-negative);
-  // only re-canonicalize when a value actually moved.
-  bool changed = false;
-  for (auto& seg : segments_) {
-    if (seg.value < floor) {
-      seg.value = floor;
-      changed = true;
-    }
-  }
-  if (changed) canonicalize();
+  // Most clamps are no-ops (profiles are usually already non-negative):
+  // only clone a shared block and re-canonicalize when a value moves.
+  if (minValue() >= floor) return *this;
+  segments_.unshare();
+  for (auto& seg : segments_) seg.value = std::max(seg.value, floor);
+  canonicalize();
   return *this;
 }
 

@@ -28,7 +28,12 @@ namespace coorm {
 ///
 /// Storage is an arena-backed SegmentStore: profiles of up to 8 segments
 /// live inline, larger ones draw pooled blocks from the calling thread's
-/// SegmentArena (profile/segment_arena.hpp).
+/// SegmentArena (profile/segment_arena.hpp). Copies share a larger
+/// profile's block instead of copying it, so handing a view on (scheduler
+/// cache → pass snapshot → session stash → push) costs O(1) per profile.
+/// Value semantics are unchanged: every mutator either builds a fresh block
+/// or clones a shared one once at entry, so a write through one copy is
+/// never seen through another.
 class StepFunction {
  public:
   /// coorm::Segment, kept addressable as StepFunction::Segment.
@@ -36,6 +41,15 @@ class StepFunction {
 
   /// The zero function.
   StepFunction();
+
+  StepFunction(const StepFunction& other) { segments_.share(other.segments_); }
+  StepFunction& operator=(const StepFunction& other) {
+    segments_.share(other.segments_);
+    return *this;
+  }
+  StepFunction(StepFunction&&) noexcept = default;
+  StepFunction& operator=(StepFunction&&) noexcept = default;
+  ~StepFunction() = default;
 
   /// Constant function.
   static StepFunction constant(NodeCount value);
@@ -101,6 +115,7 @@ class StepFunction {
   /// Pointwise min.
   StepFunction& pointwiseMin(const StepFunction& other);
   /// Clamp every value to be >= floor (used to drop transient negatives).
+  /// A clamp that moves no value leaves a shared block shared.
   StepFunction& clampMin(NodeCount floor);
 
   friend StepFunction operator+(StepFunction lhs, const StepFunction& rhs) {
@@ -124,6 +139,7 @@ class StepFunction {
   [[nodiscard]] std::span<const Segment> segments() const { return segments_; }
   [[nodiscard]] std::size_t segmentCount() const { return segments_.size(); }
 
+  /// O(1) when both sides share one block.
   friend bool operator==(const StepFunction&, const StepFunction&) = default;
 
   /// Human-readable dump, e.g. "[0:4 3600:3 7200:0]".

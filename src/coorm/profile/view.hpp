@@ -42,6 +42,10 @@ class View {
   /// Replace a cluster's profile.
   void setCap(ClusterId cid, StepFunction profile);
 
+  /// Drops every profile (the view becomes zero), keeping the entry
+  /// buffer for the next assignment.
+  void clear() { entries_.clear(); }
+
   /// Shorthand for cap(cid).at(t).
   [[nodiscard]] NodeCount at(ClusterId cid, Time t) const;
 

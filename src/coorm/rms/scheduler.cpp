@@ -108,9 +108,10 @@ std::vector<NodeCount> fairDistribute(NodeCount capacity,
 /// connection order, so positions are stable between passes unless the
 /// population itself changed — which invalidates the cache wholesale).
 ///
-/// The cached profiles are plain owned StepFunctions/Views: segment blocks
-/// are anonymous heap memory (segment_arena.hpp), so holding them across
-/// passes and releasing them from any later thread is safe by design.
+/// The cached profiles are plain StepFunctions/Views whose segment blocks
+/// the published views share (segment_arena.hpp): blocks are reference-
+/// counted anonymous heap memory, so holding them across passes and
+/// dropping the last reference from any later thread is safe by design.
 struct IncrementalState {
   /// False until a pass completes; cleared at pass start (exception
   /// safety) and by Scheduler::invalidateIncremental().
@@ -482,7 +483,7 @@ class Step2Values {
 /// influence the distribution beyond the inactive-partition count, and
 /// they all receive the same idle-share series. The sweep therefore runs
 /// over the occupying applications only and the idle series is computed
-/// once and copied — on a multi-cluster machine absent is the common case,
+/// once and shared — on a multi-cluster machine absent is the common case,
 /// which turns Step 2 from O(clusters × apps) into O(total occupations)
 /// per breakpoint. Values are identical to the all-apps sweep.
 ///
@@ -806,6 +807,9 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   // recycles the same pooled blocks pass over pass. Worker threads keep
   // their own thread-default arenas.
   const ArenaScope arenaScope(ctx.arena);
+  // The views the server's commit swapped back into the snapshot (its
+  // superseded stash) are dropped below just before each app's new views
+  // are built, so blocks whose last holder they were recycle here too.
   if (inc_ != nullptr) {
     schedulePassIncremental(snapshot, now, ctx);
     return;
@@ -960,6 +964,11 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   // empty occupations and leave vnp untouched.
   for (std::size_t i = 0; i < napps; ++i) {
     AppSnapshot& app = apps[i];
+    // Retire the view the server's commit swapped back into the snapshot
+    // (its superseded stash) right before this app's new one is built:
+    // when it held a block's last reference, that block parks in the
+    // pass's arena and is the one the next allocation is granted.
+    app.nonPreemptiveView.clear();
     if (inc.clean[i]) {
       inc.occPa[i] = View{};
       inc.npFitted[i] = View{};
@@ -996,6 +1005,8 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   for (const View& occ : inc.npFitted) operands.push_back(&occ);
   vp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, ctx);
   vp.clampMin(0);
+
+  for (AppSnapshot& app : apps) app.preemptiveView.clear();  // likewise
 
   // eqSchedule Step 1: preliminary preemptible occupations (dirty apps;
   // an all-started app's occupation ignores both `vp` and `now`). The
@@ -1136,7 +1147,7 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
         cc.outputs.resize(cc.present.size());
         cc.hasIdle = strict || cc.present.size() < napps;
         if (cc.hasIdle) {
-          // Any absent slot holds a copy of the idle series.
+          // Any absent slot holds (a share of) the idle series.
           std::size_t absent = 0;
           std::size_t k = 0;
           while (k < cc.present.size() && cc.present[k] == absent) {
@@ -1194,17 +1205,15 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   }
   inc.vp = std::move(vp);
 
-  // Materialize the output views. A lease-clean app whose neither view
-  // moved keeps them in the cache only: the snapshot's views stay empty
-  // and viewsReused tells the owner its stashed copies are still exact.
+  // Publish the output views: copies share the cache's segment blocks. A
+  // lease-clean app whose neither view moved keeps them in the cache only:
+  // the snapshot's views stay empty (retired above) and viewsReused tells
+  // the owner its stashed views are still exact.
   for (std::size_t i = 0; i < napps; ++i) {
     AppSnapshot& app = apps[i];
-    if (inc.clean[i] && inc.npChanged[i] == 0 && inc.pChanged[i] == 0) {
-      app.viewsReused = true;
-      app.nonPreemptiveView = View{};
-      app.preemptiveView = View{};
-    } else {
-      app.viewsReused = false;
+    app.viewsReused =
+        inc.clean[i] && inc.npChanged[i] == 0 && inc.pChanged[i] == 0;
+    if (!app.viewsReused) {
       app.nonPreemptiveView = inc.npViews[i];
       app.preemptiveView = inc.pViews[i];
     }
@@ -1237,10 +1246,12 @@ void Scheduler::schedule(std::span<AppSchedule> apps, Time now) const {
   scratch_.recapture(apps);
   schedulePass(scratch_, now);
   scratch_.writeBack();
+  // Swapped like the server's stash: the superseded views are dropped by
+  // the next pass, under the scheduler's arena, so their blocks recycle.
   const std::span<AppSnapshot> scheduled = scratch_.apps();
   for (std::size_t i = 0; i < apps.size(); ++i) {
-    apps[i].nonPreemptiveView = std::move(scheduled[i].nonPreemptiveView);
-    apps[i].preemptiveView = std::move(scheduled[i].preemptiveView);
+    std::swap(apps[i].nonPreemptiveView, scheduled[i].nonPreemptiveView);
+    std::swap(apps[i].preemptiveView, scheduled[i].preemptiveView);
   }
 }
 

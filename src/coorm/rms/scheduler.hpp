@@ -130,8 +130,9 @@ class Scheduler {
   /// per Scheduler.
   void schedulePass(RequestSetSnapshot& snapshot, Time now) const;
 
-  /// Live-set convenience: capture → schedulePass → writeBack, moving the
-  /// computed views into each AppSchedule. Applications must be ordered by
+  /// Live-set convenience: capture → schedulePass → writeBack, handing the
+  /// computed views to each AppSchedule (swapped with the previous ones,
+  /// which the next call drops). Applications must be ordered by
   /// connection time.
   void schedule(std::span<AppSchedule> apps, Time now) const;
 

@@ -4,6 +4,7 @@
 #include <iterator>
 #include <random>
 #include <span>
+#include <utility>
 
 #include "coorm/common/check.hpp"
 #include "coorm/common/log.hpp"
@@ -753,10 +754,14 @@ void Server::commitPass() {
         metrics::increment(metrics::Event::kLeasesPreempted);
       }
       // Stash freshly computed views before starting requests so violation
-      // checks and pushes see consistent data.
-      passApps_[i]->lastNonPreemptive =
-          std::move(scheduled[i].nonPreemptiveView);
-      passApps_[i]->lastPreemptive = std::move(scheduled[i].preemptiveView);
+      // checks and pushes see consistent data. Swapped, not moved: the
+      // retired views go back into the snapshot, and the next pass drops
+      // them on the pass lane, where their blocks recycle into the views it
+      // builds (their last holder is usually the stash; dropped here, the
+      // blocks would park in this thread's arena instead).
+      std::swap(passApps_[i]->lastNonPreemptive,
+                scheduled[i].nonPreemptiveView);
+      std::swap(passApps_[i]->lastPreemptive, scheduled[i].preemptiveView);
     }
     passPhases_.writeBackUs = watch.elapsedMicros();
     metrics::record(metrics::Histo::kPassWriteBackUs,

@@ -172,7 +172,7 @@ class Server {
     /// Incremental scheduling passes (SchedulerOptions::incremental): in
     /// steady state, epoch-clean all-started applications keep their
     /// previous allocation as a renewed lease (their views are served from
-    /// the scheduler's cache and the stashed copies stay valid) instead of
+    /// the scheduler's cache and the stashed views stay valid) instead of
     /// being re-derived each pass. Bit-identical either way.
     bool incremental = true;
     /// Once an attached journal grows past this many bytes, the next pass

@@ -242,12 +242,16 @@ class AppSnapshot {
   /// the live requests.
   void invalidate() { capturedEpoch_ = 0; }
 
-  View nonPreemptiveView;  ///< pass output, paper V^(i)_{:P}
-  View preemptiveView;     ///< pass output, paper V^(i)_P
+  /// Pass outputs, paper V^(i)_{:P} and V^(i)_P. They share their segment
+  /// blocks with the scheduler's cache (copying a profile adds a reference,
+  /// segment_arena.hpp). Between passes they hold whatever the owner left:
+  /// the server swaps its superseded stash in, and the next pass drops it.
+  View nonPreemptiveView;
+  View preemptiveView;
 
   /// Set by the incremental scheduler when this app's output views were
   /// served unchanged from its pass-to-pass cache: the two View members
-  /// above are then deliberately left empty (the server's stashed copies
+  /// above are then deliberately left empty (the server's stashed views
   /// from the previous commit are already identical — a renewed lease).
   /// Any full or partially-recomputed derivation clears it.
   bool viewsReused = false;

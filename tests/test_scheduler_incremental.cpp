@@ -23,6 +23,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coorm/common/metrics.hpp"
@@ -388,6 +389,148 @@ TEST(SchedulerIncremental, PopulationChangeFallsBackToFullPass) {
     inc.pass(now);
     expectIdentical(full, inc, "pass=" + std::to_string(pass));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Publication by reference: a pass hands its views on by sharing the
+// cache's segment blocks, never by copying them.
+// ---------------------------------------------------------------------------
+
+TEST(SchedulerIncremental, PassPublishesViewsByReference) {
+  // A `population`-style set-up on one cluster: clean applications each
+  // hold a started pre-allocation with a started non-preemptible request
+  // inside, all with distinct multi-hour ends, so both views of every app
+  // have more than eight segments (a spilled, shareable block). None of
+  // them has preemptible demand: on the cluster they are all absent and
+  // receive the idle series. One rigid app's pre-allocation end moves the
+  // free profile; one malleable lease's size moves the idle share.
+  constexpr int kClean = 20;
+  const ClusterId c0{0};
+  Population p;
+  p.machine.clusters.push_back({c0, 1024});
+  std::int32_t nextNode = 0;
+  const auto addStarted = [&](RequestSet* set, NodeCount nodes,
+                              Time duration, RequestType type,
+                              Request* parent) -> Request* {
+    auto r = std::make_unique<Request>();
+    r->id = RequestId{p.nextId++};
+    r->cluster = c0;
+    r->nodes = nodes;
+    r->duration = duration;
+    r->type = type;
+    if (parent != nullptr) {
+      r->relatedHow = Relation::kCoAlloc;
+      r->relatedTo = parent;
+    }
+    r->startedAt = 0;
+    for (NodeCount n = 0; n < nodes; ++n) {
+      r->nodeIds.push_back(NodeId{c0, nextNode++});
+    }
+    set->add(r.get());
+    p.owned.push_back(std::move(r));
+    return p.owned.back().get();
+  };
+  const auto addApp = [&] {
+    AppSchedule app;
+    app.app = AppId{static_cast<std::int32_t>(p.apps.size())};
+    for (RequestSet** set :
+         {&app.preAllocations, &app.nonPreemptible, &app.preemptible}) {
+      p.sets.push_back(std::make_unique<RequestSet>());
+      *set = p.sets.back().get();
+    }
+    app.epoch = 1;
+    p.apps.push_back(app);
+    return p.apps.size() - 1;
+  };
+  for (int a = 0; a < kClean; ++a) {
+    const std::size_t i = addApp();
+    Request* pa = addStarted(p.apps[i].preAllocations, 8,
+                             sec(3600 + 600 * a), RequestType::kPreAllocation,
+                             nullptr);
+    addStarted(p.apps[i].nonPreemptible, 4, sec(1800 + 600 * a),
+               RequestType::kNonPreemptible, pa);
+  }
+  const std::size_t rigid = addApp();
+  Request* rigidPa = addStarted(p.apps[rigid].preAllocations, 16, sec(7000),
+                                RequestType::kPreAllocation, nullptr);
+  const std::size_t malleable = addApp();
+  Request* lease = addStarted(p.apps[malleable].preemptible, 48, kTimeInf,
+                              RequestType::kPreemptible, nullptr);
+
+  Scheduler scheduler(p.machine);  // incremental, serial
+  RequestSetSnapshot snapshot;
+  std::vector<View> stashNp(p.apps.size());
+  std::vector<View> stashP(p.apps.size());
+  const auto pass = [&](Time now) {
+    snapshot.recapture(p.apps);
+    scheduler.schedulePass(snapshot, now);
+    snapshot.writeBack();
+  };
+  const auto stash = [&] {  // as Server::commitPass does
+    const std::span<AppSnapshot> apps = snapshot.apps();
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      if (apps[i].viewsReused) continue;
+      std::swap(stashNp[i], apps[i].nonPreemptiveView);
+      std::swap(stashP[i], apps[i].preemptiveView);
+    }
+  };
+  const auto moveIdleShare = [&] {
+    if (lease->nodeIds.size() == 48) {
+      lease->nodeIds.resize(40);
+    } else {
+      while (lease->nodeIds.size() < 48) {
+        lease->nodeIds.push_back(NodeId{c0, nextNode++});
+      }
+    }
+    ++p.apps[malleable].epoch;
+  };
+  const auto expectAbsentShareOneIdleBlock = [&] {
+    const std::span<AppSnapshot> apps = snapshot.apps();
+    const StepFunction& idle = apps[0].preemptiveView.cap(c0);
+    ASSERT_GT(idle.segmentCount(), SegmentStore::kInlineCapacity);
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      if (i == malleable) continue;  // the only app present on c0
+      SCOPED_TRACE("app " + std::to_string(i));
+      ASSERT_FALSE(apps[i].viewsReused);
+      EXPECT_EQ(apps[i].preemptiveView.cap(c0).segments().data(),
+                idle.segments().data());
+    }
+  };
+
+  pass(sec(60));  // cold
+  stash();
+  pass(sec(70));  // warm, nothing moved: renewals
+  stash();
+
+  // The free profile and the idle share move: every app's views are
+  // re-published, and every absent app's preemptive view is one block.
+  rigidPa->duration = sec(9000);
+  ++p.apps[rigid].epoch;
+  moveIdleShare();
+  pass(sec(80));
+  expectAbsentShareOneIdleBlock();
+  for (int a = 0; a < kClean; ++a) {
+    EXPECT_GT(snapshot.apps()[static_cast<std::size_t>(a)]
+                  .nonPreemptiveView.cap(c0)
+                  .segmentCount(),
+              SegmentStore::kInlineCapacity);
+  }
+  stash();
+
+  // Only the idle share moves: the clean apps' non-preemptive views are
+  // re-published unchanged, sharing the block the previous pass published.
+  moveIdleShare();
+  pass(sec(90));
+  expectAbsentShareOneIdleBlock();
+  for (std::size_t i = 0; i < static_cast<std::size_t>(kClean); ++i) {
+    SCOPED_TRACE("app " + std::to_string(i));
+    const StepFunction& published =
+        snapshot.apps()[i].nonPreemptiveView.cap(c0);
+    EXPECT_EQ(published, stashNp[i].cap(c0));
+    EXPECT_EQ(published.segments().data(),
+              stashNp[i].cap(c0).segments().data());
+  }
+  stash();
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,17 @@
 
 #include "coorm/common/metrics.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define COORM_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define COORM_TEST_ASAN 1
+#endif
+#endif
+#ifdef COORM_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace coorm {
 namespace {
 
@@ -219,6 +230,99 @@ TEST(SegmentStore, SteadyStateReusesOneArenaBlock) {
   EXPECT_EQ(metrics::value(metrics::Event::kArenaHits), hitsBefore + 32);
   EXPECT_EQ(arena.freeBlocks(), 1u);
 }
+
+TEST(SegmentArena, LastDropParksASharedBlock) {
+  SegmentArena arena;
+  const ArenaScope scope(&arena);
+  std::size_t capacity = 64;
+  Segment* block = SegmentArena::allocateBlock(capacity);
+  EXPECT_FALSE(SegmentArena::sharedBlock(block));  // granted with one holder
+  SegmentArena::retainBlock(block);
+  EXPECT_TRUE(SegmentArena::sharedBlock(block));
+  SegmentArena::dropBlock(block, capacity);
+  EXPECT_FALSE(SegmentArena::sharedBlock(block));
+  EXPECT_EQ(arena.freeBlocks(), 0u);  // one holder left: not parked
+  SegmentArena::dropBlock(block, capacity);
+  EXPECT_EQ(arena.freeBlocks(), 1u);
+  std::size_t again = 64;
+  Segment* regranted = arena.allocate(again);
+  EXPECT_EQ(regranted, block);
+  EXPECT_FALSE(SegmentArena::sharedBlock(regranted));  // count reset to one
+  arena.release(regranted, again);
+}
+
+TEST(SegmentArena, LargestPooledClassHoldsItsFullCapacity) {
+  // The block header lives outside the size class: a reserve of exactly
+  // kMaxBlockSegments (the clamp the n-ary sweeps use) stays pooled.
+  SegmentArena arena;
+  const ArenaScope scope(&arena);
+  {
+    SegmentStore warm;
+    warm.reserve(SegmentArena::kMaxBlockSegments);
+  }
+  ASSERT_EQ(arena.freeBlocks(), 1u);
+  const std::uint64_t slowBefore =
+      metrics::value(metrics::Event::kArenaSlowPath);
+  SegmentStore store;
+  store.reserve(SegmentArena::kMaxBlockSegments);
+  EXPECT_EQ(store.capacity(), SegmentArena::kMaxBlockSegments);
+  EXPECT_EQ(metrics::value(metrics::Event::kArenaSlowPath), slowBefore);
+}
+
+TEST(SegmentStore, ShareAddsAHolderAndUnshareClonesOnce) {
+  SegmentStore source;
+  for (int i = 0; i < 40; ++i) source.push_back({Time{i}, NodeCount{i}});
+  SegmentStore holder;
+  holder.share(source);
+  EXPECT_EQ(holder.data(), source.data());
+  EXPECT_EQ(holder, source);
+  EXPECT_TRUE(source.shared());
+  EXPECT_TRUE(holder.shared());
+
+  holder.unshare();
+  EXPECT_NE(holder.data(), source.data());
+  EXPECT_EQ(holder, source);  // same contents, private block
+  EXPECT_FALSE(source.shared());
+  const Segment* own = holder.data();
+  holder.unshare();  // already private: no clone
+  EXPECT_EQ(holder.data(), own);
+  holder[0].value = 99;
+  EXPECT_EQ(source[0].value, NodeCount{0});
+}
+
+TEST(SegmentStore, ShareOfAnInlineStoreCopies) {
+  const SegmentStore small{{0, 1}, {10, 2}};
+  SegmentStore big;
+  for (int i = 0; i < 40; ++i) big.push_back({Time{i}, NodeCount{i}});
+  big.share(small);  // drops the spilled block, copies the inline contents
+  EXPECT_EQ(big, small);
+  EXPECT_NE(big.data(), small.data());
+  EXPECT_EQ(big.capacity(), SegmentStore::kInlineCapacity);
+  EXPECT_FALSE(big.shared());
+}
+
+#ifdef COORM_TEST_ASAN
+TEST(SegmentArena, ParkedBlocksArePoisonedUnderAsan) {
+  SegmentArena arena;
+  std::size_t capacity = 64;
+  Segment* block = arena.allocate(capacity);
+  EXPECT_EQ(__asan_region_is_poisoned(block, capacity * sizeof(Segment)),
+            nullptr);
+  arena.release(block, capacity);
+  EXPECT_TRUE(__asan_address_is_poisoned(block));
+  EXPECT_TRUE(__asan_address_is_poisoned(block + capacity - 1));
+  // The free-list link in the block header stays readable.
+  EXPECT_FALSE(
+      __asan_address_is_poisoned(reinterpret_cast<const char*>(block) - 1));
+
+  std::size_t again = 64;
+  Segment* regranted = arena.allocate(again);
+  ASSERT_EQ(regranted, block);
+  EXPECT_EQ(__asan_region_is_poisoned(regranted, again * sizeof(Segment)),
+            nullptr);
+  arena.release(regranted, again);
+}
+#endif
 
 }  // namespace
 }  // namespace coorm

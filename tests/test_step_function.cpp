@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "coorm/profile/profile_diff.hpp"
+
 namespace coorm {
 namespace {
 
@@ -204,6 +213,147 @@ TEST(StepFunction, AdditionIdentity) {
 TEST(StepFunction, SelfSubtractionIsZero) {
   const auto f = StepFunction::pulse(sec(1), sec(2), 3);
   EXPECT_TRUE((f - f).isZero());
+}
+
+// --- Copy-on-write storage -------------------------------------------------
+
+/// A canonical profile of `n` segments (more than the 8 inline ones spill
+/// to a shareable arena block): steps of 1..3 nodes every 10 s, some
+/// negative so a clamp at 0 moves values.
+StepFunction spilled(int n, NodeCount offset = 0) {
+  std::vector<StepFunction::Segment> segments;
+  for (int i = 0; i < n; ++i) {
+    segments.push_back({sec(10 * i), offset + (i % 2 == 0 ? -1 : 1 + i % 3)});
+  }
+  return StepFunction::fromCanonical(segments);
+}
+
+std::vector<StepFunction::Segment> bits(const StepFunction& f) {
+  return {f.segments().begin(), f.segments().end()};
+}
+
+TEST(StepFunctionSharing, CopiesShareASpilledBlock) {
+  const StepFunction a = spilled(40);
+  // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+  const StepFunction b = a;
+  StepFunction c;
+  c = b;
+  EXPECT_EQ(b.segments().data(), a.segments().data());
+  EXPECT_EQ(c.segments().data(), a.segments().data());
+  EXPECT_EQ(bits(c), bits(a));
+
+  // Inline profiles are copied: each copy has its own small buffer.
+  const StepFunction small = StepFunction::pulse(sec(1), sec(2), 3);
+  // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+  const StepFunction smallCopy = small;
+  EXPECT_NE(smallCopy.segments().data(), small.segments().data());
+  EXPECT_EQ(smallCopy, small);
+}
+
+TEST(StepFunctionSharing, SharedProfilesCompareEqual) {
+  const StepFunction a = spilled(64);
+  // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+  const StepFunction b = a;
+  ASSERT_EQ(a.segments().data(), b.segments().data());
+  EXPECT_TRUE(a == b);
+  // Equality stays by value: an unshared equal profile still compares
+  // equal, a different one does not.
+  EXPECT_TRUE(a == spilled(64));
+  EXPECT_FALSE(a == spilled(64, 1));
+}
+
+TEST(StepFunctionSharing, EveryMutatorLeavesTheOtherHolderIntact) {
+  const StepFunction operand = spilled(24, 2);
+  const StepFunction zero;  // max lifts the -1 steps, min cuts the rest
+  const std::vector<StepFunction::Segment> window{{sec(55), 9}, {sec(75), 4}};
+  const std::vector<
+      std::pair<std::string, std::function<void(StepFunction&)>>>
+      mutators{
+          {"addPulse",
+           [](StepFunction& f) { f.addPulse(sec(25), sec(30), 5); }},
+          {"+=", [&](StepFunction& f) { f += operand; }},
+          {"-=", [&](StepFunction& f) { f -= operand; }},
+          {"pointwiseMax", [&](StepFunction& f) { f.pointwiseMax(zero); }},
+          {"pointwiseMin", [&](StepFunction& f) { f.pointwiseMin(zero); }},
+          {"clampMin", [](StepFunction& f) { f.clampMin(0); }},
+          {"spliceWindow",
+           [&](StepFunction& f) {
+             ASSERT_TRUE(spliceWindow(f, sec(55), sec(95), window));
+           }},
+      };
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    for (const bool mutateCopy : {true, false}) {
+      SCOPED_TRACE(mutateCopy ? "mutating the copy" : "mutating the source");
+      StepFunction source = spilled(40);
+      StepFunction copy = source;
+      ASSERT_EQ(copy.segments().data(), source.segments().data());
+      StepFunction& written = mutateCopy ? copy : source;
+      const StepFunction& kept = mutateCopy ? source : copy;
+      const std::vector<StepFunction::Segment> before = bits(kept);
+
+      mutate(written);
+      EXPECT_EQ(bits(kept), before);  // bit-identical, block untouched
+      EXPECT_NE(bits(written), before) << "the mutator must move a value";
+      EXPECT_NE(written.segments().data(), kept.segments().data());
+      // The written holder matches the same mutation on an unshared copy.
+      StepFunction unshared = StepFunction::fromCanonical(before);
+      mutate(unshared);
+      EXPECT_EQ(bits(written), bits(unshared));
+    }
+  }
+}
+
+TEST(StepFunctionSharing, ClampMinThatMovesNoValueDoesNotClone) {
+  const StepFunction source = spilled(40, 5);  // every value >= 4
+  StepFunction copy = source;
+  copy.clampMin(0);
+  EXPECT_EQ(copy.segments().data(), source.segments().data());
+  copy.clampMin(4);  // the minimum itself: still nothing moves
+  EXPECT_EQ(copy.segments().data(), source.segments().data());
+  copy.clampMin(5);  // now values move: the copy gets its own block
+  EXPECT_NE(copy.segments().data(), source.segments().data());
+  EXPECT_EQ(source.minValue(), 4);
+  EXPECT_EQ(copy.minValue(), 5);
+}
+
+TEST(StepFunctionSharing, LastReleaseParksExactlyOneBlock) {
+  SegmentArena arena;
+  const ArenaScope scope(&arena);
+  auto first = std::make_unique<StepFunction>(spilled(40));
+  auto second = std::make_unique<StepFunction>(*first);
+  auto third = std::make_unique<StepFunction>();
+  *third = *second;
+  const std::size_t parked = arena.freeBlocks();
+  first.reset();
+  second.reset();
+  EXPECT_EQ(arena.freeBlocks(), parked);  // the block is still held
+  third.reset();
+  EXPECT_EQ(arena.freeBlocks(), parked + 1);
+}
+
+TEST(StepFunctionSharing, ConcurrentCopiesAndReleasesOfOneProfile) {
+  // Four threads copy, read, write (cloning) and drop one shared profile
+  // at once; the reference count is the only state they share. Run under
+  // ThreadSanitizer by the metrics label.
+  const StepFunction shared = spilled(200);
+  const std::vector<StepFunction::Segment> expected = bits(shared);
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 2000; ++round) {
+        StepFunction copy = shared;
+        if (!(copy == shared) || copy.at(sec(10)) != shared.at(sec(10))) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+        if (round % 16 == t) copy.addPulse(sec(5), sec(20), 1);  // clones
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+  EXPECT_EQ(bits(shared), expected);
 }
 
 }  // namespace

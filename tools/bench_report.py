@@ -47,6 +47,16 @@ scheduling bench under `--check-only --require-nonzero step2_ranges_reused
 cache ever stops engaging (a silent fall-back to full recomputes would
 keep results correct but void the O(changed) claim).
 
+`--compare BASE [--against LABEL]` reads two committed runs (LABEL
+defaults to the newest) and prints, per benchmark, the median real time
+over each run's repetitions and the relative delta. A delta is flagged
+(`*`) when the compared median lies outside the base run's own spread
+(min..max over its repetitions); with a single base repetition there is
+no spread and the flag column reads `?`. Runs recorded on different hosts
+(`host_name` or `num_cpus` differ) are refused:
+
+    tools/bench_report.py --compare BASE_LABEL --against NEW_LABEL
+
 The script needs nothing outside the Python standard library.
 """
 
@@ -56,6 +66,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -110,7 +121,7 @@ def summarize(report: dict) -> tuple[dict, list[dict]]:
             entry["requests_per_s"] = round(bench["requests/s"], 1)
         counters = {
             key: bench[key]
-            for key in ("arena_slow_path", "writeback_clean",
+            for key in ("arena_slow_path", "arena_hits", "writeback_clean",
                         "writeback_dirty", "passes", "overlapped",
                         "messages/s", "pass_apps_clean", "pass_apps_dirty",
                         "step2_ranges_reused", "wire_bytes_per_pass",
@@ -229,9 +240,67 @@ def load_trajectory(path: Path) -> dict:
     }
 
 
+def find_run(trajectory: dict, label: str) -> dict:
+    for run in trajectory["runs"]:
+        if run.get("label") == label:
+            return run
+    known = ", ".join(run.get("label", "?") for run in trajectory["runs"])
+    raise SystemExit(f"no run labelled {label!r} (known: {known})")
+
+
+def repetitions(run: dict) -> dict[str, list[float]]:
+    """Real times (us) per benchmark name, one value per repetition."""
+    times: dict[str, list[float]] = {}
+    for entry in run.get("benchmarks", []):
+        times.setdefault(entry["name"], []).append(entry["real_time_us"])
+    return times
+
+
+def compare_runs(base: dict, against: dict) -> list[str]:
+    """Per-benchmark median deltas of `against` relative to `base`."""
+    for key in ("host_name", "num_cpus"):
+        ours = base.get("context", {}).get(key)
+        theirs = against.get("context", {}).get(key)
+        if ours != theirs:
+            raise SystemExit(
+                f"refusing to compare runs from different hosts: "
+                f"{base['label']!r} has {key}={ours!r}, "
+                f"{against['label']!r} has {key}={theirs!r}")
+    base_times = repetitions(base)
+    against_times = repetitions(against)
+    rows = [("benchmark", "base_us", "against_us", "delta", "reps",
+             "outside")]
+    for name, samples in base_times.items():
+        if name not in against_times:
+            continue
+        other = against_times[name]
+        base_median = statistics.median(samples)
+        median = statistics.median(other)
+        delta = (median - base_median) / base_median if base_median else 0.0
+        if len(samples) < 2:
+            flag = "?"
+        else:
+            flag = "*" if not min(samples) <= median <= max(samples) else ""
+        rows.append((name, f"{base_median:.1f}", f"{median:.1f}",
+                     f"{delta:+.1%}", f"{len(samples)}/{len(other)}", flag))
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = [
+        "  ".join(cell.ljust(width) if i == 0 else cell.rjust(width)
+                  for i, (cell, width) in enumerate(zip(row, widths)))
+        .rstrip()
+        for row in rows
+    ]
+    for label, missing in (
+            (against["label"], sorted(set(base_times) - set(against_times))),
+            (base["label"], sorted(set(against_times) - set(base_times)))):
+        if missing:
+            lines.append(f"not in {label!r}: {', '.join(missing)}")
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    source = parser.add_mutually_exclusive_group(required=True)
+    source = parser.add_mutually_exclusive_group()
     source.add_argument(
         "--bench-json",
         help="existing --benchmark_format=json output to convert")
@@ -281,7 +350,30 @@ def main() -> None:
     parser.add_argument(
         "--output", type=Path,
         help="trajectory file to update, e.g. BENCH_scheduler.json")
+    parser.add_argument(
+        "--compare", metavar="BASE",
+        help="print per-benchmark median deltas of a committed run against "
+             "run BASE of the trajectory (no benchmark is run)")
+    parser.add_argument(
+        "--against", metavar="LABEL",
+        help="the run --compare measures (default: the newest run)")
+    parser.add_argument(
+        "--trajectory", type=Path, default=Path("BENCH_scheduler.json"),
+        help="trajectory file --compare reads (default: %(default)s)")
     args = parser.parse_args()
+    if args.compare:
+        trajectory = load_trajectory(args.trajectory)
+        if not trajectory["runs"]:
+            raise SystemExit(f"{args.trajectory}: no runs recorded")
+        base = find_run(trajectory, args.compare)
+        against = (find_run(trajectory, args.against) if args.against
+                   else trajectory["runs"][-1])
+        print(f"{against['label']} vs {base['label']} "
+              f"(median real time over repetitions)")
+        print("\n".join(compare_runs(base, against)))
+        return
+    if args.bench_json is None and args.binary is None:
+        parser.error("one of --bench-json, --binary or --compare is required")
     if not args.check_only and (args.label is None or args.output is None):
         parser.error("--label and --output are required unless --check-only")
 
