@@ -1,9 +1,10 @@
 // BM_WireCodec: encode + decode throughput of the wire protocol's
-// heaviest frame, the views push, at 64–4096 breakpoints per profile
-// (bench arg). Each iteration encodes one ViewsMsg into a reused buffer,
-// reassembles it through FrameBuffer (the daemon's read path) and decodes
-// it back, so the number is the full serialize/deserialize round trip per
-// push — bytes/s tracks the allocation-light goal.
+// heaviest frame, the full-flagged VIEWS_DELTA push, at 64–4096
+// breakpoints per profile (bench arg). Each iteration encodes one push
+// into a reused buffer, reassembles it through FrameBuffer (the daemon's
+// read path) and decodes it back, so the number is the full
+// serialize/deserialize round trip per push — bytes/s tracks the
+// allocation-light goal.
 //
 // BM_WireCodecSmall covers the chatty small frames (request + ack), the
 // per-message floor of daemon throughput.
@@ -30,8 +31,10 @@ View viewWithBreakpoints(int breakpoints, NodeCount top) {
 
 void BM_WireCodec(benchmark::State& state) {
   const int breakpoints = static_cast<int>(state.range(0));
-  ViewsMsg message{viewWithBreakpoints(breakpoints, 4096),
-                   viewWithBreakpoints(breakpoints, 1024)};
+  ViewsDeltaMsg message;
+  message.seq = 1;
+  message.nonPreemptive = viewWithBreakpoints(breakpoints, 4096);
+  message.preemptive = viewWithBreakpoints(breakpoints, 1024);
 
   std::vector<std::uint8_t> buffer;
   std::size_t frameBytes = 0;
@@ -44,7 +47,7 @@ void BM_WireCodec(benchmark::State& state) {
     frames.append(buffer);
     FrameView frame;
     COORM_CHECK(frames.next(frame) == FrameBuffer::Next::kFrame);
-    ViewsMsg decoded;
+    ViewsDeltaMsg decoded;
     COORM_CHECK(decode(frame.payload, decoded));
     benchmark::DoNotOptimize(decoded);
   }

@@ -1,8 +1,8 @@
 // BM_DaemonFanIn: per-pass view fan-out cost through a live daemon on the
-// c100k serving path — epoll backend, per-session write coalescing, and
-// VIEWS_DELTA pushes toggled as a benchmark dimension.
+// c100k serving path — the epoll loop, per-session write coalescing and
+// VIEWS_DELTA pushes.
 //
-// Args: {subscribers, delta}. A driver app holds 64 long-horizon
+// Arg: subscribers. A driver app holds 64 long-horizon
 // background allocations (staggered 10 h expiries — every pushed view
 // carries a realistic many-segment availability profile) plus one
 // short-horizon churn slot it turns over once per iteration; each turn
@@ -13,8 +13,8 @@
 // completes when the slowest subscriber has applied the push — so
 // real_time is the commit-to-applied fan-out latency, and
 // wire_bytes_per_pass (measured across the whole process) is what the
-// delta encoding is claimed to shrink: compare the delta=1 rows against
-// their delta=0 twins in BENCH_scheduler.json.
+// delta encoding shrinks (BENCH_scheduler.json label `pr9-c100k` records
+// it against whole-view pushes).
 //
 // CI gates on views_delta_sent / frames_coalesced via tools/bench_report.py
 //   --check-only --require-nonzero views_delta_sent
@@ -38,20 +38,19 @@
 namespace coorm::net {
 namespace {
 
-/// The daemon half on its own thread, epoll backend (as in production).
+/// The daemon half on its own thread (as in production).
 class DaemonThread {
  public:
-  explicit DaemonThread(bool deltaViews) {
-    thread_ = std::thread([this, deltaViews] {
-      auto executor = makeIoExecutor(IoBackend::kEpoll);
+  DaemonThread() {
+    thread_ = std::thread([this] {
+      IoExecutor executor;
       Server::Config config;
       config.reschedInterval = msec(10);
-      Server server(*executor, Machine::single(4096), config);
-      Daemon::Config daemonConfig{Endpoint{"127.0.0.1", 0}};
-      daemonConfig.deltaViews = deltaViews;
-      Daemon daemon(*executor, server, daemonConfig);
+      Server server(executor, Machine::single(4096), config);
+      Daemon daemon(executor, server,
+                    Daemon::Config{Endpoint{"127.0.0.1", 0}});
       port_.store(daemon.port());
-      while (!stop_.load()) executor->runOne(msec(2));
+      while (!stop_.load()) executor.runOne(msec(2));
       daemon.close();
     });
     while (port_.load() == 0) std::this_thread::yield();
@@ -75,24 +74,23 @@ struct Subscriber final : AppEndpoint {
 
 void BM_DaemonFanIn(benchmark::State& state) {
   const int subscribers = static_cast<int>(state.range(0));
-  const bool deltaViews = state.range(1) != 0;
   raiseFdLimit();
 
-  DaemonThread daemon(deltaViews);
-  auto loop = makeIoExecutor(IoBackend::kEpoll);
+  DaemonThread daemon;
+  IoExecutor loop;
   std::vector<std::unique_ptr<Subscriber>> endpoints;
   std::vector<std::unique_ptr<RmsClient>> clients;
   for (int i = 0; i < subscribers; ++i) {
     endpoints.push_back(std::make_unique<Subscriber>());
     clients.push_back(std::make_unique<RmsClient>(
-        *loop, RmsClient::Config{Endpoint{"127.0.0.1", daemon.port()},
-                                 "sub" + std::to_string(i)}));
+        loop, RmsClient::Config{Endpoint{"127.0.0.1", daemon.port()},
+                                "sub" + std::to_string(i)}));
     clients.back()->connect(*endpoints.back());
   }
 
   AppEndpoint sink;
   RmsClient driver(
-      *loop, RmsClient::Config{Endpoint{"127.0.0.1", daemon.port()}, "drv"});
+      loop, RmsClient::Config{Endpoint{"127.0.0.1", daemon.port()}, "drv"});
   driver.connect(sink);
   // 64 long-horizon background allocations: their staggered 10 h expiries
   // give every pushed view a many-segment availability profile that the
@@ -106,8 +104,8 @@ void BM_DaemonFanIn(benchmark::State& state) {
   }
   // The churn slot: a short-horizon allocation turned over each iteration.
   // Its diff window ends at its 1 h expiry — before every background
-  // breakpoint — so delta mode ships a handful of segments per push where
-  // full mode re-ships the whole profile.
+  // breakpoint — so a delta push ships a handful of segments where a full
+  // push re-ships the whole profile.
   RequestSpec spec;
   spec.nodes = 1;
   spec.duration = hours(1);
@@ -122,7 +120,7 @@ void BM_DaemonFanIn(benchmark::State& state) {
     return least;
   };
   const auto pumpUntil = [&](long target) {
-    while (slowest() < target) loop->runOne(msec(1));
+    while (slowest() < target) loop.runOne(msec(1));
   };
   pumpUntil(1);  // every session is attached and synced
 
@@ -151,25 +149,20 @@ void BM_DaemonFanIn(benchmark::State& state) {
       benchmark::Counter(delta(metrics::Event::kFramesCoalesced));
   state.counters["epoll_wakeups"] =
       benchmark::Counter(delta(metrics::Event::kEpollWakeups));
-  if (deltaViews) {
-    state.counters["views_delta_sent"] =
-        benchmark::Counter(delta(metrics::Event::kViewsDeltaSent));
-    state.counters["views_delta_bytes_saved"] =
-        benchmark::Counter(delta(metrics::Event::kViewsDeltaBytesSaved));
-    COORM_CHECK(after[metrics::Event::kViewsResync] ==
-                before[metrics::Event::kViewsResync]);
-  }
+  state.counters["views_delta_sent"] =
+      benchmark::Counter(delta(metrics::Event::kViewsDeltaSent));
+  state.counters["views_delta_bytes_saved"] =
+      benchmark::Counter(delta(metrics::Event::kViewsDeltaBytesSaved));
+  COORM_CHECK(after[metrics::Event::kViewsResync] ==
+              before[metrics::Event::kViewsResync]);
 
   for (auto& client : clients) client->disconnect();
   driver.disconnect();
 }
 BENCHMARK(BM_DaemonFanIn)
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({256, 0})
-    ->Args({256, 1})
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

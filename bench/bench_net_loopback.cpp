@@ -1,5 +1,5 @@
 // BM_LoopbackDaemon: end-to-end requests/s through a live coorm_rmsd-style
-// daemon over loopback TCP — poll loop, framing, session multiplexing and
+// daemon over loopback TCP — epoll loop, framing, session multiplexing and
 // the Server's scheduling passes included. One iteration is a full
 // request() round trip (REQUEST frame, REQ_ACK back) followed by a done();
 // the reported requests/s is the wire-facing counterpart of the
@@ -19,7 +19,7 @@
 #include "coorm/common/metrics.hpp"
 #include "coorm/net/client.hpp"
 #include "coorm/net/daemon.hpp"
-#include "coorm/net/poll_executor.hpp"
+#include "coorm/net/io_executor.hpp"
 #include "coorm/rms/server.hpp"
 
 namespace coorm::net {
@@ -30,7 +30,7 @@ class DaemonThread {
  public:
   DaemonThread() {
     thread_ = std::thread([this] {
-      PollExecutor executor;
+      IoExecutor executor;
       Server::Config config;
       config.reschedInterval = msec(10);
       Server server(executor, Machine::single(4096), config);
@@ -58,7 +58,7 @@ void BM_LoopbackDaemon(benchmark::State& state) {
   const int apps = static_cast<int>(state.range(0));
 
   DaemonThread daemon;
-  PollExecutor loop;
+  IoExecutor loop;
   AppEndpoint sink;  // default no-op endpoint: the bench drives the links
   std::vector<std::unique_ptr<RmsClient>> clients;
   for (int i = 0; i < apps; ++i) {

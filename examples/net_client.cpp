@@ -4,7 +4,7 @@
 // (exactly what `coorm_rmsd --listen 127.0.0.1:0` runs), then talks to it
 // over real TCP the way a separate application process would:
 //
-//   PollExecutor loop;                         // the client's event loop
+//   IoExecutor   loop;                         // the client's event loop
 //   RmsClient    client(loop, {{host, port}}); // one connection = one app
 //   client.connect(myEndpoint);                // HELLO/WELCOME handshake
 //   myApp.attach(client);                      // AppLink, same as a Session
@@ -18,7 +18,7 @@
 #include "coorm/apps/rigid.hpp"
 #include "coorm/net/client.hpp"
 #include "coorm/net/daemon.hpp"
-#include "coorm/net/poll_executor.hpp"
+#include "coorm/net/io_executor.hpp"
 #include "coorm/rms/server.hpp"
 
 using namespace coorm;
@@ -28,7 +28,7 @@ int main() {
   std::atomic<std::uint16_t> port{0};
   std::atomic<bool> stop{false};
   std::thread daemonThread([&] {
-    net::PollExecutor executor;
+    net::IoExecutor executor;
     Server::Config config;
     config.reschedInterval = msec(50);
     Server server(executor, Machine::single(64), config);
@@ -42,7 +42,7 @@ int main() {
   std::cout << "daemon listening on 127.0.0.1:" << port.load() << "\n";
 
   // --- client half ---------------------------------------------------------
-  net::PollExecutor loop;
+  net::IoExecutor loop;
   net::RmsClient link(
       loop, net::RmsClient::Config{{"127.0.0.1", port.load()}, "rigid-job"});
 

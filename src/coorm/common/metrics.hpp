@@ -264,19 +264,6 @@ class Stopwatch {
   std::uint64_t start_;
 };
 
-/// RAII: records the scope's wall time (µs) into `histo` on exit.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Histo histo) noexcept : histo_(histo) {}
-  ~ScopedLatency() { record(histo_, watch_.elapsedMicros()); }
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  Histo histo_;
-  Stopwatch watch_;
-};
-
 /// snake_case catalogue name ("schedule_passes", "arena_slow_path", ...).
 [[nodiscard]] std::string_view name(Event event) noexcept;
 [[nodiscard]] std::string_view name(Gauge gauge) noexcept;

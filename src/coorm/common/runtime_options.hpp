@@ -17,16 +17,6 @@
 
 namespace coorm {
 
-/// Socket readiness backend for the real-time executor (net::IoExecutor).
-/// Both deliver the same callback semantics and timer ordering; epoll is
-/// O(ready) per wakeup instead of O(watched) and is the default on Linux,
-/// with poll(2) kept as the portable fallback (and auto-selected when
-/// epoll_create1 is unavailable).
-enum class IoBackend {
-  kPoll,
-  kEpoll,
-};
-
 struct RuntimeOptions {
   /// Scheduler worker threads (>= 1; 1 = serial, no OS threads spawned).
   int threads = 1;
@@ -43,9 +33,6 @@ struct RuntimeOptions {
   /// bit-identical to a full recompute; false restores the always-full
   /// pass.
   bool incremental = true;
-  /// IO readiness backend for daemon/client event loops (--io-backend).
-  /// Scheduling output is identical either way; only wakeup cost differs.
-  IoBackend ioBackend = IoBackend::kEpoll;
 };
 
 }  // namespace coorm

@@ -84,6 +84,32 @@ class Span {
   std::uint64_t start_ = 0;
 };
 
+/// The one instrumentation call of a timed phase: RAII over the enclosing
+/// scope that feeds the latency histogram (µs), the optional per-phase
+/// field `*us` and, while tracing is on, a span — all from the same two
+/// clock reads, so the three can never disagree.
+class Phase {
+ public:
+  Phase(const char* name, metrics::Histo histo,
+        std::uint64_t* us = nullptr) noexcept
+      : name_(name), histo_(histo), us_(us), start_(metrics::nowNanos()) {}
+  ~Phase() {
+    const std::uint64_t end = metrics::nowNanos();
+    const std::uint64_t us = (end - start_) / 1000;
+    metrics::record(histo_, us);
+    if (us_ != nullptr) *us_ = us;
+    span(name_, start_, end);
+  }
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
+
+ private:
+  const char* name_;
+  metrics::Histo histo_;
+  std::uint64_t* us_;
+  std::uint64_t start_;
+};
+
 /// Every span currently retained, all threads, oldest first per thread.
 [[nodiscard]] std::vector<SpanEvent> collect();
 

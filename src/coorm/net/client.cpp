@@ -276,13 +276,6 @@ void RmsClient::handleFrame(const FrameView& frame) {
       // Unmatched acks (e.g. after a timed-out wait) are dropped.
       return;
     }
-    case MsgType::kViews: {
-      ViewsMsg msg;
-      if (!decode(frame.payload, msg)) break;
-      pending_.push_back(std::move(msg));
-      armDrain();
-      return;
-    }
     case MsgType::kViewsDelta: {
       ViewsDeltaMsg msg;
       if (!decode(frame.payload, msg)) {

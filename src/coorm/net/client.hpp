@@ -13,16 +13,16 @@
 //    `AppEndpoint` callbacks dispatched from the owning IoExecutor loop,
 //    in arrival order, never re-entrantly from inside a blocking wait.
 //
-// View pushes (version 3): the daemon ships sequenced VIEWS_DELTA frames.
-// The client keeps the last applied view pair; a full push replaces it, a
-// delta push splices per-cluster windows onto it (profile_diff.hpp), and
-// each applied push is VIEWS_ACKed so the daemon may diff against it. Any
-// gap, unknown cluster or undecodable window acks `resync` instead — the
-// daemon answers with a full sync point — so the views delivered to the
-// endpoint are bit-identical to full pushes at every commit, just cheaper
-// on the wire. Legacy VIEWS frames still deliver as before.
+// View pushes: the daemon ships sequenced VIEWS_DELTA frames. The client
+// keeps the last applied view pair; a full push replaces it, a delta push
+// splices per-cluster windows onto it (profile_diff.hpp), and each applied
+// push is VIEWS_ACKed so the daemon may diff against it. Any gap, unknown
+// cluster or undecodable window acks `resync` instead — the daemon
+// answers with a full sync point — so the views delivered to the endpoint
+// are bit-identical to full pushes at every commit, just cheaper on the
+// wire.
 //
-// Crash safety (version 2): with Config::reconnect set, a lost connection
+// Crash safety: with Config::reconnect set, a lost connection
 // does not end the session. The client redials with exponential backoff +
 // deterministic jitter, presents the (app, token) pair its WELCOME handed
 // out in a RESUME frame, and on RESUME_ACK(ok) replays the one possibly
@@ -128,6 +128,12 @@ class RmsClient final : public AppLink {
   void disconnect() override;
 
  private:
+  /// The view pair an applied push left the client holding, queued for
+  /// delivery to the endpoint.
+  struct ViewsMsg {
+    View nonPreemptive;
+    View preemptive;
+  };
   using DownMsg = std::variant<ViewsMsg, StartedMsg, ExpiredMsg, EndedMsg,
                                KilledMsg>;
 

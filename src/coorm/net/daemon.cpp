@@ -89,22 +89,22 @@ struct Daemon::Connection final : AppEndpoint {
   void onStarted(RequestId id, const std::vector<NodeId>& nodeIds) override {
     if (dead) return;
     encodeStarted(daemon->scratch_, id, nodeIds);
-    daemon->send(*this, MsgType::kStarted);
+    daemon->send(*this);
   }
   void onExpired(RequestId id) override {
     if (dead) return;
     encode(daemon->scratch_, ExpiredMsg{id});
-    daemon->send(*this, MsgType::kExpired);
+    daemon->send(*this);
   }
   void onEnded(RequestId id) override {
     if (dead) return;
     encode(daemon->scratch_, EndedMsg{id});
-    daemon->send(*this, MsgType::kEnded);
+    daemon->send(*this);
   }
   void onKilled() override {
     if (dead) return;
     encode(daemon->scratch_, KilledMsg{});
-    daemon->send(*this, MsgType::kKilled);
+    daemon->send(*this);
     // The session is gone; drain the notification, then drop the peer.
     closeWhenFlushed = true;
     if (outboundPos == outbound.size()) daemon->teardown(*this);
@@ -227,7 +227,7 @@ void Daemon::handleFrame(Connection& conn, const FrameView& frame) {
       conn.session = server_.connect(conn, msg.name);
       encode(scratch_, WelcomeMsg{conn.session->app(),
                                   server_.sessionToken(conn.session->app())});
-      send(conn, MsgType::kWelcome);
+      send(conn);
       return;
     }
     case MsgType::kResume: {
@@ -249,7 +249,7 @@ void Daemon::handleFrame(Connection& conn, const FrameView& frame) {
         conn.peerName = "resumed app " + std::to_string(msg.app.value);
       }
       encode(scratch_, ResumeAckMsg{resumed != nullptr, msg.app});
-      send(conn, MsgType::kResumeAck);
+      send(conn);
       // A nack is an answer, not a violation: the client falls back to a
       // fresh HELLO (or gives up) on the same connection.
       return;
@@ -258,7 +258,7 @@ void Daemon::handleFrame(Connection& conn, const FrameView& frame) {
       PingMsg msg;
       if (!decode(frame.payload, msg)) break;
       encode(scratch_, PongMsg{msg.nonce});
-      send(conn, MsgType::kPong);
+      send(conn);
       return;
     }
     case MsgType::kPong:
@@ -285,7 +285,7 @@ void Daemon::handleFrame(Connection& conn, const FrameView& frame) {
             << conn.peerName << ": invalid request spec rejected";
       }
       encode(scratch_, RequestAckMsg{msg.cookie, id});
-      send(conn, MsgType::kRequestAck);
+      send(conn);
       metrics::record(metrics::Histo::kRequestRttUs, rtt.elapsedMicros());
       return;
     }
@@ -315,7 +315,7 @@ void Daemon::handleFrame(Connection& conn, const FrameView& frame) {
       conn.ackedValid = false;
       if (conn.sentValid) {
         encodeViewsFull(scratch_, ++conn.viewSeq, conn.sentNp, conn.sentP);
-        send(conn, MsgType::kViewsDelta);
+        send(conn);
       }
       return;
     }
@@ -332,7 +332,7 @@ void Daemon::handleFrame(Connection& conn, const FrameView& frame) {
       // operators can poll a daemon without joining as an application.
       if (!frame.payload.empty()) break;
       encode(scratch_, StatsReplyMsg{server_.metricsSnapshot()});
-      send(conn, MsgType::kStatsReply);
+      send(conn);
       return;
     }
     default:
@@ -347,11 +347,6 @@ void Daemon::handleFrame(Connection& conn, const FrameView& frame) {
 
 void Daemon::pushViews(Connection& conn, const View& nonPreemptive,
                        const View& preemptive) {
-  if (!config_.deltaViews) {
-    encodeViews(scratch_, nonPreemptive, preemptive);
-    send(conn, MsgType::kViews);
-    return;
-  }
   // Delta only against a base the client provably holds: the latest push,
   // acked. Anything else (first push, unacked pipeline, post-resync,
   // changed cluster set) ships as a full sync point.
@@ -374,7 +369,7 @@ void Daemon::pushViews(Connection& conn, const View& nonPreemptive,
   } else {
     encodeViewsFull(scratch_, seq, nonPreemptive, preemptive);
   }
-  send(conn, MsgType::kViewsDelta);
+  send(conn);
   conn.sentNp = nonPreemptive;
   conn.sentP = preemptive;
   conn.sentValid = true;
@@ -382,10 +377,9 @@ void Daemon::pushViews(Connection& conn, const View& nonPreemptive,
   conn.ackedValid = false;
 }
 
-void Daemon::send(Connection& conn, MsgType type) {
+void Daemon::send(Connection& conn) {
   // The encode() overloads appended one frame to scratch_; move it into
   // the connection's buffer.
-  (void)type;
   ++framesOut_;
   const bool hadPending = conn.outboundPos < conn.outbound.size();
   if (conn.outbound.empty()) {
@@ -507,7 +501,7 @@ void Daemon::armIdleSweep() {
         teardown(*conn);
       } else if (idle >= config_.idleDeadline / 2) {
         encode(scratch_, PingMsg{++pingNonce_});
-        send(*conn, MsgType::kPing);
+        send(*conn);
       }
     }
     armIdleSweep();

@@ -1,8 +1,7 @@
 // The network front-end of the RMS: session multiplexing over TCP.
 //
-// A Daemon owns a listening socket on an IoExecutor loop (poll or epoll
-// backend) and adapts each accepted connection to the in-process protocol
-// seam:
+// A Daemon owns a listening socket on an IoExecutor loop and adapts each
+// accepted connection to the in-process protocol seam:
 //  - upstream frames decode into the exact calls an in-process application
 //    would make (HELLO -> Server::connect, REQUEST -> Session::request +
 //    a REQ_ACK carrying the returned id, DONE -> Session::done,
@@ -56,9 +55,6 @@ class Daemon {
     /// reaped. 0 restores the strict PR 5 behaviour (dead peer ==
     /// disconnect) — half-open clients then cannot resume.
     Time resumeGrace = 0;
-    /// Sequenced delta view pushes (VIEWS_DELTA). false restores the v2
-    /// behaviour of a whole VIEWS frame per pass.
-    bool deltaViews = true;
     /// Frames are batched per session and flushed once per loop turn (all
     /// frames of one pass commit become one send syscall). Safety valve:
     /// a session whose unflushed bytes reach this mark flushes immediately
@@ -103,13 +99,13 @@ class Daemon {
   void armResumeReaper();
   /// One view push: a splice-window delta when the client has acked the
   /// previous push (and cluster sets match), a full sequenced push
-  /// otherwise, a legacy VIEWS frame with deltaViews off.
+  /// otherwise.
   void pushViews(Connection& conn, const View& nonPreemptive,
                  const View& preemptive);
   /// Appends an encoded frame to the connection's outbound buffer;
   /// flushes now (past the high-water mark) or arms the
   /// one-per-loop-turn flush event.
-  void send(Connection& conn, MsgType type);
+  void send(Connection& conn);
   void flush(Connection& conn);
   /// Declares the peer gone: disconnects the session, closes the socket
   /// and schedules the Connection object's destruction behind any

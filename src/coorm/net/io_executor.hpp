@@ -1,5 +1,4 @@
-// Real-time socket event loop base: the backend-independent half of the
-// wall-clock `Executor`.
+// The wall-clock `Executor`: one edge-triggered epoll(7) socket event loop.
 //
 // The RMS server is written against the Executor interface so it can run on
 // the discrete-event engine (the paper's evaluation) or on a wall-clock
@@ -13,26 +12,50 @@
 //  - file descriptors: kReadable/kWritable interest registered per fd, with
 //    the blocking wait bounded by the next due timer.
 //
-// The readiness mechanism is the only thing backends differ in: poll(2)
-// (PollExecutor, portable, O(watched) per wakeup) or epoll (EpollExecutor,
-// Linux, O(ready) per wakeup — the C100k path). The `Server`, pipeline,
-// `Daemon` and `RmsClient` run unmodified on either.
+// Readiness is edge-triggered (EPOLLET) with a per-cycle ready list: one
+// epoll_wait returns only the fds whose readiness changed, so a wakeup
+// costs O(ready), not O(watched) — the difference between serving 10k
+// mostly-idle AppLink sessions and burning a core re-walking them.
+// Edge-triggered is safe because every consumer drains: the daemon's
+// accept loop accepts until EAGAIN, daemon and client read through
+// `drainReadable` (reads to EAGAIN), and flush loops write until EAGAIN
+// before arming kWritable. EPOLL_CTL_ADD and _MOD deliver an edge when the
+// fd is already ready, so watch-after-data-arrived and kWritable re-arming
+// need no level-triggered crutch.
+//
+// Dispatch re-looks-up each ready fd in the watcher table before invoking
+// its callback: a callback earlier in the same batch may have unwatched
+// (or closed and re-registered) the fd. unwatch() must precede
+// ::close(fd); epoll drops closed fds silently otherwise.
 #pragma once
+
+#include <sys/epoll.h>
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
+#include <unordered_map>
 #include <vector>
 
 #include "coorm/common/executor.hpp"
-#include "coorm/common/runtime_options.hpp"
 #include "coorm/common/time.hpp"
+#include "coorm/net/socket.hpp"
+
+namespace coorm {
+
+/// The socket readiness backend. epoll is the only one; the enum stays for
+/// callers that name it when building a loop (see makeIoExecutor).
+enum class IoBackend {
+  kEpoll,
+};
+
+}  // namespace coorm
 
 namespace coorm::net {
 
-class IoExecutor : public Executor {
+class IoExecutor final : public Executor {
  public:
   /// Events the callback is told about: readable, writable, or
   /// error/hangup conditions mapped onto kError.
@@ -64,15 +87,15 @@ class IoExecutor : public Executor {
   /// Register interest in `events` (kReadable|kWritable) on `fd`. One
   /// watcher per fd; `cb` runs on the loop thread with the triggered
   /// events. kError is always reported regardless of the mask.
-  virtual void watch(int fd, short events, IoCallback cb) = 0;
+  void watch(int fd, short events, IoCallback cb);
 
   /// Change the event mask of a watched fd (e.g. enable kWritable while an
   /// outbound buffer drains).
-  virtual void updateEvents(int fd, short events) = 0;
+  void updateEvents(int fd, short events);
 
   /// Remove the watcher. Safe from inside any callback (including the
   /// watcher's own). Must be called before the fd is closed.
-  virtual void unwatch(int fd) = 0;
+  void unwatch(int fd);
 
   /// One wait + dispatch cycle, blocking at most `maxWait` ms (bounded by
   /// the next due timer). Returns true if any callback was dispatched.
@@ -85,15 +108,8 @@ class IoExecutor : public Executor {
 
   void stop() { stopped_ = true; }
 
-  [[nodiscard]] virtual std::size_t watcherCount() const = 0;
+  [[nodiscard]] std::size_t watcherCount() const { return watchers_.size(); }
   [[nodiscard]] std::size_t pendingTimers() const { return timers_.size(); }
-
- protected:
-  /// One blocking readiness wait of at most `timeout` ms (>= 0) followed by
-  /// IO callback dispatch. Returns true if any callback ran. Called with
-  /// the timeout already bounded by the next due timer; timer dispatch
-  /// happens in runOne() after this returns.
-  virtual bool pollOnce(Time timeout) = 0;
 
  private:
   struct Timer {
@@ -108,22 +124,33 @@ class IoExecutor : public Executor {
       return a.seq > b.seq;
     }
   };
+  struct Watcher {
+    short events = 0;
+    IoCallback cb;
+  };
 
+  /// One blocking epoll_wait of at most `timeout` ms (>= 0) followed by IO
+  /// callback dispatch. Returns true if any callback ran.
+  bool pollOnce(Time timeout);
   /// Dispatch every timer due at `deadline` or earlier.
   bool dispatchTimers(Time deadline);
+  void control(int op, int fd, short events);
 
   std::chrono::steady_clock::time_point start_;
   std::priority_queue<Timer, std::vector<Timer>, Later> timers_;
   std::uint64_t nextSeq_ = 0;
   bool stopped_ = false;
+  Fd epfd_;
+  std::unordered_map<int, Watcher> watchers_;
+  std::vector<epoll_event> ready_;  ///< per-cycle scratch, reused
+  /// Callbacks unwatched mid-dispatch, kept alive until the cycle ends so
+  /// a watcher tearing itself down never frees its executing closure.
+  std::vector<IoCallback> graveyard_;
 };
 
-/// Constructs the requested readiness backend. Falls back to poll(2) when
-/// the epoll backend is unavailable on this kernel (probe at creation), so
-/// callers can request kEpoll unconditionally.
+/// Builds a loop. Kept as a factory for callers written against the
+/// backend-selecting API (servebench's generator); new code constructs
+/// IoExecutor directly.
 std::unique_ptr<IoExecutor> makeIoExecutor(IoBackend backend);
-
-/// Human-readable backend name ("poll" / "epoll") for logs and tools.
-const char* toString(IoBackend backend);
 
 }  // namespace coorm::net

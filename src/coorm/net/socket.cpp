@@ -130,9 +130,11 @@ DrainStatus drainReadable(int fd, FrameBuffer& frames) {
   while (true) {
     const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
     if (n > 0) {
+      // Read on past a short read: under the edge-triggered loop a FIN
+      // that arrived with the last bytes raises no further edge, so only a
+      // recv returning 0 or EAGAIN proves the socket drained.
       frames.append(
           std::span<const std::uint8_t>(buffer, static_cast<std::size_t>(n)));
-      if (n < static_cast<ssize_t>(sizeof(buffer))) return DrainStatus::kOk;
       continue;
     }
     if (n == 0) return DrainStatus::kClosed;

@@ -11,7 +11,8 @@ bool knownMsgType(std::uint8_t raw) {
   return (raw >= static_cast<std::uint8_t>(MsgType::kHello) &&
           raw <= static_cast<std::uint8_t>(MsgType::kViewsAck)) ||
          (raw >= static_cast<std::uint8_t>(MsgType::kWelcome) &&
-          raw <= static_cast<std::uint8_t>(MsgType::kViewsDelta));
+          raw <= static_cast<std::uint8_t>(MsgType::kViewsDelta) &&
+          raw != 0x43);  // unassigned: a hole in the downstream range
 }
 
 const char* toString(MsgType type) {
@@ -22,7 +23,6 @@ const char* toString(MsgType type) {
     case MsgType::kGoodbye: return "GOODBYE";
     case MsgType::kWelcome: return "WELCOME";
     case MsgType::kRequestAck: return "REQ_ACK";
-    case MsgType::kViews: return "VIEWS";
     case MsgType::kStarted: return "STARTED";
     case MsgType::kExpired: return "EXPIRED";
     case MsgType::kEnded: return "ENDED";
@@ -324,19 +324,6 @@ void encode(std::vector<std::uint8_t>& out, const GoodbyeMsg&) {
   endFrame(w, beginFrame(w, MsgType::kGoodbye));
 }
 
-void encodeViews(std::vector<std::uint8_t>& out, const View& nonPreemptive,
-                 const View& preemptive) {
-  Writer w(out);
-  const std::size_t at = beginFrame(w, MsgType::kViews);
-  writeView(w, nonPreemptive);
-  writeView(w, preemptive);
-  endFrame(w, at);
-}
-
-void encode(std::vector<std::uint8_t>& out, const ViewsMsg& msg) {
-  encodeViews(out, msg.nonPreemptive, msg.preemptive);
-}
-
 namespace {
 
 void writeClusterDeltas(Writer& w, const std::vector<ClusterDelta>& deltas) {
@@ -537,9 +524,9 @@ void encode(std::vector<std::uint8_t>& out, const StatsReplyMsg& msg) {
     w.u16(static_cast<std::uint16_t>(i));
     w.i64(msg.stats.gauges[i]);
   }
-  // Version 4: the histogram catalogue, sparse — only populated buckets
-  // ride the wire (a histogram is 512 buckets but rarely > a few dozen
-  // are nonzero), indices strictly ascending by construction.
+  // The histogram catalogue, sparse — only populated buckets ride the
+  // wire (a histogram is 512 buckets but rarely > a few dozen are
+  // nonzero), indices strictly ascending by construction.
   w.u32(static_cast<std::uint32_t>(metrics::kHistoCount));
   for (std::size_t i = 0; i < metrics::kHistoCount; ++i) {
     const metrics::HistogramData& histo = msg.stats.histos[i];
@@ -612,12 +599,6 @@ bool decode(std::span<const std::uint8_t> payload, DoneMsg& out) {
 
 bool decode(std::span<const std::uint8_t> payload, GoodbyeMsg&) {
   return payload.empty();
-}
-
-bool decode(std::span<const std::uint8_t> payload, ViewsMsg& out) {
-  Reader r(payload);
-  return readView(r, out.nonPreemptive) && readView(r, out.preemptive) &&
-         r.done();
 }
 
 bool decode(std::span<const std::uint8_t> payload, StartedMsg& out) {
@@ -724,9 +705,6 @@ bool decode(std::span<const std::uint8_t> payload, StatsReplyMsg& out) {
     const std::int64_t value = r.i64();
     if (id < metrics::kGaugeCount) out.stats.gauges[id] = value;
   }
-  // Version-3 peers end the payload here; the histogram catalogue is a
-  // version-4 addition.
-  if (r.ok() && r.remaining() == 0) return r.done();
   // Each histogram record is at least id u16 + count/sum u64 + u32.
   constexpr std::size_t kHistoHeaderSize = 2 + 8 + 8 + 4;
   const std::uint32_t histoCount = r.u32();

@@ -11,32 +11,53 @@
 //   header  := magic:u16 version:u8 type:u8 length:u32     (8 bytes, BE)
 //   payload := `length` bytes, layout per message type
 //
-// Message set (the full CooRMv2 protocol of §3.1, plus the two handshake
-// acks a remote transport needs where a function call would just return):
+// Message set: the full CooRMv2 protocol of §3.1, plus the handshake acks
+// a remote transport needs where a function call would just return. The
+// payload layouts below are the spec (README "Wire format" renders the
+// same table):
 //
-//   upstream (application -> RMS)      downstream (RMS -> application)
-//   ------------------------------     ---------------------------------
-//   HELLO    name                      WELCOME  appId token
-//   REQUEST  cookie spec               REQ_ACK  cookie requestId
-//   DONE     requestId released[]      VIEWS    nonPreemptive preemptive
-//   GOODBYE                            STARTED  requestId nodeIds[]
-//   STATS                              EXPIRED  requestId
-//   PING     nonce                     ENDED    requestId
-//   RESUME   appId token               KILLED
-//   VIEWS_ACK  seq status              STATS_REPLY  events[] gauges[]
-//                                      PONG     nonce
-//                                      RESUME_ACK  ok appId
-//                                      VIEWS_DELTA  seq full|windows
+//   upstream (application -> RMS)
+//   HELLO        0x01  nameLen:u16 name[nameLen]
+//   REQUEST      0x02  cookie:u64 cluster:i32 nodes:i64 duration:i64
+//                      type:u8 relatedHow:u8 relatedTo:i64
+//   DONE         0x03  requestId:i64 nodeIds
+//   GOODBYE      0x04  (empty)
+//   STATS        0x05  (empty)
+//   PING         0x06  nonce:u64
+//   RESUME       0x07  appId:i32 token:u64
+//   VIEWS_ACK    0x08  seq:u32 status:u8        (0 applied, 1 resync)
 //
-// VIEWS_DELTA is the v3 steady-state replacement for VIEWS: every push
-// carries a sequence number and is either a full view pair (a sync point)
-// or, once the client has acked the previous push, per-cluster splice
-// windows against that acked base — the segment-level diff the incremental
-// scheduler already computes (profile/profile_diff.hpp), typically a few
-// dozen bytes instead of a whole multi-KiB view pair. The client applies
-// and VIEWS_ACKs each push; any gap, unknown cluster or malformed window
-// makes it ack `resync` and the daemon answers with a fresh full push.
-// Legacy VIEWS remains valid (daemons with delta pushes disabled send it).
+//   downstream (RMS -> application); 0x43 is unassigned
+//   WELCOME      0x41  appId:i32 token:u64
+//   REQ_ACK      0x42  cookie:u64 requestId:i64 (invalid id = rejected)
+//   STARTED      0x44  requestId:i64 nodeIds
+//   EXPIRED      0x45  requestId:i64
+//   ENDED        0x46  requestId:i64
+//   KILLED       0x47  (empty)
+//   STATS_REPLY  0x48  eventCount:u32 (id:u16 value:u64)*
+//                      gaugeCount:u32 (id:u16 value:i64)*
+//                      histoCount:u32 (id:u16 count:u64 sum:u64
+//                                      populated:u32 (bucket:u16 n:u64)*)*
+//   PONG         0x49  nonce:u64
+//   RESUME_ACK   0x4A  ok:u8 appId:i32
+//   VIEWS_DELTA  0x4B  seq:u32 flags:u8, then
+//                        flags = 1 (full):  view view   (non-preemptive,
+//                                                        preemptive)
+//                        flags = 0 (delta): baseSeq:u32 deltas deltas
+//
+//   nodeIds := count:u32 (cluster:i32 index:i32)*
+//   view    := count:u32 (cluster:i32 segCount:u32 (start:i64 value:i64)*)*
+//   deltas  := count:u32 (cluster:i32 lo:i64 hi:i64
+//                         segCount:u32 (start:i64 value:i64)*)*
+//
+// VIEWS_DELTA is the only view push: every push carries a sequence number
+// and is either a full view pair (a sync point) or, once the client has
+// acked the previous push, per-cluster splice windows against that acked
+// base — the segment-level diff the incremental scheduler already
+// computes (profile/profile_diff.hpp), typically a few dozen bytes instead
+// of a whole multi-KiB view pair. The client applies and VIEWS_ACKs each
+// push; any gap, unknown cluster or malformed window makes it ack
+// `resync` and the daemon answers with a fresh full push.
 //
 // PING/PONG is the liveness probe behind the daemon's idle-session sweep
 // (either side may PING; the peer echoes the nonce). RESUME re-attaches a
@@ -49,21 +70,22 @@
 // daemon's metrics snapshot (common/metrics.hpp) as (id, value) pairs —
 // explicit ids rather than positional arrays, so decoders skip counters
 // they do not know and replies stay forward-compatible as counters are
-// added. STATS needs no session: monitoring connects, queries, leaves.
+// added. Histogram buckets are sparse: only nonzero ones ride the wire,
+// indices strictly ascending. STATS needs no session: monitoring
+// connects, queries, leaves.
 //
-// Integers are big-endian two's complement. Views serialize as sorted
-// (clusterId, canonical step-function segments) lists; decoding validates
-// canonical form (first segment at t=0, strictly increasing starts,
-// adjacent values differing, strictly increasing cluster ids), so every
-// accepted frame round-trips bit-exactly and malformed frames are rejected
-// with a protocol error — never a crash, an over-read or an unchecked
-// allocation. Encoding is allocation-light: frames append to a caller-owned
-// byte buffer that amortizes across messages.
+// Integers are big-endian two's complement. Decoding validates canonical
+// form (first segment at t=0, strictly increasing starts, adjacent values
+// differing, strictly increasing cluster ids), so every accepted frame
+// round-trips bit-exactly and malformed frames are rejected with a
+// protocol error — never a crash, an over-read or an unchecked
+// allocation. Encoding is allocation-light: frames append to a
+// caller-owned byte buffer that amortizes across messages.
 //
-// Versioning policy: `kProtocolVersion` names the frame layout. A daemon
-// rejects frames whose version it does not speak (closing the connection);
-// additions within a version append new message types, never reshape
-// existing payloads.
+// Versioning policy: `kProtocolVersion` names the frame layout above. A
+// peer rejects frames whose version it does not speak (closing the
+// connection); additions within a version append new message types,
+// never reshape existing payloads.
 #pragma once
 
 #include <cstddef>
@@ -80,12 +102,6 @@
 namespace coorm::net {
 
 inline constexpr std::uint16_t kMagic = 0xC052;  // "CooRMv2", squinting
-/// Version 4: STATS_REPLY carries the latency/size histogram catalogue
-/// (sparse bucket vectors after the counter pairs). Version 3 added
-/// sequenced delta view pushes — VIEWS_DELTA downstream (full sync points
-/// and per-cluster splice windows against the last applied push) and
-/// VIEWS_ACK upstream (applied / resync-request). Version 2 added the
-/// session resume token and PING/PONG/RESUME/RESUME_ACK.
 inline constexpr std::uint8_t kProtocolVersion = 4;
 inline constexpr std::size_t kHeaderSize = 8;
 /// Upper bound on a payload; larger length fields are a protocol error
@@ -105,7 +121,6 @@ enum class MsgType : std::uint8_t {
   // downstream (RMS -> application)
   kWelcome = 0x41,
   kRequestAck = 0x42,
-  kViews = 0x43,
   kStarted = 0x44,
   kExpired = 0x45,
   kEnded = 0x46,
@@ -128,7 +143,7 @@ struct HelloMsg {
 
 struct WelcomeMsg {
   AppId app{};
-  /// Per-session secret for the RESUME handshake (version 2).
+  /// Per-session secret for the RESUME handshake.
   std::uint64_t token = 0;
   friend bool operator==(const WelcomeMsg&, const WelcomeMsg&) = default;
 };
@@ -160,12 +175,6 @@ struct DoneMsg {
 
 struct GoodbyeMsg {
   friend bool operator==(const GoodbyeMsg&, const GoodbyeMsg&) = default;
-};
-
-struct ViewsMsg {
-  View nonPreemptive;
-  View preemptive;
-  friend bool operator==(const ViewsMsg&, const ViewsMsg&) = default;
 };
 
 /// One cluster's splice window inside a delta push: the pushed view's
@@ -267,11 +276,10 @@ struct ResumeAckMsg {
 };
 
 /// The daemon's metrics snapshot. Counters and gauges are explicit
-/// (id, value) pairs; version 4 appends the histogram catalogue as
-/// (id, count, sum, sparse ascending bucket vector) records. Decoding
-/// ignores unknown ids and out-of-range bucket indices — a newer peer's
-/// extra catalogue entries read cleanly — and tolerates a payload that
-/// ends after the gauges (the version-3 shape).
+/// (id, value) pairs, followed by the histogram catalogue as (id, count,
+/// sum, sparse ascending bucket vector) records. Decoding ignores unknown
+/// ids and out-of-range bucket indices, so a newer peer's extra catalogue
+/// entries read cleanly.
 struct StatsReplyMsg {
   metrics::Snapshot stats;
   friend bool operator==(const StatsReplyMsg&, const StatsReplyMsg&) = default;
@@ -330,7 +338,7 @@ class Reader {
   bool ok_ = true;
 };
 
-// --- profile serialization (shared by ViewsMsg and tests/benchmarks) --------
+// --- profile serialization (shared by VIEWS_DELTA and tests/benchmarks) -----
 
 void writeView(Writer& w, const View& view);
 /// Strict decode: canonical profiles, strictly increasing cluster ids;
@@ -344,11 +352,9 @@ void writeView(Writer& w, const View& view);
 // --- frame encoding ---------------------------------------------------------
 
 // Each overload appends one complete frame (header + payload) to `out`.
-// The VIEWS/STARTED field-wise variants encode the same frames as their
-// message-struct overloads without materializing a message first — the
-// daemon's per-push hot path (views can be ~128 KiB of profiles).
-void encodeViews(std::vector<std::uint8_t>& out, const View& nonPreemptive,
-                 const View& preemptive);
+// The VIEWS_DELTA/STARTED field-wise variants encode the same frames as
+// their message-struct overloads without materializing a message first —
+// the daemon's per-push hot path (views can be ~128 KiB of profiles).
 /// A full sequenced push (VIEWS_DELTA with the full flag) — the delta
 /// stream's sync point.
 void encodeViewsFull(std::vector<std::uint8_t>& out, std::uint32_t seq,
@@ -366,7 +372,6 @@ void encode(std::vector<std::uint8_t>& out, const RequestMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const RequestAckMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const DoneMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const GoodbyeMsg& msg);
-void encode(std::vector<std::uint8_t>& out, const ViewsMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const StartedMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const ExpiredMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const EndedMsg& msg);
@@ -395,7 +400,6 @@ void encode(std::vector<std::uint8_t>& out, const ViewsAckMsg& msg);
 [[nodiscard]] bool decode(std::span<const std::uint8_t> payload, DoneMsg& out);
 [[nodiscard]] bool decode(std::span<const std::uint8_t> payload,
                           GoodbyeMsg& out);
-[[nodiscard]] bool decode(std::span<const std::uint8_t> payload, ViewsMsg& out);
 [[nodiscard]] bool decode(std::span<const std::uint8_t> payload,
                           StartedMsg& out);
 [[nodiscard]] bool decode(std::span<const std::uint8_t> payload,

@@ -181,10 +181,8 @@ void Journal::append(std::span<const std::uint8_t> payload) {
 }
 
 void Journal::sync() {
-  trace::Span span("fsync");
-  const metrics::Stopwatch watch;
+  const trace::Phase phase("fsync", metrics::Histo::kJournalFsyncUs);
   COORM_CHECK(::fsync(fd_) == 0);
-  metrics::record(metrics::Histo::kJournalFsyncUs, watch.elapsedMicros());
   metrics::increment(metrics::Event::kJournalFsyncs);
 }
 

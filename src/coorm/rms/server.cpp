@@ -622,19 +622,17 @@ void Server::runPass(bool synchronous) {
   passPhases_.startNs = metrics::nowNanos();
 
   {
-    trace::Span span("prune");
-    const metrics::Stopwatch watch;
+    const trace::Phase phase("prune", metrics::Histo::kPassPruneUs,
+                             &passPhases_.pruneUs);
     pruneEnded();
-    passPhases_.pruneUs = watch.elapsedMicros();
-    metrics::record(metrics::Histo::kPassPruneUs, passPhases_.pruneUs);
   }
 
   // Launch: freeze the live request sets. From here until commit the pass
   // reads only the snapshot, so the executor thread is free to keep
   // handling protocol messages.
   {
-    trace::Span span("capture");
-    const metrics::Stopwatch watch;
+    const trace::Phase phase("capture", metrics::Histo::kPassCaptureUs,
+                             &passPhases_.captureUs);
     std::vector<AppSchedule> apps;
     passApps_.clear();
     for (auto& st : sessions_) {
@@ -652,8 +650,6 @@ void Server::runPass(bool synchronous) {
       passSnapshot_ = std::make_unique<RequestSetSnapshot>();
     }
     passSnapshot_->recapture(apps);  // in place: steady state allocates nothing
-    passPhases_.captureUs = watch.elapsedMicros();
-    metrics::record(metrics::Histo::kPassCaptureUs, passPhases_.captureUs);
   }
   passEpoch_ = stateEpoch_;
   passInFlight_ = true;
@@ -667,21 +663,15 @@ void Server::runPass(bool synchronous) {
     commitEvent_ = executor_.schedule(lastPassAt_, [this] { syncPass(); });
     const Time at = lastPassAt_;
     lane_->launch([this, at] {
-      trace::Span span("schedule");
-      const metrics::Stopwatch watch;
+      const trace::Phase phase("schedule", metrics::Histo::kPassScheduleUs,
+                               &passPhases_.scheduleUs);
       scheduler_.schedulePass(*passSnapshot_, at);
-      passPhases_.scheduleUs = watch.elapsedMicros();
-      metrics::record(metrics::Histo::kPassScheduleUs,
-                      passPhases_.scheduleUs);
     });
   } else {
     try {
-      trace::Span span("schedule");
-      const metrics::Stopwatch watch;
+      const trace::Phase phase("schedule", metrics::Histo::kPassScheduleUs,
+                               &passPhases_.scheduleUs);
       scheduler_.schedulePass(*passSnapshot_, lastPassAt_);
-      passPhases_.scheduleUs = watch.elapsedMicros();
-      metrics::record(metrics::Histo::kPassScheduleUs,
-                      passPhases_.scheduleUs);
     } catch (...) {
       abandonPass();
       throw;
@@ -734,8 +724,8 @@ void Server::commitPass() {
     // place; requests and sessions that arrived mid-pass are not in the
     // snapshot and stay untouched (their handler already re-armed the
     // next pass).
-    trace::Span span("write_back");
-    const metrics::Stopwatch watch;
+    const trace::Phase phase("write_back", metrics::Histo::kPassWriteBackUs,
+                             &passPhases_.writeBackUs);
     passSnapshot_->writeBack();
     const std::span<AppSnapshot> scheduled = passSnapshot_->apps();
     for (std::size_t i = 0; i < passApps_.size(); ++i) {
@@ -763,9 +753,6 @@ void Server::commitPass() {
                 scheduled[i].nonPreemptiveView);
       std::swap(passApps_[i]->lastPreemptive, scheduled[i].preemptiveView);
     }
-    passPhases_.writeBackUs = watch.elapsedMicros();
-    metrics::record(metrics::Histo::kPassWriteBackUs,
-                    passPhases_.writeBackUs);
   }
   if (stateEpoch_ != passEpoch_) {
     ++overlappedPasses_;
@@ -779,15 +766,13 @@ void Server::commitPass() {
     // Push views before start notifications so applications react to
     // starts with fresh availability information (the grant may race a
     // view change; events are delivered in queue order).
-    trace::Span span("views");
-    const metrics::Stopwatch watch;
+    const trace::Phase phase("views", metrics::Histo::kPassViewsUs,
+                             &passPhases_.viewsUs);
     pushViews();
-    passPhases_.viewsUs = watch.elapsedMicros();
-    metrics::record(metrics::Histo::kPassViewsUs, passPhases_.viewsUs);
   }
   {
-    trace::Span span("commit");
-    const metrics::Stopwatch watch;
+    const trace::Phase phase("commit", metrics::Histo::kPassCommitUs,
+                             &passPhases_.commitUs);
     startDueRequests();
     checkViolations();
 
@@ -804,8 +789,6 @@ void Server::commitPass() {
       journalSyncNow();
       if (journal_->bytes() > config_.journalCompactBytes) compactJournal();
     }
-    passPhases_.commitUs = watch.elapsedMicros();
-    metrics::record(metrics::Histo::kPassCommitUs, passPhases_.commitUs);
   }
 
   finishPassTiming();

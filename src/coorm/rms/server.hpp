@@ -224,7 +224,7 @@ class Server {
   /// call on a freshly constructed server, before attachJournal() and
   /// before accepting connections. On success `lastTime` (if non-null)
   /// receives the largest timestamp seen: the caller must advance a
-  /// real-time executor to it (PollExecutor::advanceTo) so restored
+  /// real-time executor to it (IoExecutor::advanceTo) so restored
   /// absolute times stay in the past. Returns false and sets `error` on
   /// any semantically inconsistent record — treat like corruption and
   /// refuse startup. Each record is applied by the same state transition

@@ -34,7 +34,6 @@
 #include "coorm/net/client.hpp"
 #include "coorm/net/daemon.hpp"
 #include "coorm/net/io_executor.hpp"
-#include "coorm/net/poll_executor.hpp"
 #include "coorm/rms/server.hpp"
 #include "coorm/sim/engine.hpp"
 
@@ -261,24 +260,19 @@ inline bool runLoopback(net::IoExecutor& executor, Scenario& scenario,
   return true;
 }
 
-/// A coorm_rmsd-shaped daemon on its own thread: IoExecutor (poll or
-/// epoll backend) + Server + net::Daemon on an ephemeral loopback port,
-/// torn down on destruction. Test-side code talks to it through TCP only.
+/// A coorm_rmsd-shaped daemon on its own thread: IoExecutor + Server +
+/// net::Daemon on an ephemeral loopback port, torn down on destruction.
+/// Test-side code talks to it through TCP only.
 class DaemonFixture {
  public:
-  /// `mutate` (optional) edits the daemon config before the listener comes
-  /// up — backend differential tests switch deltaViews here.
-  DaemonFixture(Server::Config config, NodeCount nodes,
-                IoBackend backend = IoBackend::kPoll,
-                std::function<void(net::Daemon::Config&)> mutate = {}) {
-    thread_ = std::thread([this, config, nodes, backend, mutate] {
-      auto executor = net::makeIoExecutor(backend);
-      Server server(*executor, Machine::single(nodes), config);
-      net::Daemon::Config daemonConfig{net::Endpoint{"127.0.0.1", 0}};
-      if (mutate) mutate(daemonConfig);
-      net::Daemon daemon(*executor, server, daemonConfig);
+  DaemonFixture(Server::Config config, NodeCount nodes) {
+    thread_ = std::thread([this, config, nodes] {
+      net::IoExecutor executor;
+      Server server(executor, Machine::single(nodes), config);
+      net::Daemon daemon(executor, server,
+                         net::Daemon::Config{net::Endpoint{"127.0.0.1", 0}});
       port_.store(daemon.port());
-      while (!stop_.load()) executor->runOne(msec(5));
+      while (!stop_.load()) executor.runOne(msec(5));
       daemon.close();
     });
     while (port_.load() == 0) std::this_thread::yield();

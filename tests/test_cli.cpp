@@ -173,6 +173,21 @@ TEST(Cli, UnknownOptionIsError) {
   EXPECT_NE(r.error.find("--bogus"), std::string::npos);
 }
 
+TEST(Cli, RetiredBackendAndViewsFlagsAreUnknown) {
+  // One event loop and one view push: the flags that selected the
+  // alternatives are gone, not silently accepted.
+  for (const auto& args : {std::initializer_list<const char*>{
+                               "--io-backend", "epoll"},
+                           std::initializer_list<const char*>{
+                               "--delta-views", "on"}}) {
+    const ParseResult r = parse(args);
+    EXPECT_EQ(r.status, ParseStatus::kError) << *args.begin();
+    EXPECT_NE(r.error.find("unknown or incomplete option"), std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find(*args.begin()), std::string::npos) << r.error;
+  }
+}
+
 TEST(Cli, InvalidOvercommitIsError) {
   EXPECT_EQ(parse({"--overcommit", "0"}).status, ParseStatus::kError);
   EXPECT_EQ(parse({"--amr-steps", "0"}).status, ParseStatus::kError);
@@ -267,10 +282,11 @@ TEST(Cli, UsageMentionsEveryOption) {
   for (const char* flag :
        {"--nodes", "--seed", "--amr", "--amr-steps", "--amr-static",
         "--overcommit", "--announce", "--psa", "--jobs", "--swf", "--strict",
-        "--threads", "--pipeline", "--until", "--timeline",
+        "--threads", "--pipeline", "--incremental", "--until", "--timeline",
         "--trace", "--listen", "--connect", "--resched", "--stats",
-        "--stats-all", "--trace-out", "--slow-pass-ms", "--metrics-listen",
-        "--help"}) {
+        "--journal", "--idle-deadline", "--resume-grace", "--connections",
+        "--probe", "--stats-all", "--trace-out", "--slow-pass-ms",
+        "--metrics-listen", "--help"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }
 }

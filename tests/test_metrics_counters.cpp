@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "coorm/net/client.hpp"
-#include "coorm/net/poll_executor.hpp"
+#include "coorm/net/io_executor.hpp"
 #include "net_harness.hpp"
 
 namespace coorm {
@@ -145,7 +145,7 @@ TEST(MetricsLoopback, StatsReplyPinsExactWireCounters) {
   nettest::DaemonFixture daemon(quietConfig(), 64);
   metrics::reset();  // daemon is up and idle; the script owns every frame
 
-  net::PollExecutor executor;
+  net::IoExecutor executor;
   net::RmsClient client(
       executor,
       net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},
@@ -180,7 +180,7 @@ TEST(MetricsLoopback, SessionsAndCleanGoodbyesAreNotDeadPeers) {
   nettest::DaemonFixture daemon(quietConfig(), 64);
   metrics::reset();
 
-  net::PollExecutor executor;
+  net::IoExecutor executor;
   NullEndpoint endpoint;
   net::RmsClient app(
       executor,
@@ -216,7 +216,7 @@ TEST(MetricsLoopback, LiveRequestsRiseWithSubmissionsAndReturnToZero) {
   nettest::DaemonFixture daemon(config, 64);
   metrics::reset();
 
-  net::PollExecutor executor;
+  net::IoExecutor executor;
   NullEndpoint endpoints[2];
   std::vector<std::unique_ptr<net::RmsClient>> apps;
   for (NullEndpoint& endpoint : endpoints) {
@@ -281,7 +281,7 @@ TEST(MetricsLoopback, AbruptCloseCountsAsDeadPeer) {
             0);
   ::close(fd);
 
-  net::PollExecutor executor;
+  net::IoExecutor executor;
   net::RmsClient statsq(
       executor,
       net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},
@@ -333,19 +333,19 @@ struct ChurnScenario {
 TEST(MetricsLoopback, DeltaCoalescingAndEpollCountersEngage) {
   Server::Config config;
   config.reschedInterval = msec(100);
-  nettest::DaemonFixture daemon(config, 64, IoBackend::kEpoll);
+  nettest::DaemonFixture daemon(config, 64);
   metrics::reset();
 
   ChurnScenario churn;
-  auto executor = net::makeIoExecutor(IoBackend::kEpoll);
-  nettest::LoopbackTransport loopback(*executor, daemon.port());
+  net::IoExecutor executor;
+  nettest::LoopbackTransport loopback(executor, daemon.port());
   churn.wire(loopback);
-  ASSERT_TRUE(nettest::runLoopback(*executor, churn.scenario))
+  ASSERT_TRUE(nettest::runLoopback(executor, churn.scenario))
       << "churn scenario did not finish";
 
   // Assert through STATS — the same export an operator's `coorm_rmsd
   // --stats` reads — so the new counters are pinned end to end.
-  net::PollExecutor statsLoop;
+  net::IoExecutor statsLoop;
   net::RmsClient statsq(
       statsLoop,
       net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},
@@ -367,7 +367,7 @@ TEST(MetricsLoopback, DeltaCoalescingAndEpollCountersEngage) {
   statsq.disconnect();
 }
 
-/// Speaks raw protocol v3 against the daemon: after the initial full push,
+/// Speaks the raw protocol against the daemon: after the initial full push,
 /// a VIEWS_ACK carrying kResync must bump views_resync and produce another
 /// full (not delta) push with the next sequence number.
 TEST(MetricsLoopback, ResyncAckForcesFullRepushAndCounts) {

@@ -156,10 +156,3 @@ TEST(HistogramCatalogue, EveryHistoHasAName) {
     EXPECT_NE(n, "unknown") << "histo " << i;
   }
 }
-
-TEST(HistogramCatalogue, ScopedLatencyRecordsOnExit) {
-  metrics::reset();
-  { const metrics::ScopedLatency timer(metrics::Histo::kJournalFsyncUs); }
-  EXPECT_EQ(metrics::snapshot()[metrics::Histo::kJournalFsyncUs].count, 1u);
-  metrics::reset();
-}

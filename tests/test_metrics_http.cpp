@@ -48,14 +48,14 @@ TEST(MetricsHttp, ServesPrometheusTextOnMetricsPath) {
   metrics::record(metrics::Histo::kPassLatencyUs, 120);
   metrics::record(metrics::Histo::kPassLatencyUs, 450);
 
-  auto executor = net::makeIoExecutor(IoBackend::kPoll);
-  net::MetricsHttpServer server(*executor);
+  net::IoExecutor executor;
+  net::MetricsHttpServer server(executor);
   std::string error;
   ASSERT_TRUE(server.start(net::Endpoint{"127.0.0.1", 0}, error)) << error;
   ASSERT_NE(server.port(), 0);
 
   const std::string response =
-      fetch(*executor, server.port(), "GET /metrics HTTP/1.0\r\n\r\n");
+      fetch(executor, server.port(), "GET /metrics HTTP/1.0\r\n\r\n");
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(response.find("text/plain"), std::string::npos);
   EXPECT_NE(response.find("coorm_schedule_passes_total 5"),
@@ -72,29 +72,29 @@ TEST(MetricsHttp, ServesPrometheusTextOnMetricsPath) {
 }
 
 TEST(MetricsHttp, UnknownPathIs404AndBadRequestIs400) {
-  auto executor = net::makeIoExecutor(IoBackend::kPoll);
-  net::MetricsHttpServer server(*executor);
+  net::IoExecutor executor;
+  net::MetricsHttpServer server(executor);
   std::string error;
   ASSERT_TRUE(server.start(net::Endpoint{"127.0.0.1", 0}, error)) << error;
 
   const std::string notFound =
-      fetch(*executor, server.port(), "GET /other HTTP/1.0\r\n\r\n");
+      fetch(executor, server.port(), "GET /other HTTP/1.0\r\n\r\n");
   EXPECT_NE(notFound.find("404 Not Found"), std::string::npos);
 
   const std::string bad =
-      fetch(*executor, server.port(), "POST /metrics HTTP/1.0\r\n\r\n");
+      fetch(executor, server.port(), "POST /metrics HTTP/1.0\r\n\r\n");
   EXPECT_NE(bad.find("400 Bad Request"), std::string::npos);
   EXPECT_EQ(server.scrapesServed(), 0u);
 }
 
 TEST(MetricsHttp, ServesSequentialScrapes) {
-  auto executor = net::makeIoExecutor(IoBackend::kPoll);
-  net::MetricsHttpServer server(*executor);
+  net::IoExecutor executor;
+  net::MetricsHttpServer server(executor);
   std::string error;
   ASSERT_TRUE(server.start(net::Endpoint{"127.0.0.1", 0}, error)) << error;
   for (int i = 0; i < 3; ++i) {
     const std::string response =
-        fetch(*executor, server.port(), "GET /metrics HTTP/1.0\r\n\r\n");
+        fetch(executor, server.port(), "GET /metrics HTTP/1.0\r\n\r\n");
     EXPECT_NE(response.find("200 OK"), std::string::npos) << "scrape " << i;
   }
   EXPECT_EQ(server.scrapesServed(), 3u);

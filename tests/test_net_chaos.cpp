@@ -52,21 +52,13 @@ Server::Config chaosConfig() {
   return config;
 }
 
-// The chaos daemons run the full c100k serving path explicitly: epoll
-// backend, delta view pushes, write coalescing (always on) — a
-// SIGKILL/restart must be invisible through all three (the restarted
-// daemon knows nothing of the old delta sequence, so every resumed session
-// restarts from a full push).
+// The chaos daemons run the full c100k serving path: the epoll loop,
+// delta view pushes and write coalescing — a SIGKILL/restart must be
+// invisible through all three (the restarted daemon knows nothing of the
+// old delta sequence, so every resumed session restarts from a full push).
 const std::vector<std::string> kDaemonArgs = {
     "--nodes", "16", "--resched", "0.1", "--pipeline", "off",
-    "--resume-grace", "30", "--io-backend", "epoll",
-    "--delta-views", "on"};
-
-/// The portable poll(2) fallback, same everything else.
-const std::vector<std::string> kPollDaemonArgs = {
-    "--nodes", "16", "--resched", "0.1", "--pipeline", "off",
-    "--resume-grace", "30", "--io-backend", "poll",
-    "--delta-views", "on"};
+    "--resume-grace", "30"};
 
 std::string journalPath(const std::string& name) {
   const std::string path = testing::TempDir() + "coorm_chaos_" + name + ".journal";
@@ -78,7 +70,7 @@ std::string journalPath(const std::string& name) {
 /// fast backoff, and enough dial attempts to bridge a restart window.
 class ReconnectTransport final : public Transport {
  public:
-  ReconnectTransport(net::PollExecutor& executor, std::uint16_t port)
+  ReconnectTransport(net::IoExecutor& executor, std::uint16_t port)
       : executor_(executor), port_(port) {}
 
   AppLink& add(AppEndpoint& endpoint, const std::string& name) override {
@@ -97,7 +89,7 @@ class ReconnectTransport final : public Transport {
   std::vector<std::unique_ptr<net::RmsClient>> clients;
 
  private:
-  net::PollExecutor& executor_;
+  net::IoExecutor& executor_;
   std::uint16_t port_;
 };
 
@@ -181,7 +173,7 @@ TEST(NetChaos, KillBetweenPassCommitsMatchesUninterruptedServer) {
   // only sends after the pass commit fsync'd the start record — so the
   // journal provably holds the running request when SIGKILL lands.
   remote.atStarted = [&daemon] { daemon.restart(); };
-  net::PollExecutor clientLoop;
+  net::IoExecutor clientLoop;
   ReconnectTransport transport(clientLoop, daemon.port());
   remote.wire(transport);
   ASSERT_TRUE(runLoopback(clientLoop, remote.scenario, msec(600), sec(60)))
@@ -215,33 +207,6 @@ TEST(NetChaos, KillBetweenPassCommitsMatchesUninterruptedServer) {
       stats->histos[static_cast<std::size_t>(metrics::Histo::kJournalFsyncUs)];
   EXPECT_GT(fsync.count, 0u);
   EXPECT_GT(fsync.totalInBuckets(), 0u);
-}
-
-TEST(NetChaos, KillBetweenPassCommitsMatchesUnderPollFallback) {
-  // Same bar on the portable poll(2) backend: the io-backend seam must not
-  // change one observable byte, SIGKILL/restart included.
-  SoloRun reference;
-  Engine engine;
-  Server server(engine, Machine::single(16), chaosConfig());
-  InProcessTransport direct(server);
-  reference.wire(direct);
-  ASSERT_TRUE(runInProcess(engine, reference.scenario))
-      << "in-process reference run did not finish";
-
-  ChildDaemon daemon(COORM_RMSD_PATH, journalPath("passes_poll"),
-                     kPollDaemonArgs);
-  daemon.start();
-  SoloRun remote;
-  remote.atStarted = [&daemon] { daemon.restart(); };
-  net::PollExecutor clientLoop;
-  ReconnectTransport transport(clientLoop, daemon.port());
-  remote.wire(transport);
-  ASSERT_TRUE(runLoopback(clientLoop, remote.scenario, msec(600), sec(60)))
-      << "chaos run did not finish";
-
-  EXPECT_FALSE(reference.app.trace.empty());
-  EXPECT_EQ(reference.app.trace, remote.app.trace);
-  EXPECT_GE(transport.clients[0]->reconnects(), 1u);
 }
 
 /// Steady-state lease scenario: `holder` takes two open-ended preemptible
@@ -334,7 +299,7 @@ TEST(NetChaos, KillMidSteadyStateWithLeasesMatchesPristineServer) {
   daemon.start();
   LeaseRun remote;
   remote.atSteadyState = [&daemon] { daemon.restart(); };
-  net::PollExecutor clientLoop;
+  net::IoExecutor clientLoop;
   ReconnectTransport transport(clientLoop, daemon.port());
   remote.wire(transport);
   ASSERT_TRUE(runLoopback(clientLoop, remote.scenario, msec(600), sec(60)))
@@ -451,10 +416,9 @@ TEST(NetChaos, KillAfterReclaimingCompactionMatchesUninterruptedServer) {
 
   ChildDaemon daemon(COORM_RMSD_PATH, journalPath("chain"),
                      {"--nodes", "1024", "--resched", "0.01", "--pipeline",
-                      "off", "--resume-grace", "30", "--io-backend", "epoll",
-                      "--delta-views", "on"});
+                      "off", "--resume-grace", "30"});
   daemon.start();
-  net::PollExecutor clientLoop;
+  net::IoExecutor clientLoop;
   std::uint64_t compactionsBeforeKill = 0;
   ChainRun remote;
   // The kill point: the journal has been compacted (a snapshot holding the
@@ -526,7 +490,7 @@ TEST(NetChaos, KillMidHandshakeMatchesUninterruptedServer) {
       daemon.start();
     });
   };
-  net::PollExecutor clientLoop;
+  net::IoExecutor clientLoop;
   ReconnectTransport transport(clientLoop, daemon.port());
   remote.wire(transport);
   const bool finished =

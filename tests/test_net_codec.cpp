@@ -80,6 +80,16 @@ std::vector<ClusterDelta> deltasBetween(const View& prev, const View& next) {
   return out;
 }
 
+/// A full-flagged VIEWS_DELTA — the sync-point push carrying both views
+/// whole, drawn from `rng` in (non-preemptive, preemptive) order.
+ViewsDeltaMsg fullPush(Rng& rng) {
+  ViewsDeltaMsg msg;
+  msg.seq = 1;
+  msg.nonPreemptive = randomView(rng);
+  msg.preemptive = randomView(rng);
+  return msg;
+}
+
 std::vector<NodeId> randomNodeIds(Rng& rng) {
   std::vector<NodeId> ids;
   const int count = static_cast<int>(rng.uniformInt(0, 16));
@@ -157,7 +167,7 @@ TEST(WireCodec, RoundTripsEveryMessageType) {
     expectRoundTrip(bytes, GoodbyeMsg{});
     bytes.clear();
 
-    ViewsMsg views{randomView(rng), randomView(rng)};
+    const ViewsDeltaMsg views = fullPush(rng);
     encode(bytes, views);
     expectRoundTrip(bytes, views);
     bytes.clear();
@@ -190,13 +200,15 @@ TEST(WireCodec, ViewProfilesWithSentinelTimesRoundTrip) {
   view.setCap(ClusterId{0},
               StepFunction::fromCanonical(std::vector<Segment>{
                   {0, 5}, {kTimeInf - 1, 3}, {kTimeInf, 0}}));
-  ViewsMsg msg{view, View{}};
+  ViewsDeltaMsg msg;
+  msg.seq = 1;
+  msg.nonPreemptive = view;
   std::vector<std::uint8_t> bytes;
   encode(bytes, msg);
   expectRoundTrip(bytes, msg);
 }
 
-// --- VIEWS_DELTA / VIEWS_ACK (protocol v3) ----------------------------------
+// --- VIEWS_DELTA / VIEWS_ACK -------------------------------------------------
 
 TEST(WireCodec, ViewsAckRoundTripsAndRejectsBadStatus) {
   for (const auto status :
@@ -419,7 +431,7 @@ TEST(WireCodec, DeltaBitFlipsNeverCrashAndSurvivorsSpliceSafely) {
 TEST(WireCodec, FramesSurviveArbitraryChunking) {
   Rng rng(7);
   std::vector<std::uint8_t> stream;
-  ViewsMsg views{randomView(rng), randomView(rng)};
+  const ViewsDeltaMsg views = fullPush(rng);
   StartedMsg started{RequestId{42}, randomNodeIds(rng)};
   encode(stream, views);
   encode(stream, started);
@@ -451,8 +463,7 @@ TEST(WireCodec, FramesSurviveArbitraryChunking) {
 TEST(WireCodec, TruncatedFramesAreNeverDelivered) {
   Rng rng(99);
   std::vector<std::uint8_t> bytes;
-  ViewsMsg views{randomView(rng), randomView(rng)};
-  encode(bytes, views);
+  encode(bytes, fullPush(rng));
 
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     FrameBuffer buffer;
@@ -470,7 +481,7 @@ TEST(WireCodec, TruncatedFramesAreNeverDelivered) {
   FrameView frame;
   ASSERT_EQ(buffer.next(frame), FrameBuffer::Next::kFrame);
   for (std::size_t cut = 0; cut < frame.payload.size(); ++cut) {
-    ViewsMsg out;
+    ViewsDeltaMsg out;
     EXPECT_FALSE(decode(frame.payload.first(cut), out));
   }
 }
@@ -498,6 +509,14 @@ TEST(WireCodec, OversizedAndCorruptHeadersAreRejected) {
   {  // unknown message type
     auto bad = bytes;
     bad[3] = 0x3f;
+    FrameBuffer buffer;
+    buffer.append(bad);
+    FrameView frame;
+    EXPECT_EQ(buffer.next(frame), FrameBuffer::Next::kBad);
+  }
+  {  // the retired full-views type, a hole in the downstream range
+    auto bad = bytes;
+    bad[3] = 0x43;
     FrameBuffer buffer;
     buffer.append(bad);
     FrameView frame;
@@ -534,19 +553,21 @@ TEST(WireCodec, CountFieldsAreBoundedByPayload) {
   DoneMsg out;
   EXPECT_FALSE(decode(frame.payload, out));
 
-  // Same for a views push lying about its segment count.
+  // Same for a full views push lying about its segment count.
   bytes.clear();
   w.u16(kMagic);
   w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kViews));
-  w.u32(4 + 4 + 4);
+  w.u8(static_cast<std::uint8_t>(MsgType::kViewsDelta));
+  w.u32(4 + 1 + 4 + 4 + 4);
+  w.u32(1);            // seq
+  w.u8(1);             // full
   w.u32(1);            // one cluster
   w.i32(0);            // cluster id
   w.u32(0x40000000u);  // absurd segment count
   FrameBuffer buffer2;
   buffer2.append(bytes);
   ASSERT_EQ(buffer2.next(frame), FrameBuffer::Next::kFrame);
-  ViewsMsg viewsOut;
+  ViewsDeltaMsg viewsOut;
   EXPECT_FALSE(decode(frame.payload, viewsOut));
 }
 
@@ -557,9 +578,11 @@ TEST(WireCodec, NonCanonicalProfilesAreRejected) {
         Writer w(bytes);
         w.u16(kMagic);
         w.u8(kProtocolVersion);
-        w.u8(static_cast<std::uint8_t>(MsgType::kViews));
+        w.u8(static_cast<std::uint8_t>(MsgType::kViewsDelta));
         const std::size_t lengthAt = bytes.size();
         w.u32(0);
+        w.u32(1);  // seq
+        w.u8(1);   // full
         w.u32(1);  // one cluster in the np view
         w.i32(0);
         w.u32(static_cast<std::uint32_t>(segments.size()));
@@ -578,7 +601,7 @@ TEST(WireCodec, NonCanonicalProfilesAreRejected) {
     buffer.append(bytes);
     FrameView frame;
     ASSERT_EQ(buffer.next(frame), FrameBuffer::Next::kFrame);
-    ViewsMsg out;
+    ViewsDeltaMsg out;
     EXPECT_FALSE(decode(frame.payload, out));
   };
 
@@ -593,7 +616,7 @@ TEST(WireCodec, BitFlipsNeverCrashTheDecoder) {
   Rng rng(4242);
   for (int iteration = 0; iteration < 400; ++iteration) {
     std::vector<std::uint8_t> bytes;
-    ViewsMsg views{randomView(rng), randomView(rng)};
+    const ViewsDeltaMsg views = fullPush(rng);
     DoneMsg done{RequestId{3}, randomNodeIds(rng)};
     encode(bytes, views);
     encode(bytes, done);
@@ -609,10 +632,10 @@ TEST(WireCodec, BitFlipsNeverCrashTheDecoder) {
     // acceptable except a crash/over-read, which the sanitizers catch.
     FrameBuffer::Next next;
     while ((next = buffer.next(frame)) == FrameBuffer::Next::kFrame) {
-      ViewsMsg viewsOut;
+      ViewsDeltaMsg viewsOut;
       DoneMsg doneOut;
       switch (frame.type) {
-        case MsgType::kViews:
+        case MsgType::kViewsDelta:
           (void)decode(frame.payload, viewsOut);
           break;
         case MsgType::kDone:
@@ -634,7 +657,7 @@ TEST(WireCodec, BitFlipsNeverCrashTheDecoder) {
   }
 }
 
-// --- extended STATS_REPLY (version 4) ---------------------------------------
+// --- STATS_REPLY --------------------------------------------------------------
 
 /// A snapshot exercising the sparse histogram encoding: bucket 0, a mid
 /// bucket, and the saturation bucket, plus a second histogram and plain
@@ -666,49 +689,20 @@ TEST(WireCodec, StatsReplyRoundTripsTheHistogramCatalogue) {
   expectRoundTrip(bytes, sent);
 }
 
-TEST(WireCodec, StatsReplyAcceptsVersion3Shape) {
-  // A version-3 peer's payload ends after the gauges; the histograms must
-  // decode as empty rather than failing the frame.
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  w.u32(1);
-  w.u16(0);
-  w.u64(77);
-  w.u32(1);
-  w.u16(1);
-  w.i64(-3);
-  StatsReplyMsg out;
-  ASSERT_TRUE(decode(payload, out));
-  EXPECT_EQ(out.stats.events[0], 77u);
-  EXPECT_EQ(out.stats.gauges[1], -3);
-  for (const metrics::HistogramData& h : out.stats.histos) {
-    EXPECT_EQ(h.count, 0u);
-    EXPECT_EQ(h.totalInBuckets(), 0u);
-  }
-}
-
-TEST(WireCodec, StatsReplyTruncationsAreRejectedExceptTheV3Boundary) {
+TEST(WireCodec, StatsReplyTruncationsAreRejected) {
   std::vector<std::uint8_t> payload;
   {
     std::vector<std::uint8_t> framed;
     encode(framed, StatsReplyMsg{richSnapshot()});
     payload.assign(framed.begin() + 8, framed.end());  // strip frame header
   }
-  // The id/value pair size on the wire (u16 + u64).
-  constexpr std::size_t kPair = 10;
-  const std::size_t gaugesEnd =
-      4 + metrics::kEventCount * kPair + 4 + metrics::kGaugeCount * kPair;
+  // Every strict prefix fails, including the cut right after the gauges:
+  // the histogram catalogue is part of the one payload layout.
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
     StatsReplyMsg out;
-    const bool decoded =
-        decode(std::span<const std::uint8_t>(payload.data(), cut), out);
-    if (cut == gaugesEnd) {
-      // The one legitimate strict prefix: exactly the version-3 shape.
-      EXPECT_TRUE(decoded);
-      EXPECT_EQ(out.stats.histos[0].totalInBuckets(), 0u);
-    } else {
-      EXPECT_FALSE(decoded) << "cut at " << cut;
-    }
+    EXPECT_FALSE(
+        decode(std::span<const std::uint8_t>(payload.data(), cut), out))
+        << "cut at " << cut;
   }
 }
 
@@ -811,7 +805,7 @@ TEST(FrameBuffer, DribbledFramesCompactAmortizedNotPerByte) {
   View big;
   big.setCap(ClusterId{0}, StepFunction::fromCanonical(std::move(segments)));
   std::vector<std::uint8_t> stream;
-  encode(stream, ViewsMsg{big, View{}});
+  encodeViewsFull(stream, 1, big, View{});
   const std::size_t bigFrame = stream.size();
   ASSERT_GT(bigFrame, 8192u);  // large enough to cross the 4 KiB threshold
   for (int i = 0; i < 50; ++i) encode(stream, ExpiredMsg{RequestId{i}});
@@ -861,7 +855,7 @@ TEST(WireCodec, RandomBytesNeverCrashTheParser) {
     buffer.append(junk);
     FrameView frame;
     while (buffer.next(frame) == FrameBuffer::Next::kFrame) {
-      ViewsMsg out;
+      ViewsDeltaMsg out;
       (void)decode(frame.payload, out);
     }
   }

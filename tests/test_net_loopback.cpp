@@ -24,7 +24,7 @@ Server::Config quickConfig() {
 
 /// Pumps the client loop until `pred` holds (or the wall deadline).
 template <typename Pred>
-bool pumpUntil(net::PollExecutor& executor, Pred pred, Time timeout = sec(10)) {
+bool pumpUntil(net::IoExecutor& executor, Pred pred, Time timeout = sec(10)) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout);
   while (!pred()) {
@@ -36,7 +36,7 @@ bool pumpUntil(net::PollExecutor& executor, Pred pred, Time timeout = sec(10)) {
 
 TEST(NetLoopback, ConnectRequestDoneDisconnect) {
   DaemonFixture daemon(quickConfig(), 32);
-  net::PollExecutor loop;
+  net::IoExecutor loop;
   net::RmsClient client(
       loop, net::RmsClient::Config{{"127.0.0.1", daemon.port()}, "basic"});
   ScriptApp app;
@@ -68,7 +68,7 @@ TEST(NetLoopback, ConnectRequestDoneDisconnect) {
 
 TEST(NetLoopback, InvalidRequestSpecsAreAckedInvalidNotFatal) {
   DaemonFixture daemon(quickConfig(), 32);
-  net::PollExecutor loop;
+  net::IoExecutor loop;
   net::RmsClient client(
       loop, net::RmsClient::Config{{"127.0.0.1", daemon.port()}, "bad-specs"});
   ScriptApp app;
@@ -96,7 +96,7 @@ TEST(NetLoopback, InvalidRequestSpecsAreAckedInvalidNotFatal) {
 
 TEST(NetLoopback, DeadPeerCleanupFreesResourcesForOthers) {
   DaemonFixture daemon(quickConfig(), 8);
-  net::PollExecutor loop;
+  net::IoExecutor loop;
 
   auto hog = std::make_unique<net::RmsClient>(
       loop, net::RmsClient::Config{{"127.0.0.1", daemon.port()}, "hog"});
@@ -230,7 +230,7 @@ TEST(NetLoopback, ProtocolErrorsDropTheConnection) {
 
 TEST(NetLoopback, ManyClientsInterleaveCleanly) {
   DaemonFixture daemon(quickConfig(), 64);
-  net::PollExecutor loop;
+  net::IoExecutor loop;
 
   constexpr int kClients = 6;
   std::vector<std::unique_ptr<net::RmsClient>> clients;

@@ -22,7 +22,7 @@
 
 #include "coorm/common/metrics.hpp"
 #include "coorm/net/client.hpp"
-#include "coorm/net/poll_executor.hpp"
+#include "coorm/net/io_executor.hpp"
 #include "coorm/rms/journal.hpp"
 #include "coorm/rms/server.hpp"
 #include "coorm/sim/engine.hpp"
@@ -504,7 +504,7 @@ TEST(ServerReclaim, NextNamingReclaimedRequestIsRejected) {
 
 /// Pumps `loop` until `done` holds (bounded wall time).
 template <typename Pred>
-bool pumpUntil(net::PollExecutor& loop, Pred done) {
+bool pumpUntil(net::IoExecutor& loop, Pred done) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!done()) {
@@ -518,7 +518,7 @@ TEST(ServerReclaim, NextNamingReclaimedRequestIsRejectedOverTheWire) {
   Server::Config config;
   config.reschedInterval = msec(10);
   nettest::DaemonFixture daemon(config, 8);
-  net::PollExecutor loop;
+  net::IoExecutor loop;
   net::RmsClient client(
       loop, net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},
                                    "chain"});

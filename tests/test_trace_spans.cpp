@@ -1,7 +1,9 @@
-// Tracer tests: zero-cost-when-disabled contract, span recording, ring
+// Tracer tests: zero-cost-when-disabled contract, span recording, the
+// Phase call feeding histogram + field + span from one measurement, ring
 // wrap, multi-threaded buffers, and the Chrome trace-event JSON export.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -79,6 +81,35 @@ TEST_F(TraceTest, SpanOpenedWhileEnabledRecordsAfterDisable) {
     trace::disable();
   }
   EXPECT_EQ(countNamed(trace::collect(), "latched"), 1u);
+}
+
+TEST_F(TraceTest, PhaseFeedsHistogramFieldAndSpanFromOneMeasurement) {
+  trace::enable();
+  const metrics::HistogramData before =
+      metrics::snapshot()[metrics::Histo::kPassPruneUs];
+  std::uint64_t us = 0;
+  {
+    const trace::Phase phase("phase", metrics::Histo::kPassPruneUs, &us);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const metrics::HistogramData after =
+      metrics::snapshot()[metrics::Histo::kPassPruneUs];
+  const auto events = trace::collect();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "phase");
+  EXPECT_EQ(after.count - before.count, 1u);
+  EXPECT_GE(us, 2000u);
+  EXPECT_EQ(after.sum - before.sum, us);
+  EXPECT_EQ((events[0].endNs - events[0].startNs) / 1000, us);
+}
+
+TEST_F(TraceTest, PhaseWithTracingOffRecordsTheSampleButNoSpan) {
+  const std::uint64_t before =
+      metrics::snapshot()[metrics::Histo::kPassPruneUs].count;
+  { const trace::Phase phase("untraced", metrics::Histo::kPassPruneUs); }
+  EXPECT_EQ(metrics::snapshot()[metrics::Histo::kPassPruneUs].count - before,
+            1u);
+  EXPECT_TRUE(trace::collect().empty());
 }
 
 TEST_F(TraceTest, ResetDropsEverything) {

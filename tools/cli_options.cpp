@@ -48,13 +48,6 @@ void printUsage(std::ostream& out) {
          "  --resume-grace SECS\n"
          "                     coorm_rmsd: window a vanished client may\n"
          "                     RESUME its session in (default 30)\n"
-         "  --io-backend poll|epoll\n"
-         "                     readiness backend for the event loop\n"
-         "                     (default epoll where available; poll is the\n"
-         "                     portable fallback)\n"
-         "  --delta-views on|off\n"
-         "                     coorm_rmsd: sequenced VIEWS_DELTA pushes\n"
-         "                     (default on; off = full VIEWS per pass)\n"
          "  --connections N    coorm_loadgen: concurrent sessions to hold\n"
          "                     open (default 1)\n"
          "  --probe M          coorm_loadgen: REQUEST round-trip latency\n"
@@ -155,26 +148,6 @@ ParseResult parseArgs(int argc, const char* const* argv) {
       options.idleDeadline = secF(std::atof(v));
     } else if (arg == "--resume-grace" && (v = value(i))) {
       options.resumeGrace = secF(std::atof(v));
-    } else if (arg == "--io-backend" && (v = value(i))) {
-      if (std::strcmp(v, "poll") == 0) {
-        options.runtime.ioBackend = IoBackend::kPoll;
-      } else if (std::strcmp(v, "epoll") == 0) {
-        options.runtime.ioBackend = IoBackend::kEpoll;
-      } else {
-        result.error =
-            std::string("bad --io-backend value (want poll|epoll): ") + v;
-        return result;
-      }
-    } else if (arg == "--delta-views" && (v = value(i))) {
-      if (std::strcmp(v, "on") == 0) {
-        options.deltaViews = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        options.deltaViews = false;
-      } else {
-        result.error =
-            std::string("bad --delta-views value (want on|off): ") + v;
-        return result;
-      }
     } else if (arg == "--connections" && (v = value(i))) {
       options.connections = std::atoi(v);
     } else if (arg == "--probe" && (v = value(i))) {

@@ -61,9 +61,6 @@ struct Options {
   /// coorm_rmsd: how long a vanished client's session stays resumable
   /// before the reaper disconnects it.
   Time resumeGrace = sec(30);
-  /// coorm_rmsd: sequenced VIEWS_DELTA pushes (off = whole VIEWS frame
-  /// per pass, the v2 behaviour — differential-test fodder).
-  bool deltaViews = true;
   /// coorm_loadgen: concurrent AppLink sessions to hold open (ramped up
   /// in batches so the daemon's accept loop is never the bottleneck).
   int connections = 1;

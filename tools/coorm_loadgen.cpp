@@ -90,8 +90,7 @@ int main(int argc, char** argv) {
   // RLIMIT_NOFILE (often 1024).
   net::raiseFdLimit();
   if (!options.traceOut.empty()) trace::enable();
-  auto executorPtr = net::makeIoExecutor(options.runtime.ioBackend);
-  net::IoExecutor& executor = *executorPtr;
+  net::IoExecutor executor;
   Rng rng(options.seed);
 
   struct Actor {

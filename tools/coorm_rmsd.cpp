@@ -1,7 +1,7 @@
 // coorm_rmsd: the CooRMv2 RMS as a network daemon.
 //
 // Runs the exact same `Server` the simulator exercises — pipeline, worker
-// threads and all — on a real-time poll loop, serving the wire protocol
+// threads and all — on a real-time epoll loop, serving the wire protocol
 // (net/wire.hpp) over TCP. Applications connect with net::RmsClient (or
 // anything that speaks the frames); `coorm_loadgen` is the bundled load
 // driver.
@@ -91,9 +91,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     try {
-      auto executor = net::makeIoExecutor(options.runtime.ioBackend);
+      net::IoExecutor executor;
       net::RmsClient client(
-          *executor, net::RmsClient::Config{*options.connect, "statsq"});
+          executor, net::RmsClient::Config{*options.connect, "statsq"});
       client.dial();
       const auto stats = client.stats();
       client.disconnect();
@@ -129,8 +129,7 @@ int main(int argc, char** argv) {
   // C100k posture: lift RLIMIT_NOFILE to its hard cap before the listener
   // exists, so accept() never starts failing mid-ramp.
   net::raiseFdLimit();
-  auto executorPtr = net::makeIoExecutor(options.runtime.ioBackend);
-  net::IoExecutor& executor = *executorPtr;
+  net::IoExecutor executor;
   // Declared before the Server so the journal outlives every Server write.
   std::unique_ptr<rms::Journal> journal;
   Server server(executor, Machine::single(options.nodes), config);
@@ -166,7 +165,6 @@ int main(int argc, char** argv) {
     net::Daemon::Config daemonConfig{*options.listen};
     daemonConfig.idleDeadline = options.idleDeadline;
     daemonConfig.resumeGrace = options.resumeGrace;
-    daemonConfig.deltaViews = options.deltaViews;
     net::Daemon daemon(executor, server, daemonConfig);
     net::MetricsHttpServer metricsHttp(executor);
     if (options.metricsListen) {
@@ -182,9 +180,7 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
     std::cout << "coorm_rmsd: serving " << options.nodes << " nodes on "
-              << options.listen->host << ":" << daemon.port() << " ("
-              << net::toString(options.runtime.ioBackend) << " backend)"
-              << std::endl;
+              << options.listen->host << ":" << daemon.port() << std::endl;
 
     while (g_stop == 0) executor.runOne(msec(200));
 
