@@ -78,6 +78,8 @@ std::string_view name(Event event) noexcept {
       return "frames_coalesced";
     case Event::kEpollWakeups:
       return "epoll_wakeups";
+    case Event::kNpViewsMaterialized:
+      return "np_views_materialized";
     case Event::kCount_:
       break;
   }

@@ -70,6 +70,7 @@ enum class Event : std::uint16_t {
   kViewsResync,               ///< delta sessions resynced with a full push
   kFramesCoalesced,           ///< frames batched into an already-pending flush
   kEpollWakeups,              ///< epoll_wait returns with >= 1 ready fd
+  kNpViewsMaterialized,       ///< published non-preemptive views evaluated for a reader
   kCount_,                    ///< not a counter — number of events
 };
 

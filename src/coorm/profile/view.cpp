@@ -350,6 +350,19 @@ bool View::sameAs(const View& other) const {
   return true;
 }
 
+View NonPreemptiveView::sum(const View& freeProfile,
+                            const View& ownOccupation) {
+  View view = ownOccupation;
+  const View* operands[] = {&freeProfile};
+  view.accumulate(operands, View::Op::kAdd, /*clampAtZero=*/true);
+  return view;
+}
+
+View NonPreemptiveView::materialize() const {
+  metrics::increment(metrics::Event::kNpViewsMaterialized);
+  return sum(freeProfile, ownOccupation);
+}
+
 std::string View::toString() const {
   std::ostringstream out;
   out << '{';

@@ -131,4 +131,44 @@ class View {
   std::vector<Entry> entries_;  // sorted by cluster id
 };
 
+/// A non-preemptive view as a scheduling pass publishes it: the two
+/// operands whose clamped sum is the view (paper §3.1.4, Algorithm 4),
+///   V^(i)_{:P} = max(0, ownOccupation + freeProfile)   per cluster.
+/// `freeProfile` is the running free profile vnp at the application's
+/// position in the connection-order loop: it only changes where an
+/// application places a pre-allocation, so every application between two
+/// placements holds the same segment blocks. `ownOccupation` is the
+/// application's own started pre-allocations. Copying the pair shares
+/// both operands' blocks (O(clusters), no segment copied); the view is
+/// evaluated only where something reads it.
+struct NonPreemptiveView {
+  View freeProfile;
+  View ownOccupation;
+
+  /// True before any pass published the view (both operands unset).
+  [[nodiscard]] bool empty() const {
+    return freeProfile.empty() && ownOccupation.empty();
+  }
+  void clear() {
+    freeProfile.clear();
+    ownOccupation.clear();
+  }
+
+  /// The view itself, evaluated for a reader (a push, an in-process query,
+  /// a resume); counted as metrics `np_views_materialized`.
+  [[nodiscard]] View materialize() const;
+
+  /// The clamped sum, max(0, ownOccupation + freeProfile): one clamped
+  /// accumulate. Every evaluation goes through here — materialize() for
+  /// readers, the scheduler for the scratch view a dirty application's
+  /// pre-allocations are fitted into — so all are bit-identical.
+  [[nodiscard]] static View sum(const View& freeProfile,
+                                const View& ownOccupation);
+
+  /// Operand identity (O(clusters) when both sides share their blocks);
+  /// equal pairs have equal views, the converse does not hold.
+  friend bool operator==(const NonPreemptiveView&,
+                         const NonPreemptiveView&) = default;
+};
+
 }  // namespace coorm

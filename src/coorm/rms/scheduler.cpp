@@ -112,6 +112,14 @@ std::vector<NodeCount> fairDistribute(NodeCount capacity,
 /// the published views share (segment_arena.hpp): blocks are reference-
 /// counted anonymous heap memory, so holding them across passes and
 /// dropping the last reference from any later thread is safe by design.
+///
+/// No non-preemptive view is cached, or built for a clean application: a
+/// pass publishes each one as its operand pair (NonPreemptiveView), the
+/// free profile at the application's loop position — one of the few
+/// `freeProfiles`, shared by every application between two placements —
+/// plus its own started pre-allocation occupation `paOcc`. Whether a clean
+/// application's view moved is decided inside the free profile's diff
+/// window only (freeProfileMoveShows below).
 struct IncrementalState {
   /// False until a pass completes; cleared at pass start (exception
   /// safety) and by Scheduler::invalidateIncremental().
@@ -128,10 +136,13 @@ struct IncrementalState {
   std::vector<View> occPa;       ///< NP-loop pre-allocation fit occupation
   std::vector<View> npFitted;    ///< NP-loop non-preemptible fit occupation
   std::vector<View> occupation;  ///< eqSchedule Step 1 preemptible occupation
-  std::vector<View> npViews;     ///< final non-preemptive views (owned)
   std::vector<View> pViews;      ///< final preemptive views (owned)
   View vnpInitial;               ///< vnp after the pre-allocation fold
   View vp;                       ///< clamped preemptible availability
+  /// The free profiles vnp the connection-order loop went through, in
+  /// order: the initial one plus one after each placement.
+  std::vector<View> freeProfiles;
+  std::vector<std::uint32_t> freeAt;  ///< per app: index into freeProfiles
 
   // --- eqSchedule Step 2 per-cluster cache --------------------------------
   std::vector<ClusterId> clusterIds;
@@ -146,8 +157,25 @@ struct IncrementalState {
 
   // --- per-pass scratch, kept for capacity --------------------------------
   std::vector<char> clean;      ///< lease-clean classification
-  std::vector<char> npChanged;  ///< non-preemptive view moved vs cache
+  std::vector<char> npChanged;  ///< clean app's non-preemptive view moved
   std::vector<char> pChanged;   ///< preemptive view moved vs cache
+  std::vector<View> nextFreeProfiles;  ///< this pass's freeProfiles
+  /// Where the free profile moved between the previous pass's version
+  /// `before` and this pass's `after`, per cluster: computed once per
+  /// version pair, which a run of clean applications shares.
+  struct FreeProfileMove {
+    std::uint32_t before = 0;
+    std::uint32_t after = 0;
+    bool valid = false;
+    bool sameClusters = false;  ///< else every view moved; no windows
+    struct Window {
+      ClusterId cluster;
+      Time lo;
+      Time hi;
+    };
+    std::vector<Window> windows;
+  };
+  FreeProfileMove freeMove;
   std::vector<View> oldOccupation;  ///< pre-recompute occupation (diff input)
   std::vector<const View*> operands;
   std::vector<std::vector<std::uint32_t>> candidates;
@@ -165,6 +193,57 @@ struct IncrementalState {
   };
   std::vector<ClusterDelta> deltas;
 };
+
+namespace {
+
+/// Whether clean application `i`'s non-preemptive view, max(0, paOcc +
+/// vnp), moved because the free profile at its loop position did: from
+/// the previous pass's version `before` to this pass's version `after`
+/// (`current`), its own occupation unchanged. The sum is evaluated only
+/// inside diffWindow(before, after) per cluster, whose windows are kept
+/// for the whole run of applications sharing the two versions. Exact: the
+/// answer is `sum(before) != sum(after)` as View::operator== sees it.
+bool freeProfileMoveShows(IncrementalState& inc, std::size_t i,
+                          std::uint32_t current) {
+  IncrementalState::FreeProfileMove& move = inc.freeMove;
+  const std::uint32_t previous = inc.freeAt[i];
+  const View& before = inc.freeProfiles[previous];
+  const View& after = inc.nextFreeProfiles[current];
+  if (!move.valid || move.before != previous || move.after != current) {
+    move.valid = true;
+    move.before = previous;
+    move.after = current;
+    move.windows.clear();
+    const std::vector<ClusterId> clusters = after.clusters();
+    move.sameClusters = before.clusters() == clusters;
+    if (move.sameClusters) {
+      for (const ClusterId cid : clusters) {
+        Time lo = 0;
+        Time hi = 0;
+        if (diffWindow(before.cap(cid).segments(), after.cap(cid).segments(),
+                       lo, hi)) {
+          move.windows.push_back({cid, lo, hi});
+        }
+      }
+    }
+  }
+  // A cluster joined or left the free profile (a pre-allocation on a
+  // cluster the machine lacks started or ended), so the view's entry set
+  // moved with it: the app's own occupation cannot cover that cluster,
+  // since every pass subtracts it into vnp, whose clusters therefore
+  // include its clusters on both sides.
+  if (!move.sameClusters) return true;
+  const View& own = inc.paOcc[i];
+  for (const IncrementalState::FreeProfileMove::Window& w : move.windows) {
+    if (!clampedSumsAgree(own.cap(w.cluster), before.cap(w.cluster),
+                          after.cap(w.cluster), w.lo, w.hi)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 Scheduler::Scheduler(Machine machine) : Scheduler(std::move(machine), Config{}) {}
 
@@ -847,12 +926,11 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
     AppSnapshot& app = apps[i];
     const View& ownStartedPa = paOcc[i];
 
-    app.viewsReused = false;  // the full pass always materializes views
-    app.nonPreemptiveView = ownStartedPa;
-    accumulateOne(app.nonPreemptiveView, vnp, View::Op::kAdd,
-                  /*clampAtZero=*/true);
-
-    const View occPa = fit(app.preAllocations(), app.nonPreemptiveView, now);
+    app.viewsReused = false;  // the full pass always publishes views
+    app.nonPreemptiveView = {vnp, ownStartedPa};
+    const View occPa =
+        fit(app.preAllocations(), NonPreemptiveView::sum(vnp, ownStartedPa),
+            now);
 
     View npAvailable = ownStartedPa;
     accumulateOne(npAvailable, occPa, View::Op::kAdd);
@@ -932,8 +1010,8 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   inc.occPa.resize(napps);
   inc.npFitted.resize(napps);
   inc.occupation.resize(napps);
-  inc.npViews.resize(napps);
   inc.pViews.resize(napps);
+  inc.freeAt.resize(napps);
   inc.oldOccupation.resize(napps);
   inc.npChanged.assign(napps, 0);
   inc.pChanged.assign(napps, 0);
@@ -954,37 +1032,43 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   for (const View& occ : inc.paOcc) operands.push_back(&occ);
   vnp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, ctx);
   // While vnpSame holds, vnp at the current loop position is bit-identical
-  // to the cached pass's vnp at the same position, so a clean app's cached
-  // non-preemptive view is exact without re-deriving it.
+  // to the cached pass's vnp at the same position, so a clean app's view
+  // cannot have moved. The loop then keeps publishing the previous pass's
+  // free profiles themselves, so an unchanged pair is the same blocks.
   bool vnpSame = warm && vnp == inc.vnpInitial;
-  if (!vnpSame) inc.vnpInitial = vnp;
+  if (vnpSame) {
+    vnp = inc.vnpInitial;
+  } else {
+    inc.vnpInitial = vnp;
+  }
 
   // Non-preemptive views and start times, in connection order — the exact
   // full-path loop for dirty apps; lease-clean apps contribute provably
-  // empty occupations and leave vnp untouched.
+  // empty occupations and leave vnp untouched. Each app records which free
+  // profile it saw; the views themselves are published as pairs below.
+  std::vector<View>& freeNow = inc.nextFreeProfiles;
+  freeNow.clear();
+  freeNow.push_back(vnp);
+  inc.freeMove.valid = false;
   for (std::size_t i = 0; i < napps; ++i) {
     AppSnapshot& app = apps[i];
     // Retire the view the server's commit swapped back into the snapshot
-    // (its superseded stash) right before this app's new one is built:
-    // when it held a block's last reference, that block parks in the
-    // pass's arena and is the one the next allocation is granted.
+    // (its superseded stash) while the pass's arena is installed: when it
+    // held a block's last reference, that block parks there for reuse.
     app.nonPreemptiveView.clear();
+    const auto current = static_cast<std::uint32_t>(freeNow.size() - 1);
     if (inc.clean[i]) {
       inc.occPa[i] = View{};
       inc.npFitted[i] = View{};
-      if (!vnpSame) {
-        View npView = inc.paOcc[i];
-        accumulateOne(npView, vnp, View::Op::kAdd, /*clampAtZero=*/true);
-        if (!(npView == inc.npViews[i])) {
-          inc.npViews[i] = std::move(npView);
-          inc.npChanged[i] = 1;
-        }
+      if (!vnpSame && freeProfileMoveShows(inc, i, current)) {
+        inc.npChanged[i] = 1;
       }
+      inc.freeAt[i] = current;
       continue;
     }
-    View npView = inc.paOcc[i];
-    accumulateOne(npView, vnp, View::Op::kAdd, /*clampAtZero=*/true);
-    View occPa = fit(app.preAllocations(), npView, now);
+    // The view as fit's scratch, dropped once the pre-allocations are in.
+    View occPa = fit(app.preAllocations(),
+                     NonPreemptiveView::sum(vnp, inc.paOcc[i]), now);
 
     View npAvailable = inc.paOcc[i];
     accumulateOne(npAvailable, occPa, View::Op::kAdd);
@@ -992,12 +1076,23 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
                   /*clampAtZero=*/true);
     inc.npFitted[i] = fit(app.nonPreemptible(), npAvailable, now);
 
-    accumulateOne(vnp, occPa, View::Op::kSubtract);
+    inc.freeAt[i] = current;
     if (vnpSame && !(occPa == inc.occPa[i])) vnpSame = false;
+    if (!occPa.empty()) {
+      if (vnpSame) {
+        // Retracing the previous pass placement for placement: the next
+        // free profile is the one it computed, bit for bit.
+        COORM_DCHECK(freeNow.size() < inc.freeProfiles.size());
+        vnp = inc.freeProfiles[freeNow.size()];
+      } else {
+        accumulateOne(vnp, occPa, View::Op::kSubtract);
+      }
+      freeNow.push_back(vnp);
+    }
     inc.occPa[i] = std::move(occPa);
-    inc.npViews[i] = std::move(npView);
-    inc.npChanged[i] = 1;
   }
+  std::swap(inc.freeProfiles, freeNow);
+  freeNow.clear();  // the previous pass's versions, no longer compared to
 
   View vp = machineView();
   operands.clear();
@@ -1205,16 +1300,17 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   }
   inc.vp = std::move(vp);
 
-  // Publish the output views: copies share the cache's segment blocks. A
-  // lease-clean app whose neither view moved keeps them in the cache only:
-  // the snapshot's views stay empty (retired above) and viewsReused tells
-  // the owner its stashed views are still exact.
+  // Publish the output views: copies share the cache's segment blocks, and
+  // the non-preemptive view goes out as its operand pair. A lease-clean
+  // app whose neither view moved publishes nothing: the snapshot's views
+  // stay empty (retired above) and viewsReused tells the owner its stashed
+  // views are still exact.
   for (std::size_t i = 0; i < napps; ++i) {
     AppSnapshot& app = apps[i];
     app.viewsReused =
         inc.clean[i] && inc.npChanged[i] == 0 && inc.pChanged[i] == 0;
     if (!app.viewsReused) {
-      app.nonPreemptiveView = inc.npViews[i];
+      app.nonPreemptiveView = {inc.freeProfiles[inc.freeAt[i]], inc.paOcc[i]};
       app.preemptiveView = inc.pViews[i];
     }
   }
@@ -1248,8 +1344,10 @@ void Scheduler::schedule(std::span<AppSchedule> apps, Time now) const {
   scratch_.writeBack();
   // Swapped like the server's stash: the superseded views are dropped by
   // the next pass, under the scheduler's arena, so their blocks recycle.
+  // Reused views are still exact where the caller holds them.
   const std::span<AppSnapshot> scheduled = scratch_.apps();
   for (std::size_t i = 0; i < apps.size(); ++i) {
+    if (scheduled[i].viewsReused) continue;
     std::swap(apps[i].nonPreemptiveView, scheduled[i].nonPreemptiveView);
     std::swap(apps[i].preemptiveView, scheduled[i].preemptiveView);
   }

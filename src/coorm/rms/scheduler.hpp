@@ -85,8 +85,10 @@ struct AppSchedule {
   /// (the safe default for callers that do not track mutations).
   std::uint64_t epoch = 0;
 
-  View nonPreemptiveView;  ///< paper V^(i)_{:P}
-  View preemptiveView;     ///< paper V^(i)_P
+  /// Paper V^(i)_{:P}, as the pass published it: the operand pair, whose
+  /// value materialize() computes (profile/view.hpp).
+  NonPreemptiveView nonPreemptiveView;
+  View preemptiveView;  ///< paper V^(i)_P
 };
 
 /// Work counters of one `fit` call (optional out-parameter). With the

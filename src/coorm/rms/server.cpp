@@ -65,11 +65,11 @@ bool Session::killed() const {
   return st->killed;
 }
 
-const View& Session::nonPreemptiveView() const {
+View Session::nonPreemptiveView() const {
   server_->syncPass();  // views change at commit; observe committed state
   Server::SessionState* st = server_->findSession(app_);
   COORM_CHECK(st != nullptr);
-  return st->lastNonPreemptive;
+  return st->lastNonPreemptive.materialize();
 }
 
 const View& Session::preemptiveView() const {
@@ -730,10 +730,10 @@ void Server::commitPass() {
     const std::span<AppSnapshot> scheduled = passSnapshot_->apps();
     for (std::size_t i = 0; i < passApps_.size(); ++i) {
       // Lease renewal: an epoch-clean, all-started application whose views
-      // the incremental pass left in its cache keeps the stashed copies —
-      // the pass proved they are still exact. Any materialized view means
-      // the app's share moved (a dirty neighbour preempted part of it) and
-      // the stash is replaced as usual.
+      // the pass did not publish keeps its stash — the pass proved both
+      // views' values unchanged. Any published view means the app's share
+      // moved (a dirty neighbour preempted part of it) and the stash is
+      // replaced as usual.
       if (scheduled[i].viewsReused) {
         metrics::increment(metrics::Event::kLeasesRenewed);
         continue;
@@ -968,22 +968,34 @@ void Server::pushViews() {
   for (SessionState* stPtr : passApps_) {
     SessionState& st = *stPtr;
     if (st.killed || st.disconnected) continue;
-    if (st.endpoint == nullptr) continue;  // detached: resume re-pushes
-    // lastNonPreemptive/lastPreemptive were refreshed by runPass(); push
-    // them if the application has not seen these exact views yet.
-    if (st.viewsEverSent && st.sentNonPreemptive.sameAs(st.lastNonPreemptive) &&
-        st.sentPreemptive.sameAs(st.lastPreemptive)) {
-      continue;
+    if (st.endpoint == nullptr) continue;  // detached: RESUME pushes
+    if (deliverViews(st, /*always=*/false)) {
+      trace("rms", "views -> " + toString(st.app));
     }
-    st.viewsEverSent = true;
-    st.sentNonPreemptive = st.lastNonPreemptive;
-    st.sentPreemptive = st.lastPreemptive;
-    AppEndpoint* endpoint = st.endpoint;
-    const View np = st.lastNonPreemptive;
-    const View p = st.lastPreemptive;
-    trace("rms", "views -> " + toString(st.app));
-    executor_.after(0, [endpoint, np, p] { endpoint->onViews(np, p); });
   }
+}
+
+bool Server::deliverViews(SessionState& st, bool always) {
+  // lastNonPreemptive/lastPreemptive were stashed by commitPass().
+  if (!st.viewsEverSent ||
+      !(st.sentNonPreemptiveFrom == st.lastNonPreemptive)) {
+    View np = st.lastNonPreemptive.materialize();
+    st.sentNonPreemptiveFrom = st.lastNonPreemptive;
+    if (!always && st.viewsEverSent && st.sentNonPreemptive.sameAs(np) &&
+        st.sentPreemptive.sameAs(st.lastPreemptive)) {
+      return false;  // a new pair with the value the application holds
+    }
+    st.sentNonPreemptive = std::move(np);
+  } else if (!always && st.sentPreemptive.sameAs(st.lastPreemptive)) {
+    return false;
+  }
+  st.viewsEverSent = true;
+  st.sentPreemptive = st.lastPreemptive;
+  AppEndpoint* endpoint = st.endpoint;
+  const View np = st.sentNonPreemptive;
+  const View p = st.sentPreemptive;
+  executor_.after(0, [endpoint, np, p] { endpoint->onViews(np, p); });
+  return true;
 }
 
 void Server::pruneEnded() {
@@ -1485,14 +1497,12 @@ Session* Server::resumeSession(AppId app, std::uint64_t token,
   metrics::increment(metrics::Event::kReconnects);
   trace(toString(app), "resume");
 
-  // Re-push the views the application last held; if they changed while it
-  // was detached, the next pass pushes the fresh ones (pushViews skipped
-  // detached sessions without marking anything sent).
-  if (st->viewsEverSent) {
-    const View np = st->sentNonPreemptive;
-    const View p = st->sentPreemptive;
-    executor_.after(0, [&endpoint, np, p] { endpoint.onViews(np, p); });
-  }
+  // Push the latest computed views. Passes kept computing them while the
+  // session was detached (pushViews skipped it), and nothing arms a pass
+  // here, so the last-sent ones may be stale — and a session restored from
+  // the journal has none. Before the first pass there is nothing to push;
+  // that pass pushes to the now attached endpoint.
+  if (!st->lastNonPreemptive.empty()) deliverViews(*st, /*always=*/true);
 
   // Re-announce anything that happened while no endpoint was attached
   // (including everything replayed from a journal, whose delivery flags

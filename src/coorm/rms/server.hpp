@@ -124,8 +124,10 @@ class Session final : public AppLink {
   [[nodiscard]] AppId app() const override { return app_; }
   [[nodiscard]] bool killed() const;
 
-  /// Last views pushed to this application.
-  [[nodiscard]] const View& nonPreemptiveView() const;
+  /// The latest views the RMS computed for this application (committed
+  /// state). The non-preemptive view is held as the pair a pass published
+  /// (profile/view.hpp), so each call evaluates it.
+  [[nodiscard]] View nonPreemptiveView() const;
   [[nodiscard]] const View& preemptiveView() const;
 
  private:
@@ -238,8 +240,10 @@ class Server {
   /// Re-attach an endpoint to a surviving (or replayed) session. Validates
   /// the token minted at connect(); returns nullptr (and changes nothing)
   /// on unknown app, token mismatch, or a killed/disconnected session. On
-  /// success the last-sent views are re-pushed and any expiry the client
-  /// may have missed while detached is re-announced.
+  /// success the latest computed views are pushed and recorded as sent —
+  /// passes kept computing them while the session was detached, and
+  /// nothing arms a pass at resume — and any start, expiry or end the
+  /// client may have missed while detached is re-announced.
   Session* resumeSession(AppId app, std::uint64_t token,
                          AppEndpoint& endpoint);
 
@@ -333,10 +337,18 @@ class Server {
     RequestSet preAllocations;
     RequestSet nonPreemptible;
     RequestSet preemptible;
-    View lastNonPreemptive;   ///< most recently computed views
+    /// Most recently computed views, stashed by commitPass(). The
+    /// non-preemptive one stays the operand pair the pass published and is
+    /// evaluated only where it is read: a push to an attached endpoint,
+    /// Session::nonPreemptiveView(), a RESUME. A detached session never
+    /// evaluates it.
+    NonPreemptiveView lastNonPreemptive;
     View lastPreemptive;
     View sentNonPreemptive;   ///< views last pushed to the application
     View sentPreemptive;
+    /// The pair sentNonPreemptive's value was last evaluated from: while
+    /// lastNonPreemptive is still this pair, its value is already known.
+    NonPreemptiveView sentNonPreemptiveFrom;
     bool viewsEverSent = false;
     bool killed = false;
     bool disconnected = false;
@@ -375,7 +387,14 @@ class Server {
   void abandonPass();
   void startDueRequests();
   bool tryStart(SessionState& st, Request& r, Time now);
+  /// Pushes the latest views to every attached launch-time session that
+  /// has not seen their values yet.
   void pushViews();
+  /// Posts the session's latest views to its endpoint and records them as
+  /// sent; unless `always`, only when their values differ from the last
+  /// push. The non-preemptive pair is evaluated only when it moved since
+  /// it was last evaluated for a push. Returns whether it posted.
+  bool deliverViews(SessionState& st, bool always);
   void checkViolations();
   /// Pass-launch reclamation of ended requests (the lifetime rule in
   /// README "Pipelined serving"): frees every ended request no unstarted

@@ -246,13 +246,20 @@ class AppSnapshot {
   /// blocks with the scheduler's cache (copying a profile adds a reference,
   /// segment_arena.hpp). Between passes they hold whatever the owner left:
   /// the server swaps its superseded stash in, and the next pass drops it.
-  View nonPreemptiveView;
+  ///
+  /// The non-preemptive view is published unevaluated, as the pair (free
+  /// profile at this app's loop position, own started pre-allocation
+  /// occupation) whose clamped sum it is (profile/view.hpp): the free
+  /// profile is one block shared by every app between two placements, so
+  /// a pass publishes no per-app profile for it. Readers evaluate it with
+  /// materialize(); a pass never does.
+  NonPreemptiveView nonPreemptiveView;
   View preemptiveView;
 
   /// Set by the incremental scheduler when this app's output views were
-  /// served unchanged from its pass-to-pass cache: the two View members
+  /// served unchanged from its pass-to-pass cache: the two view members
   /// above are then deliberately left empty (the server's stashed views
-  /// from the previous commit are already identical — a renewed lease).
+  /// from the previous commit have the same value — a renewed lease).
   /// Any full or partially-recomputed derivation clears it.
   bool viewsReused = false;
 

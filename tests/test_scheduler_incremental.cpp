@@ -216,7 +216,8 @@ struct Runner {
   Population pop;
   Scheduler scheduler;
   RequestSetSnapshot snapshot;
-  std::vector<View> stashNp, stashP;
+  std::vector<NonPreemptiveView> stashNp;
+  std::vector<View> stashP;
 
   Runner(std::uint64_t seed, int napps, bool incremental, int threads,
          int stablePct = 60)
@@ -243,7 +244,9 @@ struct Runner {
 };
 
 /// Bit-level comparison: every request attribute and the exact view
-/// representation must match (operator==, not sameAs).
+/// representation must match (operator==, not sameAs). Non-preemptive
+/// views are compared as their readers see them, materialized: a renewed
+/// lease may keep an older operand pair of the same value.
 void expectIdentical(const Runner& a, const Runner& b,
                      const std::string& label) {
   SCOPED_TRACE(label);
@@ -258,10 +261,11 @@ void expectIdentical(const Runner& a, const Runner& b,
   }
   ASSERT_EQ(a.stashNp.size(), b.stashNp.size());
   for (std::size_t i = 0; i < a.stashNp.size(); ++i) {
-    ASSERT_EQ(a.stashNp[i], b.stashNp[i])
-        << "app " << i << " np\n"
-        << a.stashNp[i].toString() << "\nvs\n"
-        << b.stashNp[i].toString();
+    const View npA = a.stashNp[i].materialize();
+    const View npB = b.stashNp[i].materialize();
+    ASSERT_EQ(npA, npB) << "app " << i << " np\n"
+                        << npA.toString() << "\nvs\n"
+                        << npB.toString();
     ASSERT_EQ(a.stashP[i], b.stashP[i])
         << "app " << i << " p\n"
         << a.stashP[i].toString() << "\nvs\n"
@@ -391,19 +395,94 @@ TEST(SchedulerIncremental, PopulationChangeFallsBackToFullPass) {
   }
 }
 
+TEST(SchedulerIncremental, FreeProfileChangingClustersStaysBitIdentical) {
+  // A started pre-allocation on a cluster the machine does not manage
+  // adds that cluster to the free profile every application sees, and
+  // removing it takes the cluster away again. The clean application's
+  // view then gains or loses an entry (a zero profile after the clamp),
+  // which no per-cluster window shows. Incremental and full recompute
+  // must agree, pass after pass.
+  const ClusterId c0{0};
+  const ClusterId drained{5};
+  const auto build = [&](Runner& r) {
+    Population& p = r.pop;
+    p = Population{};
+    p.machine.clusters.push_back({c0, 32});
+    const auto addApp = [&](ClusterId cluster, NodeCount nodes) {
+      for (int k = 0; k < 3; ++k) {
+        p.sets.push_back(std::make_unique<RequestSet>());
+      }
+      AppSchedule app;
+      app.app = AppId{static_cast<std::int32_t>(p.apps.size())};
+      app.preAllocations = p.sets[p.sets.size() - 3].get();
+      app.nonPreemptible = p.sets[p.sets.size() - 2].get();
+      app.preemptible = p.sets[p.sets.size() - 1].get();
+      app.epoch = 1;
+      auto pa = std::make_unique<Request>();
+      pa->id = RequestId{p.nextId++};
+      pa->cluster = cluster;
+      pa->nodes = nodes;
+      pa->duration = sec(3600);
+      pa->type = RequestType::kPreAllocation;
+      pa->startedAt = 0;
+      app.preAllocations->add(pa.get());
+      p.owned.push_back(std::move(pa));
+      p.apps.push_back(app);
+    };
+    addApp(drained, 3);  // toggled between passes
+    addApp(c0, 4);       // clean from the second pass on
+  };
+  Runner full(/*seed=*/1, /*napps=*/0, /*incremental=*/false, 1);
+  Runner inc(/*seed=*/1, /*napps=*/0, /*incremental=*/true, 1);
+  build(full);
+  build(inc);
+  for (Runner* r : {&full, &inc}) {
+    SchedulerOptions options{1};
+    options.incremental = r == &inc;
+    r->scheduler = Scheduler(r->pop.machine, Scheduler::Config{}, options);
+  }
+  std::vector<std::unique_ptr<Request>> parked(2);
+  const auto toggle = [&](Runner& r, std::unique_ptr<Request>& slot) {
+    RequestSet& set = *r.pop.apps[0].preAllocations;
+    if (slot == nullptr) {
+      Request* held = *set.begin();
+      set.removeIf([&](Request* x) { return x == held; });
+      for (auto& owned : r.pop.owned) {
+        if (owned.get() == held) slot = std::move(owned);
+      }
+      std::erase(r.pop.owned, nullptr);
+    } else {
+      set.add(slot.get());
+      r.pop.owned.push_back(std::move(slot));
+    }
+    ++r.pop.apps[0].epoch;
+  };
+  for (int pass = 0; pass < 6; ++pass) {
+    if (pass >= 2) {
+      toggle(full, parked[0]);
+      toggle(inc, parked[1]);
+    }
+    full.pass(sec(60 + pass * 30));
+    inc.pass(sec(60 + pass * 30));
+    expectIdentical(full, inc, "pass=" + std::to_string(pass));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Publication by reference: a pass hands its views on by sharing the
-// cache's segment blocks, never by copying them.
+// cache's segment blocks, never by copying them, and publishes each
+// non-preemptive view as its operand pair without evaluating it.
 // ---------------------------------------------------------------------------
 
 TEST(SchedulerIncremental, PassPublishesViewsByReference) {
   // A `population`-style set-up on one cluster: clean applications each
   // hold a started pre-allocation with a started non-preemptible request
-  // inside, all with distinct multi-hour ends, so both views of every app
-  // have more than eight segments (a spilled, shareable block). None of
-  // them has preemptible demand: on the cluster they are all absent and
-  // receive the idle series. One rigid app's pre-allocation end moves the
-  // free profile; one malleable lease's size moves the idle share.
+  // inside, all with distinct multi-hour ends, so the free profile and the
+  // idle series have more than eight segments (a spilled, shareable
+  // block). None of them has preemptible demand: on the cluster they are
+  // all absent and receive the idle series. One rigid app's
+  // pre-allocation end moves the free profile; one malleable lease's size
+  // moves the idle share.
   constexpr int kClean = 20;
   const ClusterId c0{0};
   Population p;
@@ -459,7 +538,7 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
 
   Scheduler scheduler(p.machine);  // incremental, serial
   RequestSetSnapshot snapshot;
-  std::vector<View> stashNp(p.apps.size());
+  std::vector<NonPreemptiveView> stashNp(p.apps.size());
   std::vector<View> stashP(p.apps.size());
   const auto pass = [&](Time now) {
     snapshot.recapture(p.apps);
@@ -503,32 +582,44 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
   stash();
 
   // The free profile and the idle share move: every app's views are
-  // re-published, and every absent app's preemptive view is one block.
+  // re-published, every absent app's preemptive view is one block, and
+  // every clean app's non-preemptive view is its own occupation plus one
+  // shared free-profile block (all of them precede the rigid app's
+  // placement). None is evaluated.
   rigidPa->duration = sec(9000);
   ++p.apps[rigid].epoch;
   moveIdleShare();
+  const std::uint64_t materializedBefore =
+      metrics::value(metrics::Event::kNpViewsMaterialized);
   pass(sec(80));
+  EXPECT_EQ(metrics::value(metrics::Event::kNpViewsMaterialized),
+            materializedBefore);
   expectAbsentShareOneIdleBlock();
-  for (int a = 0; a < kClean; ++a) {
-    EXPECT_GT(snapshot.apps()[static_cast<std::size_t>(a)]
-                  .nonPreemptiveView.cap(c0)
-                  .segmentCount(),
-              SegmentStore::kInlineCapacity);
+  const StepFunction& free0 =
+      snapshot.apps()[0].nonPreemptiveView.freeProfile.cap(c0);
+  ASSERT_GT(free0.segmentCount(), SegmentStore::kInlineCapacity);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(kClean); ++i) {
+    SCOPED_TRACE("app " + std::to_string(i));
+    const NonPreemptiveView& published = snapshot.apps()[i].nonPreemptiveView;
+    ASSERT_FALSE(snapshot.apps()[i].viewsReused);
+    EXPECT_EQ(published.freeProfile.cap(c0).segments().data(),
+              free0.segments().data());
+    EXPECT_NE(published.materialize(), stashNp[i].materialize());
   }
   stash();
 
   // Only the idle share moves: the clean apps' non-preemptive views are
-  // re-published unchanged, sharing the block the previous pass published.
+  // re-published unchanged, the same operand blocks the previous pass
+  // published.
   moveIdleShare();
   pass(sec(90));
   expectAbsentShareOneIdleBlock();
   for (std::size_t i = 0; i < static_cast<std::size_t>(kClean); ++i) {
     SCOPED_TRACE("app " + std::to_string(i));
-    const StepFunction& published =
-        snapshot.apps()[i].nonPreemptiveView.cap(c0);
-    EXPECT_EQ(published, stashNp[i].cap(c0));
-    EXPECT_EQ(published.segments().data(),
-              stashNp[i].cap(c0).segments().data());
+    const NonPreemptiveView& published = snapshot.apps()[i].nonPreemptiveView;
+    EXPECT_EQ(published, stashNp[i]);
+    EXPECT_EQ(published.freeProfile.cap(c0).segments().data(),
+              stashNp[i].freeProfile.cap(c0).segments().data());
   }
   stash();
 }

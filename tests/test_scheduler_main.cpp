@@ -52,7 +52,7 @@ TEST(MainSchedule, SingleAppSeesWholeMachineInNonPreemptiveView) {
   AppFixture app;
   std::vector<AppSchedule> apps{app.schedule(AppId{0})};
   scheduler.schedule(apps, 0);
-  EXPECT_EQ(apps[0].nonPreemptiveView.at(kC, 0), 10);
+  EXPECT_EQ(apps[0].nonPreemptiveView.materialize().at(kC, 0), 10);
   EXPECT_EQ(apps[0].preemptiveView.at(kC, 0), 10);
 }
 
@@ -90,7 +90,7 @@ TEST(MainSchedule, PreallocatedButUnusedIsPreemptivelyVisible) {
 
   // Non-preemptively, the second app sees only the 2 non-preallocated
   // nodes.
-  EXPECT_EQ(apps[1].nonPreemptiveView.at(kC, 0), 2);
+  EXPECT_EQ(apps[1].nonPreemptiveView.materialize().at(kC, 0), 2);
   // Preemptively it sees everything the NP allocation leaves free: 7.
   EXPECT_EQ(apps[1].preemptiveView.at(kC, 0), 7);
 }
@@ -118,10 +118,10 @@ TEST(MainSchedule, NonPreemptibleViewExcludesOthersPreallocations) {
   std::vector<AppSchedule> apps{first.schedule(AppId{0}),
                                 second.schedule(AppId{1})};
   scheduler.schedule(apps, 0);
-  EXPECT_EQ(apps[1].nonPreemptiveView.at(kC, 0), 4);
-  EXPECT_EQ(apps[1].nonPreemptiveView.at(kC, sec(100)), 10);
+  EXPECT_EQ(apps[1].nonPreemptiveView.materialize().at(kC, 0), 4);
+  EXPECT_EQ(apps[1].nonPreemptiveView.materialize().at(kC, sec(100)), 10);
   // The owner still sees its own pre-allocation as usable.
-  EXPECT_EQ(apps[0].nonPreemptiveView.at(kC, 0), 10);
+  EXPECT_EQ(apps[0].nonPreemptiveView.materialize().at(kC, 0), 10);
 }
 
 TEST(MainSchedule, StartedNpReducesPreemptiveCapacity) {

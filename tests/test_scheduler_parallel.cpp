@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "coorm/common/metrics.hpp"
 #include "coorm/common/rng.hpp"
 #include "coorm/common/worker_pool.hpp"
 #include "coorm/rms/scheduler.hpp"
@@ -148,6 +149,7 @@ Population makePopulation(std::uint64_t seed) {
 /// Bit-level comparison of two populations built from the same seed after
 /// scheduling: every request attribute and the exact view representation
 /// (operator==, not sameAs — entries must match cluster for cluster).
+/// Non-preemptive views are compared materialized, as a reader sees them.
 void expectIdentical(const Population& a, const Population& b,
                      const std::string& label) {
   SCOPED_TRACE(label);
@@ -163,10 +165,11 @@ void expectIdentical(const Population& a, const Population& b,
   }
   ASSERT_EQ(a.apps.size(), b.apps.size());
   for (std::size_t i = 0; i < a.apps.size(); ++i) {
-    EXPECT_EQ(a.apps[i].nonPreemptiveView, b.apps[i].nonPreemptiveView)
-        << "app " << i << "\n"
-        << a.apps[i].nonPreemptiveView.toString() << "\nvs\n"
-        << b.apps[i].nonPreemptiveView.toString();
+    const View npA = a.apps[i].nonPreemptiveView.materialize();
+    const View npB = b.apps[i].nonPreemptiveView.materialize();
+    EXPECT_EQ(npA, npB) << "app " << i << "\n"
+                        << npA.toString() << "\nvs\n"
+                        << npB.toString();
     EXPECT_EQ(a.apps[i].preemptiveView, b.apps[i].preemptiveView)
         << "app " << i << "\n"
         << a.apps[i].preemptiveView.toString() << "\nvs\n"
@@ -183,7 +186,8 @@ void scheduleWithThreads(Population& p, int threads) {
 /// The pre-refactor serial scheduling pass (Algorithm 4 as of PR 2),
 /// rebuilt from the public building blocks with plain binary view algebra:
 /// no pool, no N-ary batching, no occupation-view reuse. The refactored
-/// pass must reproduce it bit for bit.
+/// pass must reproduce it bit for bit. Each non-preemptive view is stored
+/// evaluated, as the pair (view, nothing), whose value is the view itself.
 void referenceSchedule(const Machine& machine, std::span<AppSchedule> apps,
                        Time now, bool strict) {
   const Scheduler plain(machine);
@@ -197,11 +201,11 @@ void referenceSchedule(const Machine& machine, std::span<AppSchedule> apps,
   std::vector<View> npFitted;
   for (AppSchedule& app : apps) {
     const View ownStartedPa = Scheduler::toView(*app.preAllocations);
-    app.nonPreemptiveView = ownStartedPa + vnp;
-    app.nonPreemptiveView.clampMin(0);
+    View npView = ownStartedPa + vnp;
+    npView.clampMin(0);
 
-    const View occPa =
-        Scheduler::fit(*app.preAllocations, app.nonPreemptiveView, now);
+    const View occPa = Scheduler::fit(*app.preAllocations, npView, now);
+    app.nonPreemptiveView = {std::move(npView), View{}};
 
     npOcc.push_back(Scheduler::toView(*app.nonPreemptible));
     View npAvailable = ownStartedPa + occPa - npOcc.back();
@@ -310,6 +314,67 @@ TEST(SchedulerParallel, PoolReusedAcrossPassesStaysDeterministic) {
     parallelScheduler.schedule(parallel.apps, now);
     expectIdentical(serial, parallel, "pass=" + std::to_string(pass));
   }
+}
+
+/// Between two passes, starts the first unstarted request of one
+/// seed-chosen application the way the server would (at `now`, with node
+/// IDs for a preemptible one), bumping its mutation epoch; the other
+/// applications keep theirs, so the incremental pass serves them from its
+/// cache once all their requests have started.
+void startOneRequest(Population& p, std::uint64_t seed, int pass, Time now) {
+  Rng rng(seed * 131 + static_cast<std::uint64_t>(pass));
+  AppSchedule& app = p.apps[static_cast<std::size_t>(
+      rng.uniformInt(0, static_cast<std::int64_t>(p.apps.size()) - 1))];
+  for (RequestSet* set :
+       {app.preAllocations, app.nonPreemptible, app.preemptible}) {
+    for (Request* r : *set) {
+      if (r->started() || isInf(r->scheduledAt)) continue;
+      r->startedAt = now;
+      if (r->type == RequestType::kPreemptible) {
+        for (NodeCount n = 0; n < std::max<NodeCount>(r->nAlloc, 1); ++n) {
+          r->nodeIds.push_back(
+              NodeId{r->cluster, static_cast<std::int32_t>(1000 + n)});
+        }
+      }
+      ++app.epoch;
+      return;
+    }
+  }
+}
+
+TEST(SchedulerParallel, MaterializedViewsMatchReferenceAtEveryPass) {
+  // The incremental scheduler publishes non-preemptive views as operand
+  // pairs, which Scheduler::schedule() hands on unevaluated; pass after
+  // pass, with requests starting in between (so applications turn
+  // lease-clean while the free profile ahead of them moves), their
+  // materialized values must equal the pre-refactor reference's views,
+  // bit for bit.
+  const std::uint64_t cleanBefore =
+      metrics::value(metrics::Event::kPassAppsClean);
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    for (const int threads : {1, 4}) {
+      Population reference = makePopulation(seed);
+      Population tested = makePopulation(seed);
+      for (AppSchedule& app : tested.apps) app.epoch = 1;
+      Scheduler scheduler(tested.machine, Scheduler::Config{tested.strict},
+                          SchedulerOptions{threads});
+      for (int pass = 0; pass < 8; ++pass) {
+        const Time now = reference.now + sec(30 * pass);
+        if (pass > 0) {
+          startOneRequest(reference, seed, pass, now);
+          startOneRequest(tested, seed, pass, now);
+        }
+        referenceSchedule(reference.machine, reference.apps, now,
+                          reference.strict);
+        scheduler.schedule(tested.apps, now);
+        expectIdentical(reference, tested,
+                        "seed=" + std::to_string(seed) +
+                            " threads=" + std::to_string(threads) +
+                            " pass=" + std::to_string(pass));
+      }
+    }
+  }
+  EXPECT_GT(metrics::value(metrics::Event::kPassAppsClean), cleanBefore);
 }
 
 TEST(SchedulerParallel, EmptyAppListIsANoopWithPool) {

@@ -177,8 +177,9 @@ TEST_P(SchedulerProperty, ViewsAreNonNegativeAndBounded) {
   Scheduler scheduler(Machine::single(kMachineNodes));
   scheduler.schedule(population.apps, 0);
   for (const AppSchedule& app : population.apps) {
+    const View npView = app.nonPreemptiveView.materialize();
     for (const Time t : sampleTimes(rng, 0)) {
-      const NodeCount np = app.nonPreemptiveView.at(kC, t);
+      const NodeCount np = npView.at(kC, t);
       const NodeCount p = app.preemptiveView.at(kC, t);
       EXPECT_GE(np, 0);
       EXPECT_LE(np, kMachineNodes);

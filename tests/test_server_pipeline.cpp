@@ -19,13 +19,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "coorm/common/metrics.hpp"
 #include "coorm/common/rng.hpp"
+#include "coorm/rms/journal.hpp"
 #include "coorm/rms/server.hpp"
 #include "coorm/sim/engine.hpp"
 #include "lease_chain.hpp"
@@ -439,6 +443,281 @@ TEST(ServerPipeline, SessionAccessorsObserveCommittedViews) {
   // second session).
   EXPECT_FALSE(session->killed());
   EXPECT_EQ(observer->nonPreemptiveView().at(kC0, engine.now()), 8);
+}
+
+// ---------------------------------------------------------------------------
+// Published non-preemptive views: a pass publishes each one as its operand
+// pair (free profile, own started pre-allocations) and the server evaluates
+// it only where it is read — a push to an attached endpoint,
+// Session::nonPreemptiveView(), RESUME.
+// ---------------------------------------------------------------------------
+
+RequestSpec specOf(RequestType type, NodeCount nodes, Time duration) {
+  RequestSpec spec;
+  spec.cluster = kC0;
+  spec.nodes = nodes;
+  spec.duration = duration;
+  spec.type = type;
+  return spec;
+}
+
+/// Records every view push and start it receives.
+class ViewRecorder : public AppEndpoint {
+ public:
+  void onViews(const View& nonPreemptive, const View& preemptive) override {
+    np = nonPreemptive;
+    p = preemptive;
+    ++pushes;
+  }
+  void onStarted(RequestId id, const std::vector<NodeId>&) override {
+    started.push_back(id);
+  }
+  View np;
+  View p;
+  int pushes = 0;
+  std::vector<RequestId> started;
+};
+
+TEST(ServerPipeline, FreeProfileMovingOnlyWhereTheViewClampsRenewsTheLease) {
+  // X (first in connection order) holds a started 2-node pre-allocation
+  // and nothing else: from its third pass on it is lease-clean. A holds
+  // three started 8-node pre-allocations, the later two placed inside its
+  // own earlier ones, so the free profile X sees runs at -16 and -8 over
+  // their windows and X's view, max(0, 2 + free), clamps at 0 there.
+  Engine engine;
+  Server server(engine, Machine::single(10));
+  ViewRecorder x;
+  ViewRecorder a;
+  Session* xs = server.connect(x);
+  Session* as = server.connect(a);
+  xs->request(specOf(RequestType::kPreAllocation, 2, sec(7200)));
+  engine.runUntil(sec(2));
+  const RequestId pa1 =
+      as->request(specOf(RequestType::kPreAllocation, 8, sec(3600)));
+  engine.runUntil(sec(4));
+  as->request(specOf(RequestType::kPreAllocation, 8, sec(1800)));
+  engine.runUntil(sec(6));
+  const RequestId pa3 =
+      as->request(specOf(RequestType::kPreAllocation, 8, sec(1200)));
+  engine.runUntil(sec(7));
+  ASSERT_EQ(a.started.size(), 3u);
+  const View before = xs->nonPreemptiveView();
+  EXPECT_EQ(before.at(kC0, sec(100)), 0);   // 2 + 10 - 2 - 16, clamped
+  EXPECT_EQ(before.at(kC0, sec(2000)), 2);  // 2 + 10 - 2 - 8
+
+  // Each pass below moves the free profile X sees; the lease counters
+  // must read as when every pass rebuilt X's view and compared it.
+  const auto expectLeases = [&](std::uint64_t renewed,
+                                std::uint64_t preempted,
+                                const std::function<void()>& step) {
+    const std::uint64_t passes = server.passCount();
+    const std::uint64_t renewed0 =
+        metrics::value(metrics::Event::kLeasesRenewed);
+    const std::uint64_t preempted0 =
+        metrics::value(metrics::Event::kLeasesPreempted);
+    step();
+    engine.runUntil(engine.now() + sec(2));
+    ASSERT_EQ(server.passCount(), passes + 1);
+    EXPECT_EQ(metrics::value(metrics::Event::kLeasesRenewed) - renewed0,
+              renewed);
+    EXPECT_EQ(metrics::value(metrics::Event::kLeasesPreempted) - preempted0,
+              preempted);
+  };
+  // The third pre-allocation, started at the last commit, enters the free
+  // profile: -8 -> -16 over [6 s, 1206 s), where X's view clamps to 0
+  // either way. Ending it moves it back. X's lease is renewed both times.
+  expectLeases(1, 0, [&] { server.runSchedulingPassNow(); });
+  EXPECT_EQ(xs->nonPreemptiveView(), before);
+  expectLeases(1, 0, [&] { as->done(pa3); });
+  EXPECT_EQ(xs->nonPreemptiveView(), before);
+
+  // Control: ending the first one lifts the free profile by 8 up to
+  // 3602 s, past where X's view clamps (0 -> 2 up to 1804 s, 2 -> 10
+  // after): a preempted lease.
+  expectLeases(0, 1, [&] { as->done(pa1); });
+  EXPECT_EQ(xs->nonPreemptiveView().at(kC0, sec(2000)), 10);
+}
+
+TEST(ServerPipeline, CleanAppReadsItsViewAfterFreeProfileMoves) {
+  // The incremental pipelined server against the oracle configuration
+  // (full recompute, serial). D, connected first, places a fresh
+  // pre-allocation before each of three passes, moving the free profile
+  // that X — clean after its requests started — sees. X reads its view
+  // after each of those passes; under ASan a read through a block the
+  // scheduler had already released would trip the parked-block poisoning.
+  Server::Config oracle;
+  oracle.pipeline = false;
+  oracle.incremental = false;
+  Engine engine;
+  Engine oracleEngine;
+  Server server(engine, Machine::single(32));
+  Server reference(oracleEngine, Machine::single(32), oracle);
+  ViewRecorder d;
+  ViewRecorder x;
+  ViewRecorder dRef;
+  ViewRecorder xRef;
+  Session* ds = server.connect(d);
+  Session* xs = server.connect(x);
+  Session* dsRef = reference.connect(dRef);
+  Session* xsRef = reference.connect(xRef);
+  for (Session* s : {xs, xsRef}) {
+    s->request(specOf(RequestType::kPreAllocation, 8, sec(3600)));
+  }
+  engine.runUntil(sec(2));  // X's pre-allocation started
+  oracleEngine.runUntil(sec(2));
+  server.runSchedulingPassNow();  // re-captures X: clean from here on
+  reference.runSchedulingPassNow();
+  engine.runUntil(sec(4));
+  oracleEngine.runUntil(sec(4));
+  for (int step = 0; step < 3; ++step) {
+    const std::uint64_t preempted =
+        metrics::value(metrics::Event::kLeasesPreempted);
+    const RequestSpec pa = specOf(RequestType::kPreAllocation, 2 + step,
+                                  sec(600 + 300 * step));
+    ds->request(pa);
+    dsRef->request(pa);
+    engine.runUntil(sec(6 + 2 * step));
+    oracleEngine.runUntil(sec(6 + 2 * step));
+    // X was served as a clean lease whose view the move reached.
+    EXPECT_EQ(metrics::value(metrics::Event::kLeasesPreempted) - preempted, 1u)
+        << "step " << step;
+    const View view = xs->nonPreemptiveView();
+    EXPECT_EQ(view, xsRef->nonPreemptiveView()) << "step " << step;
+    EXPECT_EQ(view, x.np) << "step " << step;  // what its last push held
+  }
+}
+
+TEST(ServerPipeline, DetachedSessionMaterializesNothingAndResumesLikeATwin) {
+  // Two servers run the same 100-pass script, driven by D's in-process
+  // requests while D itself is detached (its ends stay unannounced, and
+  // so unreclaimed, in both). In the first, X is detached too: no view is
+  // evaluated at all. At RESUME, X receives the views its twin — attached
+  // throughout in the second server — holds after the same passes, bit for
+  // bit.
+  const auto run = [](bool detached, ViewRecorder& x,
+                      std::uint64_t* materialized) {
+    Engine engine;
+    Server server(engine, Machine::single(24));
+    ViewRecorder d;
+    Session* ds = server.connect(d);
+    Session* xs = server.connect(x);
+    xs->request(specOf(RequestType::kPreAllocation, 6, sec(100000)));
+    engine.runUntil(sec(1));
+    const std::uint64_t before =
+        metrics::value(metrics::Event::kNpViewsMaterialized);
+    server.detachEndpoint(ds->app());
+    if (detached) server.detachEndpoint(xs->app());
+    const std::uint64_t firstPass = server.passCount();
+    for (int i = 0; server.passCount() < firstPass + 100; ++i) {
+      ds->request(specOf(RequestType::kPreAllocation, 1 + i % 5,
+                         sec(3 + i % 7)));
+      engine.runUntil(engine.now() + sec(1));
+    }
+    *materialized = metrics::value(metrics::Event::kNpViewsMaterialized) - before;
+    if (detached) {
+      ASSERT_NE(server.resumeSession(xs->app(),
+                                     server.sessionToken(xs->app()), x),
+                nullptr);
+      engine.runUntil(engine.now() + 1);
+    }
+  };
+  ViewRecorder resumed;
+  ViewRecorder twin;
+  std::uint64_t materialized = 0;
+  std::uint64_t twinMaterialized = 0;
+  run(/*detached=*/true, resumed, &materialized);
+  run(/*detached=*/false, twin, &twinMaterialized);
+  EXPECT_EQ(materialized, 0u);
+  EXPECT_GT(twinMaterialized, 0u);
+  ASSERT_GT(resumed.pushes, 0);
+  EXPECT_EQ(resumed.np, twin.np) << resumed.np.toString() << "\nvs\n"
+                                 << twin.np.toString();
+  EXPECT_EQ(resumed.p, twin.p) << resumed.p.toString() << "\nvs\n"
+                               << twin.p.toString();
+}
+
+TEST(ServerPipeline, ResumeDeliversTheLatestViewsNotTheLastSent) {
+  // A malleable filler holds all ten nodes, then loses its transport. A
+  // rigid job's 6-node request shrinks the filler's preemptive view to 4
+  // while it is detached. The filler resumes at once and obeys the views
+  // it is given: handed the stale ones, it would keep all ten nodes and be
+  // killed at the violation grace; handed the latest, it shrinks in time
+  // and the job starts.
+  Engine engine;
+  Server server(engine, Machine::single(10));
+  testing_support::LeaseChainApp::Config config;
+  config.cluster = kC0;
+  config.minNodes = 10;
+  config.maxNodes = 10;
+  config.transitions = 1;  // then it only ever shrinks, as views demand
+  config.hold = sec(1);
+  testing_support::LeaseChainApp filler(engine, config);
+  filler.attach(server);
+  engine.runUntil(sec(3));
+  ASSERT_EQ(server.pool().freeCount(kC0), 0);
+  const AppId fillerApp{0};
+  server.detachEndpoint(fillerApp);
+
+  ViewRecorder rigid;
+  Session* job = server.connect(rigid);
+  const RequestId id =
+      job->request(specOf(RequestType::kNonPreemptible, 6, sec(60)));
+  engine.runUntil(sec(4));
+  ASSERT_TRUE(rigid.started.empty());  // waits for the filler's nodes
+
+  Session* resumed = server.resumeSession(
+      fillerApp, server.sessionToken(fillerApp), filler);
+  ASSERT_NE(resumed, nullptr);
+  EXPECT_EQ(resumed->preemptiveView().at(kC0, engine.now()), 4);
+  engine.runUntil(sec(20));  // well past the violation grace
+  EXPECT_FALSE(filler.killed());
+  EXPECT_EQ(rigid.started, std::vector<RequestId>{id});
+}
+
+TEST(ServerPipeline, ResumeOfAJournalRestoredSessionDeliversItsViews) {
+  // A session restored from the journal was never sent a view. The pass
+  // the restore armed computes its views while it is detached; RESUME
+  // must deliver them — nothing else would, as no pass is armed then.
+  const std::string path =
+      ::testing::TempDir() + "coorm_pipeline_resume.journal";
+  std::remove(path.c_str());
+  AppId app{};
+  std::uint64_t token = 0;
+  {
+    Engine engine;
+    rms::Journal journal(path, 0);
+    Server server(engine, Machine::single(10));
+    server.attachJournal(&journal);
+    ViewRecorder before;
+    Session* session = server.connect(before);
+    app = session->app();
+    token = server.sessionToken(app);
+    session->request(specOf(RequestType::kPreAllocation, 4, sec(3600)));
+    engine.runUntil(sec(2));
+  }  // no shutdown step, as in a crash
+
+  const rms::ScanResult scan = rms::Journal::scan(path);
+  ASSERT_FALSE(scan.refused) << scan.diagnostic;
+  Engine engine;
+  Server server(engine, Machine::single(10));
+  Time lastTime = kNever;
+  std::string error;
+  ASSERT_TRUE(server.restoreFromJournal(scan.records, &lastTime, &error))
+      << error;
+  engine.runUntil(lastTime + sec(2));  // the armed pass has committed
+  const std::uint64_t passes = server.passCount();
+  ASSERT_GT(passes, 0u);
+
+  ViewRecorder after;
+  Session* session = server.resumeSession(app, token, after);
+  ASSERT_NE(session, nullptr);
+  engine.runUntil(engine.now() + 1);
+  EXPECT_EQ(server.passCount(), passes);
+  ASSERT_EQ(after.pushes, 1);
+  EXPECT_EQ(after.np, session->nonPreemptiveView());
+  EXPECT_EQ(after.p, session->preemptiveView());
+  EXPECT_EQ(after.np.at(kC0, engine.now()), 10);  // own 4 + the free 6
+  std::remove(path.c_str());
 }
 
 }  // namespace

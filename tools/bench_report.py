@@ -127,7 +127,8 @@ def summarize(report: dict) -> tuple[dict, list[dict]]:
                         "step2_ranges_reused", "wire_bytes_per_pass",
                         "views_delta_sent", "views_delta_bytes_saved",
                         "frames_coalesced", "epoll_wakeups",
-                        "pass_latency_samples", "request_rtt_samples")
+                        "pass_latency_samples", "request_rtt_samples",
+                        "np_views_materialized")
             if key in bench
         }
         if counters:
@@ -137,13 +138,25 @@ def summarize(report: dict) -> tuple[dict, list[dict]]:
 
 
 def check_zero_counters(entries: list[dict], names: list[str]) -> None:
-    """Exit non-zero if any entry reports a named counter != 0."""
-    offenders = [
-        f"{entry['name']}: {name} = {entry['counters'][name]}"
-        for entry in entries
-        for name in names
-        if entry.get("counters", {}).get(name) not in (None, 0, 0.0)
-    ]
+    """Exit non-zero unless every named counter is reported and zero.
+
+    As with check_nonzero_counters, at least one entry must carry the
+    counter: a benchmark that stops reporting it would otherwise pass.
+    """
+    offenders = []
+    for name in names:
+        reporting = [
+            entry for entry in entries
+            if name in entry.get("counters", {})
+        ]
+        if not reporting:
+            offenders.append(f"no benchmark entry reports counter {name!r}")
+            continue
+        offenders.extend(
+            f"{entry['name']}: {name} = {entry['counters'][name]}"
+            for entry in reporting
+            if entry["counters"][name] not in (0, 0.0)
+        )
     if offenders:
         raise SystemExit(
             "counter(s) required to be zero are not:\n  "
@@ -327,8 +340,9 @@ def main() -> None:
              "{connections, ramp_s, probe RTT percentiles}; repeatable")
     parser.add_argument(
         "--require-zero", action="append", default=[], metavar="COUNTER",
-        help="fail (exit 1) if any benchmark entry reports this per-bench "
-             "counter with a nonzero value; repeatable")
+        help="fail (exit 1) unless at least one benchmark entry reports "
+             "this per-bench counter and every reporting entry has it 0; "
+             "repeatable")
     parser.add_argument(
         "--require-nonzero", action="append", default=[], metavar="COUNTER",
         help="fail (exit 1) unless at least one benchmark entry reports "
