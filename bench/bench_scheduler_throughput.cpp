@@ -16,10 +16,9 @@
 //  - BM_ScheduleMultiCluster: applications spread over 8 clusters;
 //  - BM_EqSchedule: Algorithm 3 in isolation (half the applications hold
 //    started preemptible allocations, half have pending ones);
-//  - BM_ServerPipeline: the full Server + Engine stack under a
-//    message-heavy multi-app protocol load, comparing the serial
-//    back-to-back server against the snapshot/commit pipeline
-//    (args {apps, threads, pipeline});
+//  - BM_ServerPipeline: the full Server + Engine stack — every pass's
+//    prune, capture, schedule, write-back, views and commit — under a
+//    message-heavy multi-app protocol load (args {apps, threads});
 //  - BM_ScheduleIncremental / BM_SchedulePopulation: steady-state
 //    incremental passes over lease and pre-allocation populations, the
 //    latter shaped like servebench `population`.
@@ -253,8 +252,8 @@ BENCHMARK(BM_EqSchedule)
 
 /// A scripted application for the server benchmark: submits bursts of
 /// non-preemptible and preemptible requests on a half-second grid (so
-/// messages regularly dispatch while the per-second scheduling pass is in
-/// flight), answers expiries, and retires older requests.
+/// messages regularly share an instant with the per-second scheduling
+/// pass), answers expiries, and retires older requests.
 class PipelineBenchApp : public AppEndpoint {
  public:
   PipelineBenchApp(Engine& engine, std::uint64_t seed)
@@ -306,26 +305,20 @@ class PipelineBenchApp : public AppEndpoint {
   std::uint64_t messages_ = 0;
 };
 
-// Args: {apps, threads, pipeline}. One iteration simulates two minutes of
-// message-heavy protocol traffic through the whole Engine + Server stack;
-// pipeline=1 runs every pass on the background lane against a request-set
-// snapshot (overlapping protocol handling), pipeline=0 is the serial
-// back-to-back reference. Outputs are bit-identical; the difference is
-// pure serving latency. `passes`/`overlapped` record how many passes ran
-// and how many had messages arrive in flight.
+// Args: {apps, threads}. One iteration simulates two minutes of
+// message-heavy protocol traffic through the whole Engine + Server stack,
+// each pass running inline in its timer event. Outputs are bit-identical
+// at any thread count; `passes` records how many passes ran.
 void BM_ServerPipeline(benchmark::State& state) {
   const int napps = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  const bool pipeline = state.range(2) != 0;
   const metrics::Snapshot before = metrics::snapshot();
   std::uint64_t messages = 0;
   std::uint64_t passes = 0;
-  std::uint64_t overlapped = 0;
   for (auto _ : state) {
     Engine engine;
     Server::Config config;
     config.reschedInterval = sec(1);
-    config.pipeline = pipeline;
     config.threads = threads;
     Server server(engine, Machine::single(8 * napps), config);
     std::vector<std::unique_ptr<PipelineBenchApp>> apps;
@@ -342,12 +335,10 @@ void BM_ServerPipeline(benchmark::State& state) {
     while (engine.nextEventAt() <= horizon) engine.step();
     for (const auto& app : apps) messages += app->messages();
     passes += server.passCount();
-    overlapped += server.overlappedPassCount();
   }
   state.counters["messages/s"] = benchmark::Counter(
       static_cast<double>(messages), benchmark::Counter::kIsRate);
   state.counters["passes"] = static_cast<double>(passes);
-  state.counters["overlapped"] = static_cast<double>(overlapped);
   // Write-back fast path (snapshot.cpp): passes whose results all match
   // their capture-time seeds skip the scattered live-request walk. The
   // clean share pins that the fast path actually engages under protocol
@@ -368,12 +359,10 @@ void BM_ServerPipeline(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ServerPipeline)
-    ->Args({16, 1, 0})
-    ->Args({16, 1, 1})
-    ->Args({16, 2, 1})
-    ->Args({64, 1, 0})
-    ->Args({64, 1, 1})
-    ->Args({64, 2, 1})
+    ->Args({16, 1})
+    ->Args({16, 2})
+    ->Args({64, 1})
+    ->Args({64, 2})
     ->Unit(benchmark::kMillisecond);
 
 // Args: {napps, churnPct, incremental}. Steady-state lease population:
@@ -509,7 +498,7 @@ BENCHMARK(BM_ScheduleIncremental)
 // re-derived) and one malleable lease changes size (the idle share that
 // every absent application receives moves). Then one recapture +
 // schedulePass + writeBack round runs and the published views are stashed
-// the way Server::commitPass does (swapped into per-app slots).
+// the way Server::runPass does (swapped into per-app slots).
 void BM_SchedulePopulation(benchmark::State& state) {
   const int napps = static_cast<int>(state.range(0));
   const ClusterId c0{0};

@@ -21,12 +21,12 @@ struct EventState {
 /// Handle to a scheduled callback; cancelling is best-effort (a callback
 /// already being dispatched still runs).
 ///
-/// The pipelined RMS server leans on two properties of this interface:
-/// callbacks scheduled for the same time run in scheduling order (so a
-/// fallback pass-commit event scheduled first dispatches before anything
-/// a same-time event schedules afterwards), and a cancelled event is
-/// skipped without advancing the clock (so a commit performed early by a
-/// draining message simply cancels the fallback).
+/// The RMS server leans on two properties of this interface: callbacks
+/// scheduled for the same time run in scheduling order (so the
+/// notifications a pass commit posts reach applications in the order the
+/// commit made them — views before starts), and a cancelled event is
+/// skipped without advancing the clock (so a cancelled expiry or
+/// violation timer leaves no trace in the schedule).
 using EventHandle = std::shared_ptr<detail::EventState>;
 
 class Executor {

@@ -90,8 +90,6 @@ std::string_view name(Gauge gauge) noexcept {
   switch (gauge) {
     case Gauge::kLiveSessions:
       return "live_sessions";
-    case Gauge::kPassInFlight:
-      return "pass_in_flight";
     case Gauge::kArenaBytesHeld:
       return "arena_bytes_held";
     case Gauge::kLiveRequests:

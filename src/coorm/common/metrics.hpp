@@ -37,7 +37,7 @@ namespace coorm::metrics {
 /// in `name()`; the enum value doubles as the id in the STATS payload.
 enum class Event : std::uint16_t {
   kSchedulePasses,            ///< scheduling passes run to completion
-  kSchedulePassesOverlapped,  ///< passes with messages arriving in flight
+  kSchedulePassesOverlapped,  ///< always 0: passes run inline (read by name)
   kSnapshotRebuilds,          ///< app snapshot captures rebuilt from scratch
   kSnapshotRefreshes,         ///< captures satisfied by verify-and-refresh
   kSnapshotSkips,             ///< captures skipped outright (epoch clean)
@@ -77,7 +77,6 @@ enum class Event : std::uint16_t {
 /// Signed current-value gauges.
 enum class Gauge : std::uint16_t {
   kLiveSessions,    ///< connected application sessions
-  kPassInFlight,    ///< scheduling passes currently executing (0 or 1)
   kArenaBytesHeld,  ///< bytes parked in segment-arena free lists
   kLiveRequests,    ///< requests the RMS server holds (reclaimed ones leave)
   kCount_,          ///< not a gauge — number of gauges

@@ -1,4 +1,5 @@
-// Low-overhead span tracing for the pass pipeline and the daemon's I/O.
+// Low-overhead span tracing for the scheduling pass's phases and the
+// daemon's I/O.
 //
 // Disabled (the default), a Span is one relaxed atomic load and a branch —
 // cheap enough to leave on every hot path in release builds. Enabled, each
@@ -56,8 +57,8 @@ void disable() noexcept;
 void reset() noexcept;
 
 /// Records an explicit span — for regions whose begin and end live in
-/// different scopes (e.g. a pipelined pass: launch on the executor,
-/// commit turns later). No-op when disabled.
+/// different scopes (e.g. the scheduler's consecutive steps, split by one
+/// shared clock read each). No-op when disabled.
 inline void span(const char* name, std::uint64_t startNs,
                  std::uint64_t endNs) noexcept {
   if (enabled()) detail::record(name, startNs, endNs);

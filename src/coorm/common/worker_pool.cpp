@@ -107,64 +107,6 @@ void WorkerPool::workShare(std::unique_lock<std::mutex>& lock) {
   }
 }
 
-AsyncLane::AsyncLane() : thread_([this] { threadMain(); }) {}
-
-AsyncLane::~AsyncLane() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  wake_.notify_one();
-  thread_.join();
-}
-
-void AsyncLane::launch(std::function<void()> task) {
-  COORM_CHECK(task != nullptr);
-  COORM_CHECK(!launched_);  // one task in flight at a time
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    task_ = std::move(task);
-    error_ = nullptr;
-    running_ = true;
-  }
-  launched_ = true;
-  wake_.notify_one();
-}
-
-void AsyncLane::wait() {
-  if (!launched_) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_.wait(lock, [this] { return !running_; });
-  launched_ = false;
-  if (error_ != nullptr) {
-    std::exception_ptr error = std::exchange(error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void AsyncLane::threadMain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    wake_.wait(lock, [this] { return stop_ || task_ != nullptr; });
-    // A queued task always runs, even when destruction raced the wake-up:
-    // launched work completes; only an idle lane stops.
-    if (task_ == nullptr) return;
-    std::function<void()> task = std::exchange(task_, nullptr);
-    lock.unlock();
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    error_ = error;
-    running_ = false;
-    done_.notify_one();
-  }
-}
-
 void WorkerPool::workerMain() {
   std::unique_lock<std::mutex> lock(mutex_);
   std::uint64_t seen = 0;

@@ -88,53 +88,6 @@ class WorkerPool {
   bool stop_ = false;
 };
 
-/// One reusable background execution lane.
-///
-/// The pipelined server hands a whole scheduling pass to the lane with
-/// launch() and keeps processing protocol messages; wait() joins the pass
-/// (rethrowing anything it threw). The lane's thread is spawned once and
-/// reused across launches. Inside the launched task the lane thread may
-/// itself drive a WorkerPool batch — the lane is the pass's submitting
-/// thread, the pool provides the fan-out.
-///
-/// Concurrency contract: launch() and wait() are called from one owner
-/// thread, one task in flight at a time (launch() while busy is a
-/// programming error). wait() on an idle lane is a no-op. Destruction
-/// joins: a task still queued or running completes first (its exception,
-/// if any, is swallowed with the lane).
-class AsyncLane {
- public:
-  AsyncLane();
-  ~AsyncLane();
-
-  AsyncLane(const AsyncLane&) = delete;
-  AsyncLane& operator=(const AsyncLane&) = delete;
-
-  /// Starts running `task` on the lane thread. Requires an idle lane.
-  void launch(std::function<void()> task);
-
-  /// Blocks until the launched task (if any) has finished; rethrows the
-  /// task's exception, leaving the lane idle either way.
-  void wait();
-
-  /// True between launch() and the completion of wait() for that task.
-  /// Only meaningful on the owner thread.
-  [[nodiscard]] bool busy() const { return launched_; }
-
- private:
-  void threadMain();
-
-  std::mutex mutex_;
-  std::condition_variable wake_;  ///< lane: new task or stop
-  std::condition_variable done_;  ///< owner: task finished
-  std::function<void()> task_;
-  std::exception_ptr error_;
-  bool running_ = false;   ///< guarded by mutex_: task queued or executing
-  bool launched_ = false;  ///< owner-thread bookkeeping for busy()
-  bool stop_ = false;
-  std::thread thread_;
-};
-
 /// Run task(i) for i in [0, count): dispatched across `pool` when it has
 /// workers and the batch has more than one task, inline (in index order)
 /// otherwise. A null pool always runs inline — callers thread an optional

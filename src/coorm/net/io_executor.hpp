@@ -7,8 +7,8 @@
 //  - timers: a (time, sequence) priority queue exactly like sim::Engine's,
 //    driven by the monotonic clock (CLOCK_MONOTONIC via steady_clock), so
 //    wall-clock jumps never reorder events. Same-time callbacks run in
-//    scheduling order — the property the pipelined Server's fallback
-//    commit event relies on;
+//    scheduling order — the property the Server's notification order
+//    relies on;
 //  - file descriptors: kReadable/kWritable interest registered per fd, with
 //    the blocking wait bounded by the next due timer.
 //

@@ -136,31 +136,6 @@ constexpr std::size_t kSegmentWireSize = 16;  // start i64 + value i64
 constexpr std::size_t kClusterMinWireSize =
     4 + 4 + kSegmentWireSize;  // id + count + >=1 segment
 
-void writeNodeIds(Writer& w, const std::vector<NodeId>& ids) {
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const NodeId& id : ids) {
-    w.i32(id.cluster.value);
-    w.i32(id.index);
-  }
-}
-
-[[nodiscard]] bool readNodeIds(Reader& r, std::vector<NodeId>& out) {
-  const std::uint32_t count = r.u32();
-  if (!r.ok() || count > r.remaining() / kNodeIdWireSize) {
-    r.fail();
-    return false;
-  }
-  out.clear();
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    NodeId id;
-    id.cluster = ClusterId{r.i32()};
-    id.index = r.i32();
-    out.push_back(id);
-  }
-  return r.ok();
-}
-
 void writeProfile(Writer& w, const StepFunction& profile) {
   const auto segments = profile.segments();
   w.u32(static_cast<std::uint32_t>(segments.size()));
@@ -204,6 +179,31 @@ void writeProfile(Writer& w, const StepFunction& profile) {
 }
 
 }  // namespace
+
+void writeNodeIds(Writer& w, std::span<const NodeId> ids) {
+  w.u32(static_cast<std::uint32_t>(ids.size()));
+  for (const NodeId& id : ids) {
+    w.i32(id.cluster.value);
+    w.i32(id.index);
+  }
+}
+
+bool readNodeIds(Reader& r, std::vector<NodeId>& out) {
+  const std::uint32_t count = r.u32();
+  if (!r.ok() || count > r.remaining() / kNodeIdWireSize) {
+    r.fail();
+    return false;
+  }
+  out.clear();
+  out.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    NodeId id;
+    id.cluster = ClusterId{r.i32()};
+    id.index = r.i32();
+    out.push_back(id);
+  }
+  return r.ok();
+}
 
 void writeView(Writer& w, const View& view) {
   const std::vector<ClusterId> clusters = view.clusters();

@@ -338,6 +338,15 @@ class Reader {
   bool ok_ = true;
 };
 
+// --- node-ID lists (shared by RELEASE/STARTED and the journal records) ------
+
+/// u32 count, then (cluster i32, index i32) per node.
+void writeNodeIds(Writer& w, std::span<const NodeId> ids);
+/// Decodes a writeNodeIds() list into `out`. A count larger than the
+/// remaining payload could hold fails (poisoning the reader) before any
+/// allocation, so a bit-flipped count never asks for gigabytes.
+[[nodiscard]] bool readNodeIds(Reader& r, std::vector<NodeId>& out);
+
 // --- profile serialization (shared by VIEWS_DELTA and tests/benchmarks) -----
 
 void writeView(Writer& w, const View& view);

@@ -25,8 +25,8 @@
 //
 // Blocks are plain anonymous heap memory, not owned by the arena that
 // issued them: a block may be granted on one thread and its last reference
-// dropped on another (worker-pool fan-out, a view pushed from the server's
-// loop thread after the pass lane computed it) — the block simply joins
+// dropped on another (worker-pool fan-out: a view built on a worker and
+// pushed from the server's thread) — the block simply joins
 // the dropping thread's current arena. ArenaScope lets a long-lived owner
 // (the scheduler) pin its own arena as the calling thread's current one
 // for a pass, so pass-scoped scratch recycles within the pass owner

@@ -50,7 +50,7 @@ struct SchedulerOptions {
   /// Projection of the shared runtime-tuning surface
   /// (common/runtime_options.hpp).
   explicit SchedulerOptions(const RuntimeOptions& runtime)
-      : threads(runtime.threads), incremental(runtime.incremental) {}
+      : threads(runtime.threads) {}
 
   /// Worker threads for the per-cluster and per-application fan-out of a
   /// scheduling pass. <= 1 keeps every pass on the calling thread (the
@@ -123,8 +123,8 @@ class Scheduler {
   /// and every record's start time / effective node-count, writing results
   /// into the snapshot only (`snapshot.writeBack()` applies them to the
   /// live requests). This is the primary pass entry point: it never touches
-  /// live `RequestSet`s or `Request`s, so the pipelined server runs it on a
-  /// background lane while the executor thread keeps mutating live state.
+  /// live `RequestSet`s or `Request`s, so it reads one consistent image
+  /// and the server decides what of the result reaches live state.
   ///
   /// With SchedulerOptions::threads > 1 the per-cluster and per-application
   /// work fans out over the scheduler's worker pool; the result is
@@ -206,7 +206,7 @@ class Scheduler {
   Machine machine_;
   Config config_;
   /// Present iff options.threads > 1. Mutable because a scheduling pass is
-  /// logically const (the pool is a lane for the pass's own work, not
+  /// logically const (the pool serves the pass's own fan-out, not
   /// observable state); schedule() is still not re-entrant.
   mutable std::unique_ptr<WorkerPool> pool_;
   /// Segment pool installed (via ArenaScope) on the pass thread for the

@@ -9,7 +9,6 @@
 #include "coorm/common/check.hpp"
 #include "coorm/common/log.hpp"
 #include "coorm/common/trace.hpp"
-#include "coorm/common/worker_pool.hpp"
 #include "coorm/net/wire.hpp"
 #include "coorm/rms/journal.hpp"
 
@@ -66,14 +65,12 @@ bool Session::killed() const {
 }
 
 View Session::nonPreemptiveView() const {
-  server_->syncPass();  // views change at commit; observe committed state
   Server::SessionState* st = server_->findSession(app_);
   COORM_CHECK(st != nullptr);
   return st->lastNonPreemptive.materialize();
 }
 
 const View& Session::preemptiveView() const {
-  server_->syncPass();
   Server::SessionState* st = server_->findSession(app_);
   COORM_CHECK(st != nullptr);
   return st->lastPreemptive;
@@ -96,35 +93,16 @@ Server::Server(Executor& executor, Machine machine, Config config)
                  }()),
       pool_(machine),
       config_(config) {
-  if (config_.pipeline) lane_ = std::make_unique<AsyncLane>();
   tokenSeed_ = (std::uint64_t{std::random_device{}()} << 32) ^
                std::random_device{}();
 }
 
 Server::~Server() {
-  if (passInFlight_) {
-    // Torn down mid-pass (the driving loop stopped before the commit
-    // event): join the lane and discard the results — they are no longer
-    // observable, and committing would schedule events during teardown.
-    if (lane_ != nullptr && lane_->busy()) {
-      try {
-        lane_->wait();
-      } catch (...) {
-        // A pass that died is discarded like any other in-flight pass;
-        // nothing may escape a destructor.
-      }
-    }
-    Executor::cancel(commitEvent_);
-  }
   metrics::add(metrics::Gauge::kLiveRequests,
                -static_cast<std::int64_t>(requestIndex_.size()));
 }
 
 Session* Server::connect(AppEndpoint& endpoint, std::string name) {
-  // Pure addition: the new session is invisible to an in-flight pass's
-  // snapshot and to its commit (which is scoped to the launch-time
-  // sessions), so connecting overlaps the pass instead of draining it.
-  ++stateEpoch_;
   const AppId app{nextAppId_++};
   SessionState& st = openSession(
       app, mixToken(tokenSeed_ ^ static_cast<std::uint64_t>(app.value)),
@@ -160,7 +138,6 @@ RequestSet& Server::setFor(SessionState& st, RequestType type) {
 }
 
 const Request* Server::findRequest(RequestId id) {
-  syncPass();  // scheduling attributes are written at commit
   return indexedRequest(id);
 }
 
@@ -339,14 +316,6 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
     }
   }
 
-  // Submissions overlap an in-flight pass instead of draining it: they only
-  // *add* requests, which the pass's snapshot does not cover and the commit
-  // ignores — exactly the state the serial server would be in after running
-  // the pass first. The epoch bump makes the overlap observable at commit,
-  // and requestReschedule() below arms the pass that will schedule the new
-  // request.
-  ++stateEpoch_;
-
   const auto fresh = [&](RequestType type) {
     Request r;
     r.id = RequestId{nextRequestId_++};
@@ -399,10 +368,6 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
 
 void Server::handleDone(SessionState& st, RequestId id,
                         std::vector<NodeId> released) {
-  // Completions synchronize with an in-flight pass: whether `id` ends or is
-  // cancelled depends on whether the commit started it, and the node IDs it
-  // releases must reach the pool in commit order.
-  syncPass();
   Request* r = indexedRequest(id);
   if (r == nullptr || r->app != st.app || r->ended()) return;
 
@@ -419,7 +384,6 @@ void Server::handleDone(SessionState& st, RequestId id,
 }
 
 void Server::handleDisconnect(SessionState& st) {
-  syncPass();  // releases node IDs: must observe commit-time pool state
   trace(toString(st.app), "disconnect");
   const Time now = executor_.now();
   closeSession(st, now, /*killed=*/false);
@@ -537,7 +501,6 @@ void Server::cancelExpiryTimer(RequestId id) {
 }
 
 void Server::onExpiryTimer(AppId app, RequestId id) {
-  syncPass();  // ending a request interacts with commit-time starts
   SessionState* st = findSession(app);
   if (st == nullptr || st->killed || st->disconnected) return;
   Request* r = indexedRequest(id);
@@ -567,7 +530,6 @@ void Server::onExpiryTimer(AppId app, RequestId id) {
   }
 
   executor_.after(config_.violationGrace, [this, app, id] {
-    syncPass();
     SessionState* session = findSession(app);
     if (session == nullptr || session->killed || session->disconnected) return;
     const Request* entry = indexedRequest(id);
@@ -608,204 +570,126 @@ void Server::requestReschedule() {
   });
 }
 
-void Server::runSchedulingPassNow() {
-  syncPass();
-  runPass(/*synchronous=*/true);
-}
+void Server::runSchedulingPassNow() { runPass(); }
 
-void Server::runPass(bool synchronous) {
-  COORM_CHECK(!passInFlight_);
+void Server::runPass() {
   lastPassAt_ = executor_.now();
   ++passCount_;
   metrics::increment(metrics::Event::kSchedulePasses);
   passPhases_ = PassPhases{};
-  passPhases_.startNs = metrics::nowNanos();
-
   {
-    const trace::Phase phase("prune", metrics::Histo::kPassPruneUs,
-                             &passPhases_.pruneUs);
-    pruneEnded();
-  }
-
-  // Launch: freeze the live request sets. From here until commit the pass
-  // reads only the snapshot, so the executor thread is free to keep
-  // handling protocol messages.
-  {
-    const trace::Phase phase("capture", metrics::Histo::kPassCaptureUs,
-                             &passPhases_.captureUs);
-    std::vector<AppSchedule> apps;
-    passApps_.clear();
-    for (auto& st : sessions_) {
-      if (st->killed || st->disconnected) continue;
-      AppSchedule app;
-      app.app = st->app;
-      app.preAllocations = &st->preAllocations;
-      app.nonPreemptible = &st->nonPreemptible;
-      app.preemptible = &st->preemptible;
-      app.epoch = st->mutationEpoch;
-      apps.push_back(std::move(app));
-      passApps_.push_back(st.get());
+    const trace::Phase pass("pass", metrics::Histo::kPassLatencyUs,
+                            &passPhases_.totalUs);
+    {
+      const trace::Phase phase("prune", metrics::Histo::kPassPruneUs,
+                               &passPhases_.pruneUs);
+      pruneEnded();
     }
-    if (passSnapshot_ == nullptr) {
-      passSnapshot_ = std::make_unique<RequestSetSnapshot>();
+    {
+      const trace::Phase phase("capture", metrics::Histo::kPassCaptureUs,
+                               &passPhases_.captureUs);
+      std::vector<AppSchedule> apps;
+      passApps_.clear();
+      for (auto& st : sessions_) {
+        if (st->killed || st->disconnected) continue;
+        AppSchedule app;
+        app.app = st->app;
+        app.preAllocations = &st->preAllocations;
+        app.nonPreemptible = &st->nonPreemptible;
+        app.preemptible = &st->preemptible;
+        app.epoch = st->mutationEpoch;
+        apps.push_back(std::move(app));
+        passApps_.push_back(st.get());
+      }
+      if (passSnapshot_ == nullptr) {
+        passSnapshot_ = std::make_unique<RequestSetSnapshot>();
+      }
+      // In place: steady state allocates nothing.
+      passSnapshot_->recapture(apps);
     }
-    passSnapshot_->recapture(apps);  // in place: steady state allocates nothing
-  }
-  passEpoch_ = stateEpoch_;
-  passInFlight_ = true;
-  metrics::add(metrics::Gauge::kPassInFlight, 1);
-
-  if (!synchronous && lane_ != nullptr) {
-    // Fallback commit at the pass's own timestamp: scheduled first, it
-    // dispatches before any event that a same-time event schedules later —
-    // the latest deterministic commit point. Any earlier server-touching
-    // event drains the pass and this event is cancelled.
-    commitEvent_ = executor_.schedule(lastPassAt_, [this] { syncPass(); });
-    const Time at = lastPassAt_;
-    lane_->launch([this, at] {
-      const trace::Phase phase("schedule", metrics::Histo::kPassScheduleUs,
-                               &passPhases_.scheduleUs);
-      scheduler_.schedulePass(*passSnapshot_, at);
-    });
-  } else {
     try {
       const trace::Phase phase("schedule", metrics::Histo::kPassScheduleUs,
                                &passPhases_.scheduleUs);
       scheduler_.schedulePass(*passSnapshot_, lastPassAt_);
     } catch (...) {
-      abandonPass();
+      // A pass that threw computed nothing committable: nothing is written
+      // back or pushed, and the next protocol message arms a fresh pass.
+      // The snapshot's result scratch now diverges from the live requests,
+      // so its captured epochs must not let the next capture skip an app;
+      // the scheduler's incremental cache describes a pass that never
+      // committed, so the next pass must not splice from it.
+      passSnapshot_->invalidate();
+      scheduler_.invalidateIncremental();
       throw;
     }
-    commitPass();
-  }
-}
-
-void Server::syncPass() {
-  if (!passInFlight_) return;
-  if (lane_ != nullptr && lane_->busy()) {
-    try {
-      lane_->wait();
-    } catch (...) {
-      abandonPass();
-      throw;
-    }
-  }
-  commitPass();
-}
-
-void Server::abandonPass() {
-  // A pass that threw computed nothing committable: its partial snapshot
-  // results must never reach the live requests or be pushed as views.
-  // Dropping the in-flight state matches the serial server, where the
-  // exception propagated out of runPass() before any result was stashed;
-  // the next protocol message re-arms a fresh pass as usual. The snapshot's
-  // result scratch now diverges from the live requests (no write-back), so
-  // its captured epochs must not allow the next pass to skip re-capture.
-  passSnapshot_->invalidate();
-  // The scheduler's incremental cache now describes a pass that never
-  // committed; the next pass must not splice from it.
-  scheduler_.invalidateIncremental();
-  passInFlight_ = false;
-  metrics::add(metrics::Gauge::kPassInFlight, -1);
-  Executor::cancel(commitEvent_);
-  commitEvent_ = nullptr;
-}
-
-void Server::commitPass() {
-  COORM_CHECK(passInFlight_);
-  passInFlight_ = false;
-  metrics::add(metrics::Gauge::kPassInFlight, -1);
-  Executor::cancel(commitEvent_);
-  commitEvent_ = nullptr;
-
-  {
-    // Reconcile pass output with the live state: snapshot-known requests
-    // get exactly the attributes the serial pass would have written in
-    // place; requests and sessions that arrived mid-pass are not in the
-    // snapshot and stay untouched (their handler already re-armed the
-    // next pass).
-    const trace::Phase phase("write_back", metrics::Histo::kPassWriteBackUs,
-                             &passPhases_.writeBackUs);
-    passSnapshot_->writeBack();
-    const std::span<AppSnapshot> scheduled = passSnapshot_->apps();
-    for (std::size_t i = 0; i < passApps_.size(); ++i) {
-      // Lease renewal: an epoch-clean, all-started application whose views
-      // the pass did not publish keeps its stash — the pass proved both
-      // views' values unchanged. Any published view means the app's share
-      // moved (a dirty neighbour preempted part of it) and the stash is
-      // replaced as usual.
-      if (scheduled[i].viewsReused) {
-        metrics::increment(metrics::Event::kLeasesRenewed);
-        continue;
+    {
+      const trace::Phase phase("write_back", metrics::Histo::kPassWriteBackUs,
+                               &passPhases_.writeBackUs);
+      passSnapshot_->writeBack();
+      const std::span<AppSnapshot> scheduled = passSnapshot_->apps();
+      for (std::size_t i = 0; i < passApps_.size(); ++i) {
+        // Lease renewal: an epoch-clean, all-started application whose
+        // views the pass did not publish keeps its stash — the pass proved
+        // both views' values unchanged. Any published view means the app's
+        // share moved (a dirty neighbour preempted part of it) and the
+        // stash is replaced as usual.
+        if (scheduled[i].viewsReused) {
+          metrics::increment(metrics::Event::kLeasesRenewed);
+          continue;
+        }
+        if (config_.incremental &&
+            scheduled[i].lastCapture() == CaptureKind::kSkipped &&
+            scheduled[i].allStarted()) {
+          metrics::increment(metrics::Event::kLeasesPreempted);
+        }
+        // Stash freshly computed views before starting requests so
+        // violation checks and pushes see consistent data. Swapped, not
+        // moved: the retired views go back into the snapshot, and the next
+        // pass drops them inside schedulePass(), where their blocks recycle
+        // into the scheduler's arena and the views it builds (their last
+        // holder is usually the stash; dropped here, the blocks would park
+        // in the thread's default arena instead).
+        std::swap(passApps_[i]->lastNonPreemptive,
+                  scheduled[i].nonPreemptiveView);
+        std::swap(passApps_[i]->lastPreemptive, scheduled[i].preemptiveView);
       }
-      if (config_.incremental &&
-          scheduled[i].lastCapture() == CaptureKind::kSkipped &&
-          scheduled[i].allStarted()) {
-        metrics::increment(metrics::Event::kLeasesPreempted);
+    }
+    {
+      // Push views before start notifications so applications react to
+      // starts with fresh availability information (the grant may race a
+      // view change; events are delivered in queue order).
+      const trace::Phase phase("views", metrics::Histo::kPassViewsUs,
+                               &passPhases_.viewsUs);
+      pushViews();
+    }
+    {
+      const trace::Phase phase("commit", metrics::Histo::kPassCommitUs,
+                               &passPhases_.commitUs);
+      startDueRequests();
+      checkViolations();
+
+      // Pass-commit barrier: the starts journaled above and this marker
+      // become durable together, before the executor dispatches any of the
+      // commit's notification events — a client never observes a start the
+      // journal could lose. This is the only fsync on the pass hot path.
+      if (journal_ != nullptr) {
+        journalScratch_.clear();
+        net::Writer w(journalScratch_);
+        w.u8(static_cast<std::uint8_t>(rms::RecordType::kPassCommit));
+        w.i64(lastPassAt_);
+        journalAppend(journalScratch_);
+        journalSyncNow();
+        if (journal_->bytes() > config_.journalCompactBytes) compactJournal();
       }
-      // Stash freshly computed views before starting requests so violation
-      // checks and pushes see consistent data. Swapped, not moved: the
-      // retired views go back into the snapshot, and the next pass drops
-      // them on the pass lane, where their blocks recycle into the views it
-      // builds (their last holder is usually the stash; dropped here, the
-      // blocks would park in this thread's arena instead).
-      std::swap(passApps_[i]->lastNonPreemptive,
-                scheduled[i].nonPreemptiveView);
-      std::swap(passApps_[i]->lastPreemptive, scheduled[i].preemptiveView);
-    }
-  }
-  if (stateEpoch_ != passEpoch_) {
-    ++overlappedPasses_;
-    metrics::increment(metrics::Event::kSchedulePassesOverlapped);
-    COORM_LOG(LogLevel::kDebug, "rms")
-        << "pass " << passCount_ << " overlapped "
-        << (stateEpoch_ - passEpoch_) << " message(s); next pass armed";
-  }
-
-  {
-    // Push views before start notifications so applications react to
-    // starts with fresh availability information (the grant may race a
-    // view change; events are delivered in queue order).
-    const trace::Phase phase("views", metrics::Histo::kPassViewsUs,
-                             &passPhases_.viewsUs);
-    pushViews();
-  }
-  {
-    const trace::Phase phase("commit", metrics::Histo::kPassCommitUs,
-                             &passPhases_.commitUs);
-    startDueRequests();
-    checkViolations();
-
-    // Pass-commit barrier: the starts journaled above and this marker
-    // become durable together, before the executor dispatches any of the
-    // commit's notification events — a client never observes a start the
-    // journal could lose. This is the only fsync on the pass hot path.
-    if (journal_ != nullptr) {
-      journalScratch_.clear();
-      net::Writer w(journalScratch_);
-      w.u8(static_cast<std::uint8_t>(rms::RecordType::kPassCommit));
-      w.i64(lastPassAt_);
-      journalAppend(journalScratch_);
-      journalSyncNow();
-      if (journal_->bytes() > config_.journalCompactBytes) compactJournal();
     }
   }
 
-  finishPassTiming();
-}
-
-void Server::finishPassTiming() {
-  const std::uint64_t endNs = metrics::nowNanos();
-  const std::uint64_t totalUs = (endNs - passPhases_.startNs) / 1000;
-  metrics::record(metrics::Histo::kPassLatencyUs, totalUs);
-  trace::span("pass", passPhases_.startNs, endNs);
-  if (config_.slowPass <= 0 ||
-      totalUs < static_cast<std::uint64_t>(config_.slowPass) * 1000) {
-    return;
-  }
+  const auto slowUs = static_cast<std::uint64_t>(config_.slowPass) * 1000;
+  if (config_.slowPass <= 0 || passPhases_.totalUs < slowUs) return;
   COORM_LOG(LogLevel::kWarn, "rms")
       << "slow pass " << passCount_ << " at t=" << lastPassAt_
-      << "ms total_us=" << totalUs << " prune_us=" << passPhases_.pruneUs
+      << "ms total_us=" << passPhases_.totalUs
+      << " prune_us=" << passPhases_.pruneUs
       << " capture_us=" << passPhases_.captureUs
       << " schedule_us=" << passPhases_.scheduleUs
       << " write_back_us=" << passPhases_.writeBackUs
@@ -901,27 +785,25 @@ bool Server::tryStart(SessionState& st, Request& r, Time now) {
   return true;
 }
 
+bool Server::exceedsPreemptiveView(const SessionState& st, Time at) const {
+  for (const ClusterSpec& cluster : scheduler_.machine().clusters) {
+    NodeCount held = 0;
+    for (const Request* r : st.preemptible) {
+      if (r->started() && !r->ended() && r->cluster == cluster.id) {
+        held += std::ssize(r->nodeIds);
+      }
+    }
+    if (held > st.lastPreemptive.at(cluster.id, at)) return true;
+  }
+  return false;
+}
+
 void Server::checkViolations() {
   const Time now = executor_.now();
   for (auto& stPtr : sessions_) {
     SessionState& st = *stPtr;
     if (st.killed || st.disconnected) continue;
-
-    bool violating = false;
-    for (const ClusterSpec& cluster : scheduler_.machine().clusters) {
-      NodeCount held = 0;
-      for (const Request* r : st.preemptible) {
-        if (r->started() && !r->ended() && r->cluster == cluster.id) {
-          held += std::ssize(r->nodeIds);
-        }
-      }
-      if (held > st.lastPreemptive.at(cluster.id, now)) {
-        violating = true;
-        break;
-      }
-    }
-
-    if (!violating) {
+    if (!exceedsPreemptiveView(st, now)) {
       Executor::cancel(st.violationTimer);
       st.violationTimer = nullptr;
       continue;
@@ -932,28 +814,15 @@ void Server::checkViolations() {
     const AppId app = st.app;
     st.violationTimer =
         executor_.after(config_.violationGrace, [this, app] {
-          // Committing here may cancel this very timer; the semantic
-          // re-check below (held vs the committed view at fire time) makes
-          // the kill decision identical to the serial server either way.
-          syncPass();
           SessionState* session = findSession(app);
           if (session == nullptr || session->killed || session->disconnected) {
             return;
           }
-          const Time fireTime = executor_.now();
-          for (const ClusterSpec& cluster : scheduler_.machine().clusters) {
-            NodeCount held = 0;
-            for (const Request* r : session->preemptible) {
-              if (r->started() && !r->ended() && r->cluster == cluster.id) {
-                held += std::ssize(r->nodeIds);
-              }
-            }
-            if (held > session->lastPreemptive.at(cluster.id, fireTime)) {
-              trace("rms", "killing " + toString(app) +
-                               ": preemptible resources not released");
-              killApp(*session);
-              return;
-            }
+          if (exceedsPreemptiveView(*session, executor_.now())) {
+            trace("rms", "killing " + toString(app) +
+                             ": preemptible resources not released");
+            killApp(*session);
+            return;
           }
           session->violationTimer = nullptr;
         });
@@ -961,10 +830,6 @@ void Server::checkViolations() {
 }
 
 void Server::pushViews() {
-  // Scoped to the launch-time sessions: an application that connected while
-  // the pass was in flight has no computed views yet (the serial server
-  // would not have seen it either); it gets its first push from the pass
-  // its connect() armed.
   for (SessionState* stPtr : passApps_) {
     SessionState& st = *stPtr;
     if (st.killed || st.disconnected) continue;
@@ -976,7 +841,7 @@ void Server::pushViews() {
 }
 
 bool Server::deliverViews(SessionState& st, bool always) {
-  // lastNonPreemptive/lastPreemptive were stashed by commitPass().
+  // lastNonPreemptive/lastPreemptive were stashed by the pass's write-back.
   if (!st.viewsEverSent ||
       !(st.sentNonPreemptiveFrom == st.lastNonPreemptive)) {
     View np = st.lastNonPreemptive.materialize();
@@ -999,9 +864,9 @@ bool Server::deliverViews(SessionState& st, bool always) {
 }
 
 void Server::pruneEnded() {
-  // Runs at pass launch only, with no pass in flight: the snapshot about to
-  // be captured is the first reader of the sets after this, and every
-  // session touched here is marked dirty so no capture skips it.
+  // Runs at pass start only: the snapshot about to be captured is the first
+  // reader of the sets after this, and every session touched here is
+  // marked dirty so no capture skips it.
   std::vector<const Request*> pinned;
   for (auto& stPtr : sessions_) {
     SessionState& st = *stPtr;
@@ -1068,18 +933,6 @@ void Server::pruneEnded() {
 // Crash safety: journal emit & compaction (rms/journal.hpp)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void writeNodeIds(net::Writer& w, std::span<const NodeId> ids) {
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const NodeId& id : ids) {
-    w.i32(id.cluster.value);
-    w.i32(id.index);
-  }
-}
-
-}  // namespace
-
 void Server::journalAppend(const std::vector<std::uint8_t>& payload) {
   if (compactSink_ != nullptr) {
     compactSink_->push_back(payload);
@@ -1134,7 +987,7 @@ void Server::journalStarted(const Request& r, std::span<const NodeId> nodeIds) {
   w.i64(r.startedAt);
   w.i64(r.scheduledAt);
   w.i64(r.nAlloc);
-  writeNodeIds(w, nodeIds);
+  net::writeNodeIds(w, nodeIds);
   journalAppend(journalScratch_);
 }
 
@@ -1146,7 +999,7 @@ void Server::journalEnded(const Request& r, std::span<const NodeId> released) {
   w.i64(r.id.value);
   w.i64(r.endedAt);
   w.i64(r.duration);
-  writeNodeIds(w, released);
+  net::writeNodeIds(w, released);
   journalAppend(journalScratch_);
 }
 
@@ -1170,7 +1023,6 @@ void Server::attachJournal(rms::Journal* journal) {
 
 void Server::journalSnapshotNow() {
   if (journal_ == nullptr) return;
-  syncPass();  // compact committed state only
   compactJournal();
 }
 
@@ -1235,22 +1087,6 @@ namespace {
 bool replayFail(std::string* error, const std::string& why) {
   if (error != nullptr) *error = "journal replay: " + why;
   return false;
-}
-
-std::vector<NodeId> readNodeIds(net::Reader& r) {
-  const std::uint32_t n = r.u32();
-  std::vector<NodeId> ids;
-  if (n > (1u << 20)) {
-    r.fail();
-    return ids;
-  }
-  ids.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const ClusterId cluster{r.i32()};
-    const std::int32_t index = r.i32();
-    ids.push_back(NodeId{cluster, index});
-  }
-  return ids;
 }
 
 }  // namespace
@@ -1378,8 +1214,10 @@ bool Server::replayRecord(std::span<const std::uint8_t> payload, bool first,
       const Time startedAt = r.i64();
       const Time scheduledAt = r.i64();
       const NodeCount nAlloc = r.i64();
-      std::vector<NodeId> ids = readNodeIds(r);
-      if (!r.done()) return replayFail(error, "malformed started record");
+      std::vector<NodeId> ids;
+      if (!net::readNodeIds(r, ids) || !r.done()) {
+        return replayFail(error, "malformed started record");
+      }
       Request* req = indexedRequest(id);
       if (req == nullptr || req->started() || req->ended()) {
         return replayFail(error, "start of unknown/started " + toString(id));
@@ -1409,8 +1247,10 @@ bool Server::replayRecord(std::span<const std::uint8_t> payload, bool first,
       const RequestId id{r.i64()};
       const Time endedAt = r.i64();
       const Time duration = r.i64();
-      const std::vector<NodeId> released = readNodeIds(r);
-      if (!r.done()) return replayFail(error, "malformed ended record");
+      std::vector<NodeId> released;
+      if (!net::readNodeIds(r, released) || !r.done()) {
+        return replayFail(error, "malformed ended record");
+      }
       Request* req = indexedRequest(id);
       if (req == nullptr || req->ended()) {
         return replayFail(error, "end of unknown/ended " + toString(id));
@@ -1485,7 +1325,6 @@ void Server::dropUnresumedBefore(Time cutoff) {
 
 Session* Server::resumeSession(AppId app, std::uint64_t token,
                                AppEndpoint& endpoint) {
-  syncPass();  // re-announcements below must reflect committed state
   SessionState* st = findSession(app);
   if (st == nullptr || st->killed || st->disconnected ||
       st->token != token) {

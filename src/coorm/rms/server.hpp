@@ -7,21 +7,13 @@
 //    request() and done() messages;
 //  - a scheduling pass runs at most once per re-scheduling interval
 //    (administrator parameter, §3.2), coalescing bursts of messages;
-//  - with Config::pipeline (the default), each pass is two-staged: the pass
-//    *launch* freezes every request set into an immutable
-//    RequestSetSnapshot and hands the pure scheduling computation to a
-//    background lane, while the executor thread keeps accepting protocol
-//    messages; a deterministic *commit* step joins the pass, writes the
-//    results back, pushes views and starts due requests. Any event that
-//    must observe pass results (done(), disconnect(), timers, view reads)
-//    commits the in-flight pass first; request() and connect() only add
-//    state the snapshot does not cover, so they proceed concurrently and
-//    the commit reconciles: snapshot-known requests receive exactly the
-//    results the serial pass would have written, mid-pass arrivals stay
-//    unscheduled until the next pass, which their handler has already
-//    re-armed. Observable behaviour is therefore bit-identical to the
-//    serial back-to-back server (Config::pipeline = false) for any
-//    `threads` setting — see README "Pipelined serving";
+//  - each pass runs inline, inside its timer event: it reclaims ended
+//    requests, freezes every live request set into a RequestSetSnapshot,
+//    runs the pure scheduling computation on it (fanned out over
+//    `threads` workers) and commits — writes the results back, pushes
+//    views, starts due requests and checks violations — before the
+//    executor dispatches anything else. Any `threads` setting yields
+//    bit-identical output; see README "Scheduling passes";
 //  - when a request's computed start time arrives and enough node IDs are
 //    free, the request starts and the application is notified (startNotify);
 //    otherwise it stays pending until other applications release nodes
@@ -56,8 +48,6 @@
 #include "coorm/sim/trace.hpp"
 
 namespace coorm {
-
-class AsyncLane;
 
 namespace rms {
 class Journal;
@@ -160,22 +150,15 @@ class Server {
     /// Strict equi-partitioning (Fig. 11 baseline) instead of filling.
     bool strictEquiPartition = false;
     /// Worker threads for the scheduling pass (SchedulerOptions::threads);
-    /// <= 1 runs every pass on the server's thread (pipeline mode still
-    /// uses its background lane). Any value produces bit-identical
-    /// schedules.
+    /// <= 1 runs every pass on the server's thread alone. Any value
+    /// produces bit-identical schedules.
     int threads = 1;
-    /// Two-stage pipelined serving (the default): passes run against
-    /// immutable request-set snapshots on a background lane, overlapping
-    /// protocol handling; a deterministic commit applies the results.
-    /// `false` restores the serial back-to-back server (each pass runs
-    /// inline on the executor thread). Observable behaviour is
-    /// bit-identical either way.
-    bool pipeline = true;
     /// Incremental scheduling passes (SchedulerOptions::incremental): in
     /// steady state, epoch-clean all-started applications keep their
     /// previous allocation as a renewed lease (their views are served from
     /// the scheduler's cache and the stashed views stay valid) instead of
-    /// being re-derived each pass. Bit-identical either way.
+    /// being re-derived each pass. Bit-identical either way; `false` is
+    /// the full-recompute reference the differential suites compare with.
     bool incremental = true;
     /// Once an attached journal grows past this many bytes, the next pass
     /// commit rewrites it as the records of the live state (rms/journal.hpp
@@ -187,15 +170,13 @@ class Server {
     Time slowPass = 0;
 
     /// Projection of the shared runtime-tuning surface
-    /// (common/runtime_options.hpp): the four shared knobs come from
+    /// (common/runtime_options.hpp): the three shared knobs come from
     /// `runtime`, everything else keeps its default.
     [[nodiscard]] static Config fromRuntime(const RuntimeOptions& runtime) {
       Config config;
       config.reschedInterval = runtime.reschedInterval;
       config.strictEquiPartition = runtime.strictEquiPartition;
       config.threads = runtime.threads;
-      config.pipeline = runtime.pipeline;
-      config.incremental = runtime.incremental;
       return config;
     }
   };
@@ -279,13 +260,6 @@ class Server {
   /// Number of scheduling passes run so far (test/bench introspection).
   [[nodiscard]] std::uint64_t passCount() const { return passCount_; }
 
-  /// Pipelined passes that had protocol messages (request()/connect())
-  /// arrive while the pass was in flight — i.e. passes that actually
-  /// overlapped protocol handling (test/bench introspection).
-  [[nodiscard]] std::uint64_t overlappedPassCount() const {
-    return overlappedPasses_;
-  }
-
   /// Cumulative per-app snapshot capture outcomes across all passes
   /// (test/bench introspection): in steady state untouched apps are
   /// `skipped` thanks to the mutation-epoch dirty flag.
@@ -307,13 +281,11 @@ class Server {
     return metrics::snapshot();
   }
 
-  /// Force a scheduling pass now, bypassing the re-scheduling interval;
-  /// runs launch and commit back to back regardless of Config::pipeline
+  /// Force a scheduling pass now, bypassing the re-scheduling interval
   /// (used by tests and the throughput benchmark).
   void runSchedulingPassNow();
 
-  /// Look up a request (nullptr if unknown or already reclaimed). Commits any
-  /// in-flight pass first so scheduling attributes are current. Test
+  /// Look up a request (nullptr if unknown or already reclaimed). Test
   /// helper.
   [[nodiscard]] const Request* findRequest(RequestId id);
 
@@ -337,7 +309,7 @@ class Server {
     RequestSet preAllocations;
     RequestSet nonPreemptible;
     RequestSet preemptible;
-    /// Most recently computed views, stashed by commitPass(). The
+    /// Most recently computed views, stashed by runPass(). The
     /// non-preemptive one stays the operand pair the pass published and is
     /// evaluated only where it is read: a push to an attached endpoint,
     /// Session::nonPreemptiveView(), a RESUME. A detached session never
@@ -371,24 +343,16 @@ class Server {
 
   // --- scheduling ----------------------------------------------------------
   void requestReschedule();
-  /// Pass launch: reclaims, freezes the request sets into a snapshot and
-  /// either hands the pass to the background lane (pipeline mode) or runs
-  /// it inline; a `synchronous` launch always commits before returning.
-  void runPass(bool synchronous = false);
-  /// Commits any in-flight pass (joining the lane first): writes the
-  /// snapshot results back, stashes and pushes views, starts due requests
-  /// and checks violations. Every code path that observes pass results or
-  /// mutates state the pass start sequence depends on calls this first.
-  void syncPass();
-  void commitPass();
-  /// Drops an in-flight pass whose computation threw: no write-back, no
-  /// view push — the exception propagates to the caller exactly as the
-  /// serial server's inline pass would have propagated it.
-  void abandonPass();
+  /// One scheduling pass, inline: reclaims ended requests, freezes the
+  /// request sets into the snapshot and runs the scheduler on it, then
+  /// writes the results back, stashes and pushes views, starts due
+  /// requests, checks violations and journals the pass commit. Logs the
+  /// Config::slowPass outlier breakdown line.
+  void runPass();
   void startDueRequests();
   bool tryStart(SessionState& st, Request& r, Time now);
-  /// Pushes the latest views to every attached launch-time session that
-  /// has not seen their values yet.
+  /// Pushes the latest views to every attached captured session that has
+  /// not seen their values yet.
   void pushViews();
   /// Posts the session's latest views to its endpoint and records them as
   /// sent; unless `always`, only when their values differ from the last
@@ -396,14 +360,16 @@ class Server {
   /// it was last evaluated for a push. Returns whether it posted.
   bool deliverViews(SessionState& st, bool always);
   void checkViolations();
-  /// Pass-launch reclamation of ended requests (the lifetime rule in
-  /// README "Pipelined serving"): frees every ended request no unstarted
+  /// Whether `st` holds more started preemptible nodes on some cluster than
+  /// its last preemptive view allows at `at` (§3.1.4): the test that arms
+  /// the violation timer at commit and decides the kill when it fires.
+  [[nodiscard]] bool exceedsPreemptiveView(const SessionState& st,
+                                           Time at) const;
+  /// Pass-start reclamation of ended requests (the lifetime rule in
+  /// README "Scheduling passes"): frees every ended request no unstarted
   /// request, live implicit-wrapper pair or unannounced end still needs,
   /// and unlinks the started requests that named one.
   void pruneEnded();
-  /// End-of-commit bookkeeping: pass-latency histogram sample, the "pass"
-  /// trace span, and the Config::slowPass outlier breakdown line.
-  void finishPassTiming();
 
   // --- state transitions ---------------------------------------------------
   // The one implementation of each journaled state change. A live handler
@@ -465,8 +431,7 @@ class Server {
   void notifyPaEnd(SessionState& st, const Request& r, Time at);
 
   [[nodiscard]] SessionState* findSession(AppId app);
-  /// The request with this id (nullptr if unknown or reclaimed); no pass
-  /// sync, unlike findRequest().
+  /// The request with this id (nullptr if unknown or reclaimed).
   [[nodiscard]] Request* indexedRequest(RequestId id);
   [[nodiscard]] RequestSet& setFor(SessionState& st, RequestType type);
   [[nodiscard]] Request* findUnstartedNextChild(SessionState& st,
@@ -516,25 +481,17 @@ class Server {
   /// Non-null while compactJournal() collects the records it rewrites.
   std::vector<std::vector<std::uint8_t>>* compactSink_ = nullptr;
 
-  // --- pipeline state (all owned by the executor thread) -------------------
-  std::unique_ptr<AsyncLane> lane_;  ///< present iff Config::pipeline
-  std::unique_ptr<RequestSetSnapshot> passSnapshot_;  ///< in-flight image
-  std::vector<SessionState*> passApps_;  ///< launch-time live sessions
-  EventHandle commitEvent_;  ///< fallback commit; cancelled on early drain
-  bool passInFlight_ = false;
-  /// Bumped by every message that mutates live state without draining the
-  /// pass (request()/connect()); compared against the launch-time value at
-  /// commit to detect and count overlapped passes.
-  std::uint64_t stateEpoch_ = 0;
-  std::uint64_t passEpoch_ = 0;
-  std::uint64_t overlappedPasses_ = 0;
+  // --- pass state ----------------------------------------------------------
+  /// The pass image, recaptured in place each pass: its epochs let the next
+  /// capture skip untouched apps, and the scheduler's incremental cache is
+  /// keyed on it.
+  std::unique_ptr<RequestSetSnapshot> passSnapshot_;
+  std::vector<SessionState*> passApps_;  ///< the captured sessions, in order
 
-  /// Wall-time breakdown of the in-flight/last pass (steady-clock ns and
-  /// per-phase µs). `scheduleUs` is written on the lane thread inside the
-  /// launched closure; the lane's completion handoff orders it before the
-  /// commit that reads it — the same contract passSnapshot_ relies on.
+  /// Wall-time breakdown of the current/last pass (µs, whole and per
+  /// phase).
   struct PassPhases {
-    std::uint64_t startNs = 0;
+    std::uint64_t totalUs = 0;
     std::uint64_t pruneUs = 0;
     std::uint64_t captureUs = 0;
     std::uint64_t scheduleUs = 0;

@@ -1,5 +1,5 @@
-// Immutable per-pass request-set snapshots (the representation behind the
-// pipelined server and the indexed scheduler).
+// Immutable per-pass request-set snapshots (the scheduler's input: the
+// server captures one at the start of every pass).
 //
 // A scheduling pass never needs the live `RequestSet`s: it reads a frozen
 // image of every request's scheduling-relevant attributes and writes its
@@ -21,8 +21,9 @@
 // forward NEXT reference to a request scheduled later in the pass) observe
 // exactly what the in-place algorithms would have observed. `writeBack()`
 // copies the result fields onto the live requests; until then the live
-// system is untouched, which is what lets the server overlap protocol
-// handling with a pass in flight.
+// system is untouched, so a pass that throws leaves no partial result
+// behind, and the capture's per-app epochs let the next pass skip
+// re-walking applications nothing touched.
 #pragma once
 
 #include <cstdint>

@@ -100,19 +100,6 @@ TEST(Cli, ParsesThreads) {
   EXPECT_EQ(r.options.runtime.threads, 4);
 }
 
-TEST(Cli, ParsesPipeline) {
-  // Pipelined serving by default.
-  EXPECT_TRUE(parse({}).options.runtime.pipeline);
-  const ParseResult off = parse({"--pipeline", "off"});
-  ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(off.options.runtime.pipeline);
-  const ParseResult on = parse({"--pipeline", "on"});
-  ASSERT_TRUE(on.ok());
-  EXPECT_TRUE(on.options.runtime.pipeline);
-  EXPECT_EQ(parse({"--pipeline", "maybe"}).status, ParseStatus::kError);
-  EXPECT_EQ(parse({"--pipeline"}).status, ParseStatus::kError);
-}
-
 TEST(Cli, ParsesStatsQuery) {
   const ParseResult r = parse({"--stats", "--connect", "127.0.0.1:7788"});
   ASSERT_TRUE(r.ok());
@@ -173,13 +160,14 @@ TEST(Cli, UnknownOptionIsError) {
   EXPECT_NE(r.error.find("--bogus"), std::string::npos);
 }
 
-TEST(Cli, RetiredBackendAndViewsFlagsAreUnknown) {
-  // One event loop and one view push: the flags that selected the
-  // alternatives are gone, not silently accepted.
-  for (const auto& args : {std::initializer_list<const char*>{
-                               "--io-backend", "epoll"},
-                           std::initializer_list<const char*>{
-                               "--delta-views", "on"}}) {
+TEST(Cli, RetiredFlagsAreUnknown) {
+  // One event loop, one view push, passes inline and incremental: the
+  // flags that selected the alternatives are gone, not silently accepted.
+  for (const auto& args :
+       {std::initializer_list<const char*>{"--io-backend", "epoll"},
+        std::initializer_list<const char*>{"--delta-views", "on"},
+        std::initializer_list<const char*>{"--pipeline", "off"},
+        std::initializer_list<const char*>{"--incremental", "off"}}) {
     const ParseResult r = parse(args);
     EXPECT_EQ(r.status, ParseStatus::kError) << *args.begin();
     EXPECT_NE(r.error.find("unknown or incomplete option"), std::string::npos)
@@ -282,11 +270,10 @@ TEST(Cli, UsageMentionsEveryOption) {
   for (const char* flag :
        {"--nodes", "--seed", "--amr", "--amr-steps", "--amr-static",
         "--overcommit", "--announce", "--psa", "--jobs", "--swf", "--strict",
-        "--threads", "--pipeline", "--incremental", "--until", "--timeline",
-        "--trace", "--listen", "--connect", "--resched", "--stats",
-        "--journal", "--idle-deadline", "--resume-grace", "--connections",
-        "--probe", "--stats-all", "--trace-out", "--slow-pass-ms",
-        "--metrics-listen", "--help"}) {
+        "--threads", "--until", "--timeline", "--trace", "--listen",
+        "--connect", "--resched", "--stats", "--journal", "--idle-deadline",
+        "--resume-grace", "--connections", "--probe", "--stats-all",
+        "--trace-out", "--slow-pass-ms", "--metrics-listen", "--help"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }
 }

@@ -5,11 +5,10 @@
 //   - the simulation is deterministic per seed;
 //   - every node is reclaimed once everything disconnects.
 //
-// The suite runs the pipelined server (the default): whole-second action
-// bursts land exactly on the second-aligned scheduling passes, so
-// request/done/disconnect messages regularly interleave with passes in
-// flight. The pipelined runs must be bit-identical to the serial
-// back-to-back server and deterministic across threads {1, 2, 4}.
+// Whole-second action bursts land exactly on the second-aligned scheduling
+// passes, so request/done/disconnect messages share their instants with
+// passes. Runs must be bit-identical, trace for trace, across threads
+// {1, 2, 4, 8} and across repeats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +29,7 @@ const ClusterId kC{0};
 class ChaosApp : public AppEndpoint {
  public:
   /// With `disconnectAt` > 0 the application leaves mid-run (releasing
-  /// everything), so disconnects also interleave with in-flight passes.
+  /// everything), so disconnects also share instants with passes.
   ChaosApp(Engine& engine, std::uint64_t seed, Time disconnectAt = 0)
       : engine_(engine), rng_(seed), disconnectAt_(disconnectAt) {}
 
@@ -76,8 +75,7 @@ class ChaosApp : public AppEndpoint {
   void scheduleAction() {
     // Half-second grid vs the server's 1 s pass interval: actions at X.5 s
     // arm the pass for (X+1).0 s, so actions scheduled afterwards for
-    // (X+1).0 s dispatch while that pass is in flight (the interleaving
-    // the pipelined-server tests assert on).
+    // (X+1).0 s dispatch at the pass's own instant, right after it.
     engine_.after(msec(500) * rng_.uniformInt(1, 20), [this] {
       if (!done_ && !killed_) {
         const int burst = static_cast<int>(rng_.uniformInt(1, 3));
@@ -186,14 +184,12 @@ struct FuzzResult {
   NodeCount freeAtEnd = 0;
   int killedApps = 0;
   std::uint64_t passes = 0;
-  std::uint64_t overlappedPasses = 0;
 };
 
-Server::Config fuzzConfig(bool pipeline = true, int threads = 1) {
+Server::Config fuzzConfig(int threads = 1) {
   Server::Config config;
   config.reschedInterval = sec(1);
   config.violationGrace = sec(5);
-  config.pipeline = pipeline;
   config.threads = threads;
   return config;
 }
@@ -244,7 +240,6 @@ FuzzResult runFuzz(std::uint64_t seed, int napps, Time horizon,
     if (app->killed()) ++result.killedApps;
   }
   result.passes = server.passCount();
-  result.overlappedPasses = server.overlappedPassCount();
   if (traceOut != nullptr) {
     traceOut->clear();
     for (const Trace::Entry& entry : trace.entries()) {
@@ -253,24 +248,6 @@ FuzzResult runFuzz(std::uint64_t seed, int napps, Time horizon,
     }
   }
   return result;
-}
-
-/// Sorts each same-timestamp block: within one instant the pipelined
-/// server may log a mid-pass "request"/"connect" before the commit's
-/// records where the serial server logs them after the (atomic) pass.
-std::vector<std::string> canonicalized(std::vector<std::string> trace) {
-  auto blockStart = trace.begin();
-  while (blockStart != trace.end()) {
-    const std::string stamp = blockStart->substr(0, blockStart->find(' ') + 1);
-    auto blockEnd = blockStart;
-    while (blockEnd != trace.end() &&
-           blockEnd->compare(0, stamp.size(), stamp) == 0) {
-      ++blockEnd;
-    }
-    std::sort(blockStart, blockEnd);
-    blockStart = blockEnd;
-  }
-  return trace;
 }
 
 void expectSameResult(const FuzzResult& a, const FuzzResult& b) {
@@ -297,62 +274,46 @@ TEST_P(FuzzProtocol, DeterministicPerSeed) {
   EXPECT_EQ(a.freeAtEnd, b.freeAtEnd);
 }
 
-// Request/done/disconnect bursts interleaving with in-flight pipelined
-// passes: every thread count must reproduce the serial back-to-back
-// server's result and trace (canonicalized within each instant), and the
-// pipelined trace itself must be exactly deterministic across threads.
-TEST_P(FuzzProtocol, PipelinedMatchesSerialServerUnderBursts) {
+// Request/done/disconnect bursts at the passes' instants: every thread
+// count must reproduce the single-threaded server's result and trace
+// exactly.
+TEST_P(FuzzProtocol, ThreadCountsMatchUnderBursts) {
   const std::uint64_t seed = GetParam();
   std::vector<std::string> serialTrace;
   const FuzzResult serial =
-      runFuzz(seed, 5, minutes(15), fuzzConfig(/*pipeline=*/false),
-              &serialTrace, /*midRunDisconnects=*/true);
-  EXPECT_EQ(serial.overlappedPasses, 0u);
-
-  std::vector<std::string> firstPipelinedTrace;
-  for (const int threads : {1, 2, 4}) {
+      runFuzz(seed, 5, minutes(15), fuzzConfig(1), &serialTrace,
+              /*midRunDisconnects=*/true);
+  for (const int threads : {2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     std::vector<std::string> trace;
-    const FuzzResult pipelined =
-        runFuzz(seed, 5, minutes(15), fuzzConfig(/*pipeline=*/true, threads),
-                &trace, /*midRunDisconnects=*/true);
-    expectSameResult(serial, pipelined);
-    EXPECT_EQ(canonicalized(serialTrace), canonicalized(trace));
-    if (firstPipelinedTrace.empty()) {
-      firstPipelinedTrace = trace;
-    } else {
-      EXPECT_EQ(firstPipelinedTrace, trace);  // exact, not canonicalized
-    }
+    const FuzzResult parallel =
+        runFuzz(seed, 5, minutes(15), fuzzConfig(threads), &trace,
+                /*midRunDisconnects=*/true);
+    expectSameResult(serial, parallel);
+    EXPECT_EQ(serialTrace, trace);
   }
 }
 
-// A denser scenario (more applications, tighter action grid) must actually
-// produce in-flight interleavings — otherwise the differential assertions
-// above would be vacuous.
-TEST(FuzzProtocolPipeline, BurstsOverlapInFlightPasses) {
-  std::uint64_t overlapped = 0;
+// A denser scenario (more applications, tighter action grid): every node
+// still comes back once everything disconnects.
+TEST(FuzzProtocolDense, BurstsReclaimEveryNode) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const FuzzResult result =
-        runFuzz(seed, 10, minutes(10), fuzzConfig(/*pipeline=*/true, 2),
-                nullptr, /*midRunDisconnects=*/true);
+        runFuzz(seed, 10, minutes(10), fuzzConfig(2), nullptr,
+                /*midRunDisconnects=*/true);
     EXPECT_EQ(result.freeAtEnd, 24);
-    overlapped += result.overlappedPasses;
   }
-  EXPECT_GT(overlapped, 0u);
 }
 
-TEST_P(FuzzProtocol, PipelinedTraceDeterministicPerSeed) {
+TEST_P(FuzzProtocol, TraceDeterministicPerSeed) {
   const std::uint64_t seed = GetParam();
   std::vector<std::string> first;
   std::vector<std::string> second;
-  const FuzzResult a = runFuzz(seed, 4, minutes(10),
-                               fuzzConfig(/*pipeline=*/true, 2), &first,
+  const FuzzResult a = runFuzz(seed, 4, minutes(10), fuzzConfig(2), &first,
                                /*midRunDisconnects=*/true);
-  const FuzzResult b = runFuzz(seed, 4, minutes(10),
-                               fuzzConfig(/*pipeline=*/true, 2), &second,
+  const FuzzResult b = runFuzz(seed, 4, minutes(10), fuzzConfig(2), &second,
                                /*midRunDisconnects=*/true);
   expectSameResult(a, b);
-  EXPECT_EQ(a.overlappedPasses, b.overlappedPasses);
   EXPECT_EQ(first, second);
 }
 

@@ -47,7 +47,6 @@ Server::Config serverConfig() {
   Server::Config config;
   config.reschedInterval = sec(1);
   config.violationGrace = sec(5);
-  config.pipeline = false;  // every pass commits inside its own event
   return config;
 }
 

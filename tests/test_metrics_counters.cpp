@@ -86,15 +86,15 @@ TEST(MetricsCounters, ConcurrentIncrementsAreExact) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50'000;
   const std::uint64_t eventsBefore = metrics::value(Event::kArenaHits);
-  const std::int64_t gaugeBefore = metrics::value(Gauge::kPassInFlight);
+  const std::int64_t gaugeBefore = metrics::value(Gauge::kLiveRequests);
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([] {
       for (int i = 0; i < kPerThread; ++i) {
         metrics::increment(Event::kArenaHits);
-        metrics::add(Gauge::kPassInFlight, 1);
-        metrics::add(Gauge::kPassInFlight, -1);
+        metrics::add(Gauge::kLiveRequests, 1);
+        metrics::add(Gauge::kLiveRequests, -1);
       }
     });
   }
@@ -102,7 +102,7 @@ TEST(MetricsCounters, ConcurrentIncrementsAreExact) {
 
   EXPECT_EQ(metrics::value(Event::kArenaHits),
             eventsBefore + std::uint64_t{kThreads} * kPerThread);
-  EXPECT_EQ(metrics::value(Gauge::kPassInFlight), gaugeBefore);
+  EXPECT_EQ(metrics::value(Gauge::kLiveRequests), gaugeBefore);
 }
 
 // ---------------------------------------------------------------------------

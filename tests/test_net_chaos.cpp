@@ -43,12 +43,11 @@ std::size_t eventIndex(metrics::Event event) {
   return static_cast<std::size_t>(event);
 }
 
-/// Serial (non-pipelined) config: the reference the acceptance bar names.
+/// The in-process reference's config, matching the daemons' flags below.
 Server::Config chaosConfig() {
   Server::Config config;
   config.reschedInterval = msec(100);
   config.violationGrace = sec(5);
-  config.pipeline = false;
   return config;
 }
 
@@ -57,8 +56,7 @@ Server::Config chaosConfig() {
 // invisible through all three (the restarted daemon knows nothing of the
 // old delta sequence, so every resumed session restarts from a full push).
 const std::vector<std::string> kDaemonArgs = {
-    "--nodes", "16", "--resched", "0.1", "--pipeline", "off",
-    "--resume-grace", "30"};
+    "--nodes", "16", "--resched", "0.1", "--resume-grace", "30"};
 
 std::string journalPath(const std::string& name) {
   const std::string path = testing::TempDir() + "coorm_chaos_" + name + ".journal";
@@ -415,8 +413,8 @@ TEST(NetChaos, KillAfterReclaimingCompactionMatchesUninterruptedServer) {
       << "in-process reference run did not finish";
 
   ChildDaemon daemon(COORM_RMSD_PATH, journalPath("chain"),
-                     {"--nodes", "1024", "--resched", "0.01", "--pipeline",
-                      "off", "--resume-grace", "30"});
+                     {"--nodes", "1024", "--resched", "0.01",
+                      "--resume-grace", "30"});
   daemon.start();
   net::IoExecutor clientLoop;
   std::uint64_t compactionsBeforeKill = 0;

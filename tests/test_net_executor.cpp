@@ -52,7 +52,7 @@ TEST_F(IoExecutorContract, TimersFireInTimeThenSchedulingOrder) {
 }
 
 TEST_F(IoExecutorContract, SameTimeChainsRunInSchedulingOrder) {
-  // The pipelined server's commit-event pattern: a same-time event
+  // The order the server's notifications rely on: a same-time event
   // scheduled first runs before events that a same-time callback schedules
   // afterwards.
   std::vector<int> order;

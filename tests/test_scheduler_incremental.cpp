@@ -14,8 +14,8 @@
 // The suite pins all of that on randomized churn grids (population sizes
 // × churn rates {0,1,10,100}% × threads {1,2,4,8}) driven through the
 // real snapshot/epoch machinery, and closes with a long-horizon server
-// fuzz: an incremental pipelined server must trace-match the pristine
-// serial full-recompute server.
+// fuzz: the incremental server, at any thread count, must trace-match the
+// pristine single-threaded full-recompute server exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -211,7 +211,7 @@ void churn(Population& p, std::uint64_t passSeed, int churnPct, Time now) {
 
 /// One scheduler + snapshot driven across passes the way the server does:
 /// recapture with epochs, schedulePass, writeBack, stash views (honouring
-/// viewsReused exactly like Server::commitPass).
+/// viewsReused exactly like Server::runPass).
 struct Runner {
   Population pop;
   Scheduler scheduler;
@@ -545,7 +545,7 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
     scheduler.schedulePass(snapshot, now);
     snapshot.writeBack();
   };
-  const auto stash = [&] {  // as Server::commitPass does
+  const auto stash = [&] {  // as Server::runPass does
     const std::span<AppSnapshot> apps = snapshot.apps();
     for (std::size_t i = 0; i < apps.size(); ++i) {
       if (apps[i].viewsReused) continue;
@@ -625,7 +625,7 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Long-horizon server fuzz: incremental pipelined vs pristine serial full
+// Long-horizon server fuzz: incremental vs pristine single-threaded full
 // recompute. Applications acquire preemptible leases, then mostly idle —
 // long steady-state stretches where the incremental server renews leases —
 // interleaved with bursts of new requests and releases.
@@ -779,8 +779,7 @@ struct ServerOutcome {
 /// (tests/lease_chain.hpp) competes with the lease holders on cluster 0;
 /// its log is the last entry of ServerOutcome::appLogs.
 ServerOutcome runServerScenario(std::uint64_t seed, bool incremental,
-                                bool pipeline, int threads,
-                                Time horizon = minutes(20),
+                                int threads, Time horizon = minutes(20),
                                 int chainTransitions = 0) {
   const metrics::Snapshot before = metrics::snapshot();
   Engine engine;
@@ -790,7 +789,6 @@ ServerOutcome runServerScenario(std::uint64_t seed, bool incremental,
   Server::Config config;
   config.reschedInterval = sec(1);
   config.incremental = incremental;
-  config.pipeline = pipeline;
   config.threads = threads;
   Server server(engine, machine, config);
   Trace trace;
@@ -833,33 +831,14 @@ ServerOutcome runServerScenario(std::uint64_t seed, bool incremental,
   return outcome;
 }
 
-/// Within one timestamp the pipelined server may legally reorder a
-/// mid-pass "request" record against the commit's records; sorting each
-/// same-timestamp block makes the comparison order-insensitive there
-/// while still exact across timestamps.
-std::vector<std::string> canonicalized(std::vector<std::string> trace) {
-  auto blockStart = trace.begin();
-  while (blockStart != trace.end()) {
-    const std::string stamp = blockStart->substr(0, blockStart->find(' ') + 1);
-    auto blockEnd = blockStart;
-    while (blockEnd != trace.end() &&
-           blockEnd->compare(0, stamp.size(), stamp) == 0) {
-      ++blockEnd;
-    }
-    std::sort(blockStart, blockEnd);
-    blockStart = blockEnd;
-  }
-  return trace;
-}
-
 TEST(SchedulerIncremental, ServerLongHorizonMatchesPristineSerialServer) {
   std::uint64_t totalRenewed = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const ServerOutcome pristine = runServerScenario(
-        seed, /*incremental=*/false, /*pipeline=*/false, /*threads=*/1);
+    const ServerOutcome pristine =
+        runServerScenario(seed, /*incremental=*/false, /*threads=*/1);
     for (const int threads : {1, 4}) {
-      const ServerOutcome inc = runServerScenario(seed, /*incremental=*/true,
-                                                  /*pipeline=*/true, threads);
+      const ServerOutcome inc =
+          runServerScenario(seed, /*incremental=*/true, threads);
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " threads=" + std::to_string(threads));
       ASSERT_EQ(pristine.appLogs.size(), inc.appLogs.size());
@@ -869,13 +848,9 @@ TEST(SchedulerIncremental, ServerLongHorizonMatchesPristineSerialServer) {
       EXPECT_EQ(pristine.freeC0, inc.freeC0);
       EXPECT_EQ(pristine.freeC1, inc.freeC1);
       EXPECT_EQ(pristine.passes, inc.passes);
-      EXPECT_EQ(canonicalized(pristine.trace), canonicalized(inc.trace));
+      EXPECT_EQ(pristine.trace, inc.trace);
       totalRenewed += inc.leasesRenewed;
     }
-    // The serial incremental server must match exactly, trace for trace.
-    const ServerOutcome serialInc = runServerScenario(
-        seed, /*incremental=*/true, /*pipeline=*/false, /*threads=*/1);
-    EXPECT_EQ(pristine.trace, serialInc.trace) << "seed=" << seed;
   }
   // The horizon must actually exercise the steady state: leases renewed.
   EXPECT_GT(totalRenewed, 0u);
@@ -883,19 +858,19 @@ TEST(SchedulerIncremental, ServerLongHorizonMatchesPristineSerialServer) {
 
 TEST(SchedulerIncremental, LeaseChainMatchesPristineSerialServer) {
   // The lease holders plus a filler making 1,000 NEXT transitions: every
-  // launch reclaims the chain's ended leases (a membership change for the
-  // filler, an epoch-clean pass for the quiet holders) and both servers
-  // must still agree request for request.
+  // pass start reclaims the chain's ended leases (a membership change for
+  // the filler, an epoch-clean pass for the quiet holders) and both
+  // servers must still agree request for request.
   constexpr int kTransitions = 1000;
   for (std::uint64_t seed = 4; seed <= 5; ++seed) {
     const ServerOutcome pristine =
-        runServerScenario(seed, /*incremental=*/false, /*pipeline=*/false,
-                          /*threads=*/1, minutes(25), kTransitions);
+        runServerScenario(seed, /*incremental=*/false, /*threads=*/1,
+                          minutes(25), kTransitions);
     EXPECT_GE(pristine.chainTransitions, kTransitions) << "seed=" << seed;
     for (const int threads : {1, 4}) {
       const ServerOutcome inc =
-          runServerScenario(seed, /*incremental=*/true, /*pipeline=*/true,
-                            threads, minutes(25), kTransitions);
+          runServerScenario(seed, /*incremental=*/true, threads, minutes(25),
+                            kTransitions);
       SCOPED_TRACE("chain seed=" + std::to_string(seed) +
                    " threads=" + std::to_string(threads));
       ASSERT_EQ(pristine.appLogs.size(), inc.appLogs.size());
@@ -905,12 +880,8 @@ TEST(SchedulerIncremental, LeaseChainMatchesPristineSerialServer) {
       EXPECT_EQ(pristine.freeC0, inc.freeC0);
       EXPECT_EQ(pristine.freeC1, inc.freeC1);
       EXPECT_EQ(pristine.passes, inc.passes);
-      EXPECT_EQ(canonicalized(pristine.trace), canonicalized(inc.trace));
+      EXPECT_EQ(pristine.trace, inc.trace);
     }
-    const ServerOutcome serialInc =
-        runServerScenario(seed, /*incremental=*/true, /*pipeline=*/false,
-                          /*threads=*/1, minutes(25), kTransitions);
-    EXPECT_EQ(pristine.trace, serialInc.trace) << "seed=" << seed;
   }
 }
 

@@ -1,21 +1,13 @@
-// Differential suite for the pipelined server (ISSUE 4).
+// Differential suite for the server's scheduling passes.
 //
-// The two-stage pipeline (snapshot launch on a background lane plus a
-// deterministic commit) promises:
+// Each pass runs inline in its timer event, fanning its per-application
+// and per-cluster work out over `threads` workers. The suite pins:
 //  1. application-observable output — every endpoint callback with its
-//     payload, final node-pool state, pass count — is *bit-identical* to
-//     the serial back-to-back server (Config::pipeline = false), for any
-//     `threads` setting;
-//  2. pipelined runs are fully deterministic: identical protocol traces
-//     across repeats and across thread counts;
-//  3. passes really do overlap protocol handling (request bursts arriving
-//     while a pass is in flight), exercising the commit's reconciliation.
-//
-// Within a single timestamp the *server-internal* trace may order a
-// mid-pass "request" record before the commit's "start"/"views" records
-// (the serial server, running the pass atomically, logs them the other way
-// round); the suite therefore compares traces exactly across pipelined
-// variants and per-timestamp-canonicalized against the serial server.
+//     payload, final node-pool state, pass count — and the server's own
+//     protocol trace are *bit-identical* for threads {1, 2, 4, 8};
+//  2. runs are fully deterministic: identical traces across repeats;
+//  3. what a pass publishes — views, leases, RESUME deliveries — against
+//     the full-recompute reference and a never-detached twin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -109,8 +101,8 @@ class ScriptApp : public AppEndpoint {
     // Half-second action grid against the server's 1 s re-scheduling
     // interval: a message at X.5 s arms the pass for (X+1).0 s, and the
     // *next* actions scheduled after that arming can land exactly at
-    // (X+1).0 s — i.e. dispatch while that pass is in flight. That is the
-    // interleaving this suite exists to exercise.
+    // (X+1).0 s — the pass's own instant, where the executor's same-time
+    // scheduling order decides which runs first.
     engine_.after(msec(500) * rng_.uniformInt(1, 8), [this] {
       if (done_ || killed_) return;
       const int burst = static_cast<int>(rng_.uniformInt(1, 3));
@@ -236,16 +228,14 @@ struct Outcome {
   NodeCount freeC0 = 0;
   NodeCount freeC1 = 0;
   std::uint64_t passes = 0;
-  std::uint64_t overlapped = 0;
   int chainTransitions = 0;
 };
 
 /// `chainTransitions` > 0 adds a malleable filler running an endless NEXT
 /// lease chain (tests/lease_chain.hpp) on a third cluster next to the
 /// scripted applications; its log is the last entry of Outcome::appLogs.
-Outcome runScenario(std::uint64_t seed, bool pipeline, int threads,
-                    int napps = 5, Time horizon = minutes(8),
-                    int chainTransitions = 0) {
+Outcome runScenario(std::uint64_t seed, int threads, int napps = 5,
+                    Time horizon = minutes(8), int chainTransitions = 0) {
   Engine engine;
   Machine machine;
   machine.clusters.push_back({kC0, 16});
@@ -254,7 +244,6 @@ Outcome runScenario(std::uint64_t seed, bool pipeline, int threads,
   Server::Config config;
   config.reschedInterval = sec(1);
   config.violationGrace = sec(5);
-  config.pipeline = pipeline;
   config.threads = threads;
   Server server(engine, machine, config);
   Trace trace;
@@ -263,8 +252,7 @@ Outcome runScenario(std::uint64_t seed, bool pipeline, int threads,
   Rng rng(seed);
   std::vector<std::unique_ptr<ScriptApp>> apps;
   for (int i = 0; i < napps; ++i) {
-    // Some applications leave mid-run; one joins late (connect() is one of
-    // the two messages that overlap an in-flight pass).
+    // Some applications leave mid-run; one joins late.
     const Time disconnectAt =
         rng.uniformInt(0, 3) == 0 ? sec(rng.uniformInt(60, 400)) : 0;
     apps.push_back(std::make_unique<ScriptApp>(
@@ -304,28 +292,7 @@ Outcome runScenario(std::uint64_t seed, bool pipeline, int threads,
   outcome.freeC0 = server.pool().freeCount(kC0);
   outcome.freeC1 = server.pool().freeCount(kC1);
   outcome.passes = server.passCount();
-  outcome.overlapped = server.overlappedPassCount();
   return outcome;
-}
-
-/// Stable per-timestamp canonicalization: within one timestamp the
-/// pipelined server may log a mid-pass "request" before the commit's
-/// records; sorting each same-timestamp block compares content and
-/// cross-timestamp order while ignoring that one legal reordering.
-std::vector<std::string> canonicalized(std::vector<std::string> trace) {
-  auto blockStart = trace.begin();
-  while (blockStart != trace.end()) {
-    const std::string stamp =
-        blockStart->substr(0, blockStart->find(' ') + 1);
-    auto blockEnd = blockStart;
-    while (blockEnd != trace.end() &&
-           blockEnd->compare(0, stamp.size(), stamp) == 0) {
-      ++blockEnd;
-    }
-    std::sort(blockStart, blockEnd);
-    blockStart = blockEnd;
-  }
-  return trace;
 }
 
 void expectSameOutput(const Outcome& a, const Outcome& b,
@@ -340,66 +307,53 @@ void expectSameOutput(const Outcome& a, const Outcome& b,
   EXPECT_EQ(a.passes, b.passes);
 }
 
-TEST(ServerPipeline, OutputBitIdenticalToSerialServerAcrossThreadCounts) {
-  std::uint64_t totalOverlapped = 0;
+TEST(ServerPipeline, OutputAndTraceBitIdenticalAcrossThreadCounts) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Outcome serial = runScenario(seed, /*pipeline=*/false, 1);
-    EXPECT_EQ(serial.overlapped, 0u);  // serial passes never overlap
-    for (const int threads : {1, 2, 4, 8}) {
-      const Outcome pipelined = runScenario(seed, /*pipeline=*/true, threads);
-      expectSameOutput(serial, pipelined,
+    const Outcome serial = runScenario(seed, 1);
+    for (const int threads : {2, 4, 8}) {
+      const Outcome parallel = runScenario(seed, threads);
+      expectSameOutput(serial, parallel,
                        "seed=" + std::to_string(seed) +
                            " threads=" + std::to_string(threads));
-      EXPECT_EQ(canonicalized(serial.trace), canonicalized(pipelined.trace))
+      EXPECT_EQ(serial.trace, parallel.trace)
           << "seed=" << seed << " threads=" << threads;
-      totalOverlapped += pipelined.overlapped;
     }
   }
-  // The suite must actually exercise the overlap path: across the seeds,
-  // some passes saw request()/connect() arrive while in flight.
-  EXPECT_GT(totalOverlapped, 0u);
 }
 
-TEST(ServerPipeline, LeaseChainOutputBitIdenticalToSerialServer) {
+TEST(ServerPipeline, LeaseChainOutputBitIdenticalAcrossThreadCounts) {
   // The same scripted population plus a filler whose NEXT lease chain runs
-  // past 1,000 transitions: every pass launch reclaims ended leases and
-  // unlinks running successors while the pipelined commit reconciles.
+  // past 1,000 transitions: every pass start reclaims ended leases and
+  // unlinks running successors.
   constexpr int kTransitions = 1000;
   constexpr std::uint64_t kSeed = 21;
-  const Outcome serial = runScenario(kSeed, /*pipeline=*/false, 1, 5,
-                                     minutes(18), kTransitions);
+  const Outcome serial = runScenario(kSeed, 1, 5, minutes(18), kTransitions);
   EXPECT_GE(serial.chainTransitions, kTransitions);
-  for (const int threads : {1, 4}) {
-    const Outcome pipelined = runScenario(kSeed, /*pipeline=*/true, threads,
-                                          5, minutes(18), kTransitions);
-    expectSameOutput(serial, pipelined,
-                     "chain threads=" + std::to_string(threads));
-    EXPECT_EQ(canonicalized(serial.trace), canonicalized(pipelined.trace))
-        << "threads=" << threads;
-  }
+  const Outcome parallel = runScenario(kSeed, 4, 5, minutes(18), kTransitions);
+  expectSameOutput(serial, parallel, "chain threads=4");
+  EXPECT_EQ(serial.trace, parallel.trace);
 }
 
-TEST(ServerPipeline, PipelinedTracesAreDeterministic) {
+TEST(ServerPipeline, TracesAreDeterministicAcrossRepeatsAndThreadCounts) {
   for (std::uint64_t seed = 11; seed <= 14; ++seed) {
-    const Outcome first = runScenario(seed, /*pipeline=*/true, 2);
-    const Outcome repeat = runScenario(seed, /*pipeline=*/true, 2);
-    EXPECT_EQ(first.trace, repeat.trace) << "seed=" << seed;  // exact
+    const Outcome first = runScenario(seed, 2);
+    const Outcome repeat = runScenario(seed, 2);
+    EXPECT_EQ(first.trace, repeat.trace) << "seed=" << seed;
     expectSameOutput(first, repeat, "repeat seed=" + std::to_string(seed));
     for (const int threads : {1, 4}) {
-      const Outcome other = runScenario(seed, /*pipeline=*/true, threads);
+      const Outcome other = runScenario(seed, threads);
       EXPECT_EQ(first.trace, other.trace)
           << "seed=" << seed << " threads=" << threads;
       expectSameOutput(first, other,
                        "seed=" + std::to_string(seed) +
                            " threads=" + std::to_string(threads));
-      EXPECT_EQ(first.overlapped, other.overlapped);
     }
   }
 }
 
-TEST(ServerPipeline, RunSchedulingPassNowCommitsSynchronously) {
+TEST(ServerPipeline, RunSchedulingPassNowCommits) {
   Engine engine;
-  Server server(engine, Machine::single(8));  // pipeline defaults on
+  Server server(engine, Machine::single(8));
 
   class Silent : public AppEndpoint {
   } endpoint;
@@ -539,14 +493,13 @@ TEST(ServerPipeline, FreeProfileMovingOnlyWhereTheViewClampsRenewsTheLease) {
 }
 
 TEST(ServerPipeline, CleanAppReadsItsViewAfterFreeProfileMoves) {
-  // The incremental pipelined server against the oracle configuration
-  // (full recompute, serial). D, connected first, places a fresh
+  // The incremental server against the full-recompute oracle
+  // configuration. D, connected first, places a fresh
   // pre-allocation before each of three passes, moving the free profile
   // that X — clean after its requests started — sees. X reads its view
   // after each of those passes; under ASan a read through a block the
   // scheduler had already released would trip the parked-block poisoning.
   Server::Config oracle;
-  oracle.pipeline = false;
   oracle.incremental = false;
   Engine engine;
   Engine oracleEngine;

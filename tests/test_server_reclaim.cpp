@@ -104,11 +104,10 @@ struct ChainStats {
 /// the same two.
 constexpr std::int64_t kLiveBound = 2;
 
-ChainStats runLongChain(bool pipeline, bool incremental, int transitions) {
+ChainStats runLongChain(bool incremental, int transitions) {
   Engine engine;
   Server::Config config;
   config.reschedInterval = msec(10);
-  config.pipeline = pipeline;
   config.incremental = incremental;
   Server server(engine, Machine::single(16), config);
   const std::int64_t base = liveRequests();
@@ -142,19 +141,15 @@ ChainStats runLongChain(bool pipeline, bool incremental, int transitions) {
 
 TEST(ServerReclaim, EndlessLeaseChainKeepsRequestCountFlat) {
   constexpr int kTransitions = 10000;
-  for (const bool pipeline : {false, true}) {
-    for (const bool incremental : {false, true}) {
-      SCOPED_TRACE(std::string("pipeline=") + (pipeline ? "on" : "off") +
-                   " incremental=" + (incremental ? "on" : "off"));
-      const ChainStats stats =
-          runLongChain(pipeline, incremental, kTransitions);
-      EXPECT_FALSE(stats.killed);
-      EXPECT_LE(stats.maxLive, kLiveBound);
-      EXPECT_LE(stats.maxCaptured, static_cast<std::size_t>(kLiveBound));
-      EXPECT_GE(stats.transitions, kTransitions);
-      // After a final pass only the lease the app still holds is left.
-      EXPECT_EQ(stats.liveAtEnd, 1);
-    }
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(std::string("incremental=") + (incremental ? "on" : "off"));
+    const ChainStats stats = runLongChain(incremental, kTransitions);
+    EXPECT_FALSE(stats.killed);
+    EXPECT_LE(stats.maxLive, kLiveBound);
+    EXPECT_LE(stats.maxCaptured, static_cast<std::size_t>(kLiveBound));
+    EXPECT_GE(stats.transitions, kTransitions);
+    // After a final pass only the lease the app still holds is left.
+    EXPECT_EQ(stats.liveAtEnd, 1);
   }
 }
 

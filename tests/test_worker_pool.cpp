@@ -162,60 +162,5 @@ TEST(WorkerPool, FreeFunctionParallelForHandlesNullPool) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// --- AsyncLane (the pipelined server's pass lane) ---------------------------
-
-TEST(AsyncLane, RunsTaskOffThreadAndWaits) {
-  AsyncLane lane;
-  const std::thread::id self = std::this_thread::get_id();
-  std::thread::id ranOn{};
-  lane.launch([&] { ranOn = std::this_thread::get_id(); });
-  lane.wait();
-  EXPECT_FALSE(lane.busy());
-  EXPECT_NE(ranOn, self);
-  EXPECT_NE(ranOn, std::thread::id{});
-}
-
-TEST(AsyncLane, ReusedAcrossLaunches) {
-  AsyncLane lane;
-  int value = 0;
-  for (int i = 1; i <= 5; ++i) {
-    lane.launch([&value, i] { value += i; });
-    EXPECT_TRUE(lane.busy());
-    lane.wait();
-  }
-  EXPECT_EQ(value, 15);
-}
-
-TEST(AsyncLane, WaitRethrowsTaskExceptionAndStaysUsable) {
-  AsyncLane lane;
-  lane.launch([] { throw std::runtime_error("pass failed"); });
-  EXPECT_THROW(lane.wait(), std::runtime_error);
-  EXPECT_FALSE(lane.busy());
-  // The lane survives a failed task: the next launch/wait pair works.
-  bool ran = false;
-  lane.launch([&] { ran = true; });
-  lane.wait();
-  EXPECT_TRUE(ran);
-}
-
-TEST(AsyncLane, WaitOnIdleLaneIsANoop) {
-  AsyncLane lane;
-  lane.wait();
-  EXPECT_FALSE(lane.busy());
-}
-
-TEST(AsyncLane, DestructionJoinsARunningTask) {
-  bool finished = false;
-  {
-    AsyncLane lane;
-    lane.launch([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      finished = true;
-    });
-    // No wait(): the destructor must join the in-flight task.
-  }
-  EXPECT_TRUE(finished);
-}
-
 }  // namespace
 }  // namespace coorm

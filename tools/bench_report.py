@@ -122,8 +122,8 @@ def summarize(report: dict) -> tuple[dict, list[dict]]:
         counters = {
             key: bench[key]
             for key in ("arena_slow_path", "arena_hits", "writeback_clean",
-                        "writeback_dirty", "passes", "overlapped",
-                        "messages/s", "pass_apps_clean", "pass_apps_dirty",
+                        "writeback_dirty", "passes", "messages/s",
+                        "pass_apps_clean", "pass_apps_dirty",
                         "step2_ranges_reused", "wire_bytes_per_pass",
                         "views_delta_sent", "views_delta_bytes_saved",
                         "frames_coalesced", "epoll_wakeups",

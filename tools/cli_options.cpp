@@ -1,7 +1,6 @@
 #include "cli_options.hpp"
 
 #include <cstdlib>
-#include <cstring>
 #include <ostream>
 
 namespace coorm::cli {
@@ -23,13 +22,6 @@ void printUsage(std::ostream& out) {
          "  --strict           strict equi-partitioning (no filling)\n"
          "  --threads N        scheduler worker threads (default 1; any\n"
          "                     value yields bit-identical schedules)\n"
-         "  --pipeline on|off  two-stage pipelined serving (default on);\n"
-         "                     off = serial back-to-back scheduling passes\n"
-         "                     (identical results)\n"
-         "  --incremental on|off\n"
-         "                     incremental scheduling passes (default on);\n"
-         "                     off = every pass re-derives every app\n"
-         "                     (identical results)\n"
          "  --until SECS       horizon when no AMR is present (default 86400)\n"
          "  --timeline         render an ASCII allocation timeline\n"
          "  --trace            dump the protocol trace\n"
@@ -101,25 +93,6 @@ ParseResult parseArgs(int argc, const char* const* argv) {
       options.runtime.strictEquiPartition = true;
     } else if (arg == "--threads" && (v = value(i))) {
       options.runtime.threads = std::atoi(v);
-    } else if (arg == "--pipeline" && (v = value(i))) {
-      if (std::strcmp(v, "on") == 0) {
-        options.runtime.pipeline = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        options.runtime.pipeline = false;
-      } else {
-        result.error = std::string("bad --pipeline value (want on|off): ") + v;
-        return result;
-      }
-    } else if (arg == "--incremental" && (v = value(i))) {
-      if (std::strcmp(v, "on") == 0) {
-        options.runtime.incremental = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        options.runtime.incremental = false;
-      } else {
-        result.error =
-            std::string("bad --incremental value (want on|off): ") + v;
-        return result;
-      }
     } else if (arg == "--until" && (v = value(i))) {
       options.until = secF(std::atof(v));
     } else if (arg == "--timeline") {

@@ -34,10 +34,10 @@ struct Options {
   std::vector<Time> psaTasks;
   int syntheticJobs = 0;
   std::string swfPath;
-  /// The shared runtime-tuning knobs (threads, pipeline, resched interval,
-  /// strict equi-partitioning), parsed once here and projected into
+  /// The shared runtime-tuning knobs (threads, resched interval, strict
+  /// equi-partitioning), parsed once here and projected into
   /// Server::Config / SchedulerOptions by the drivers (--strict,
-  /// --threads, --pipeline, --incremental, --resched).
+  /// --threads, --resched).
   RuntimeOptions runtime;
   Time until = hours(24);
   bool showTimeline = false;

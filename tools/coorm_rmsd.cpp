@@ -1,10 +1,10 @@
 // coorm_rmsd: the CooRMv2 RMS as a network daemon.
 //
-// Runs the exact same `Server` the simulator exercises — pipeline, worker
-// threads and all — on a real-time epoll loop, serving the wire protocol
-// (net/wire.hpp) over TCP. Applications connect with net::RmsClient (or
-// anything that speaks the frames); `coorm_loadgen` is the bundled load
-// driver.
+// Runs the exact same `Server` the simulator exercises — worker threads,
+// incremental passes and all — on a real-time epoll loop, serving the wire
+// protocol (net/wire.hpp) over TCP. Applications connect with
+// net::RmsClient (or anything that speaks the frames); `coorm_loadgen` is
+// the bundled load generator.
 //
 //   coorm_rmsd --listen 127.0.0.1:7788 --nodes 256 --resched 0.1
 //
