@@ -236,7 +236,7 @@ void BM_EqSchedule(benchmark::State& state) {
   if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
   for (auto _ : state) {
     Scheduler::eqSchedule(population.apps, vp, 0, /*strict=*/false,
-                          ProfileContext{.pool = pool.get()});
+                          pool.get());
     benchmark::DoNotOptimize(population.apps.front().preemptiveView);
   }
 }
@@ -593,10 +593,10 @@ void BM_SchedulePopulation(benchmark::State& state) {
     state.ResumeTiming();
     pass();
   }
-  // Per pass: how many segment blocks the pass recycled from the
-  // scheduler's arena and how many it had to take from the heap, and how
-  // many non-preemptive views were evaluated — none: the stash above
-  // never reads a view (the CI bench job requires zero).
+  // Per pass: how many segment blocks the pass recycled from the thread's
+  // arena, how many it took from the heap, and how many non-preemptive
+  // views it evaluated. The CI bench job requires the last two to be zero:
+  // the cold pass above warms the pool, and the stash never reads a view.
   const metrics::Snapshot after = metrics::snapshot();
   state.counters["apps"] = static_cast<double>(napps);
   state.counters["arena_hits"] = benchmark::Counter(

@@ -85,10 +85,10 @@ Segment* heapBlock(std::size_t capacity) {
 
 void freeBlock(Segment* payload) { ::operator delete(headerOf(payload)); }
 
-// The ArenaScope override shadows the thread default; the dead flag stops
-// current() from resurrecting an arena while thread-locals are being torn
-// down (static thread_local destruction order is unspecified relative to
-// other TLS users).
+// A test's ArenaScope override shadows the thread default; the dead flag
+// stops current() from resurrecting an arena while thread-locals are being
+// torn down (static thread_local destruction order is unspecified relative
+// to other TLS users).
 thread_local SegmentArena* tlsOverride = nullptr;
 thread_local bool tlsDefaultDead = false;
 
@@ -99,7 +99,7 @@ SegmentArena*& threadDefaultSlot() {
 
 }  // namespace
 
-void SegmentArena::purge() noexcept {
+SegmentArena::~SegmentArena() {
   std::int64_t bytesHeld = 0;
   for (std::size_t bucket = 0; bucket < kBucketCount; ++bucket) {
     const std::size_t blockBytes = bucketCapacity(bucket) * kSegmentBytes;
@@ -110,41 +110,13 @@ void SegmentArena::purge() noexcept {
       bytesHeld += static_cast<std::int64_t>(blockBytes);
       head = next;
     }
-    free_[bucket] = nullptr;
-    count_[bucket] = 0;
   }
   if (bytesHeld > 0) metrics::add(metrics::Gauge::kArenaBytesHeld, -bytesHeld);
-}
-
-SegmentArena::~SegmentArena() {
-  purge();
   if (threadDefaultSlot() == this) {
     threadDefaultSlot() = nullptr;
     tlsDefaultDead = true;
   }
   if (tlsOverride == this) tlsOverride = nullptr;
-}
-
-SegmentArena::SegmentArena(SegmentArena&& other) noexcept {
-  for (std::size_t bucket = 0; bucket < kBucketCount; ++bucket) {
-    free_[bucket] = other.free_[bucket];
-    count_[bucket] = other.count_[bucket];
-    other.free_[bucket] = nullptr;
-    other.count_[bucket] = 0;
-  }
-}
-
-SegmentArena& SegmentArena::operator=(SegmentArena&& other) noexcept {
-  if (this != &other) {
-    purge();
-    for (std::size_t bucket = 0; bucket < kBucketCount; ++bucket) {
-      free_[bucket] = other.free_[bucket];
-      count_[bucket] = other.count_[bucket];
-      other.free_[bucket] = nullptr;
-      other.count_[bucket] = 0;
-    }
-  }
-  return *this;
 }
 
 Segment* SegmentArena::allocate(std::size_t& capacity) {

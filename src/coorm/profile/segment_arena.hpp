@@ -26,11 +26,14 @@
 // Blocks are plain anonymous heap memory, not owned by the arena that
 // issued them: a block may be granted on one thread and its last reference
 // dropped on another (worker-pool fan-out: a view built on a worker and
-// pushed from the server's thread) — the block simply joins
-// the dropping thread's current arena. ArenaScope lets a long-lived owner
-// (the scheduler) pin its own arena as the calling thread's current one
-// for a pass, so pass-scoped scratch recycles within the pass owner
-// instead of the thread default.
+// pushed from the server's thread) — the block simply joins the dropping
+// thread's arena. One pool per thread is what makes that recycling close:
+// where a block's last reference drops (inside a scheduling pass, or later
+// when the daemon replaces a session's last-sent views) does not decide
+// whether the thread's next pass can reuse it. Two pools on one thread
+// would leak: blocks built from one and dropped into the other never come
+// back, so the first keeps taking fresh blocks from the heap while the
+// second parks idle ones up to its cap.
 //
 // Under AddressSanitizer a parked block's payload is poisoned until the
 // arena grants it again, so a read through a reference released too early
@@ -60,9 +63,9 @@ struct Segment {
 
 /// A thread-local free-list pool of Segment blocks in power-of-two size
 /// classes. Not thread-safe by itself — every instance is only ever
-/// touched by one thread (the TLS default, or an ArenaScope installation
-/// on the installing thread). The reference counts of granted blocks are
-/// atomic: any thread may add or drop a reference.
+/// touched by one thread (the TLS default, or a test's ArenaScope
+/// installation on the installing thread). The reference counts of granted
+/// blocks are atomic: any thread may add or drop a reference.
 class SegmentArena {
  public:
   /// Per-block header (reference count, free-list link); defined in
@@ -88,12 +91,6 @@ class SegmentArena {
   SegmentArena(const SegmentArena&) = delete;
   SegmentArena& operator=(const SegmentArena&) = delete;
 
-  /// Movable so owning objects (the Scheduler) stay movable. The moved-from
-  /// arena is left empty. An arena must not be installed as any thread's
-  /// current() while it is moved.
-  SegmentArena(SegmentArena&& other) noexcept;
-  SegmentArena& operator=(SegmentArena&& other) noexcept;
-
   /// Returns a block of at least `capacity` segments, holding one
   /// reference; `capacity` is updated to the granted size-class capacity.
   /// Oversize requests (> kMaxBlockSegments) come straight from the heap,
@@ -108,9 +105,9 @@ class SegmentArena {
   /// Free blocks currently parked (all size classes).
   [[nodiscard]] std::size_t freeBlocks() const noexcept;
 
-  /// The calling thread's current arena: the innermost ArenaScope
-  /// installation if any, else a lazily-created thread default. Null only
-  /// during thread teardown after the default's destruction.
+  /// The calling thread's current arena: the thread default, created
+  /// lazily (or a test's ArenaScope installation). Null only during thread
+  /// teardown after the default's destruction.
   [[nodiscard]] static SegmentArena* current() noexcept;
 
   /// allocate() routed through current(); falls back to the plain heap
@@ -126,18 +123,16 @@ class SegmentArena {
   [[nodiscard]] static bool sharedBlock(const Segment* block) noexcept;
 
  private:
-  friend class ArenaScope;
-
-  /// Frees every parked block and zeroes the lists.
-  void purge() noexcept;
-
   BlockHeader* free_[kBucketCount] = {};
   std::uint32_t count_[kBucketCount] = {};
 };
 
 /// Installs an arena as the calling thread's current() for this scope
 /// (restoring the previous installation on exit). Null is a no-op: the
-/// thread default stays current.
+/// thread default stays current. A test seam only: unit tests install an
+/// isolated pool to assert exact parking counts. Production code never
+/// installs one — a second pool on a thread strands blocks (see the
+/// ownership paragraph above).
 class ArenaScope {
  public:
   explicit ArenaScope(SegmentArena* arena) noexcept;

@@ -184,10 +184,7 @@ StepFunction accumulateProfiles(std::span<const StepFunction* const> fns,
 }  // namespace
 
 View& View::accumulate(std::span<const View* const> others, Op op,
-                       bool clampAtZero, const ProfileContext& ctx) {
-  // Route this thread's segment allocations through the caller's arena
-  // (no-op for a default context).
-  const ArenaScope arenaScope(ctx.arena);
+                       bool clampAtZero, WorkerPool* pool) {
   // Empty views are the identity for every op (the zero-clamp is applied
   // by the base pass regardless), and they are common: most request sets
   // have nothing started. Prune them before sizing the sweep, without
@@ -285,7 +282,7 @@ View& View::accumulate(std::span<const View* const> others, Op op,
   // and the slots land in `entries_` in cluster order, so the pooled pass
   // is bit-identical to the serial one.
   std::vector<Entry> result(ids.size());
-  coorm::parallelFor(ctx.pool, ids.size(), [&](std::size_t c) {
+  coorm::parallelFor(pool, ids.size(), [&](std::size_t c) {
     const ClusterId cid = ids[c];
     std::vector<const StepFunction*> fns;
     fns.reserve(others.size() + 1);

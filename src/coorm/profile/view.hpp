@@ -13,10 +13,11 @@
 
 #include "coorm/common/ids.hpp"
 #include "coorm/common/time.hpp"
-#include "coorm/profile/profile_context.hpp"
 #include "coorm/profile/step_function.hpp"
 
 namespace coorm {
+
+class WorkerPool;
 
 /// A set of per-cluster availability profiles.
 ///
@@ -67,14 +68,14 @@ class View {
   ///   kSubtract:  *this - other_0 - other_1 - ...
   ///   kMax:       max(*this, other_0, other_1, ...)
   /// With `clampAtZero`, values are clamped to >= 0 during the same sweep
-  /// (equivalent to clampMin(0) on the finished result). The context's
-  /// pool fans the independent per-cluster sweeps of the N-ary path out
-  /// over its workers; its arena is installed on the calling thread for
-  /// the duration of the call (profile_context.hpp). The result (entries
-  /// and profiles) is bit-identical to the serial default-context pass.
+  /// (equivalent to clampMin(0) on the finished result). A non-null
+  /// `pool` fans the independent per-cluster sweeps of the N-ary path out
+  /// over its workers; segment blocks come from each sweeping thread's
+  /// own arena. The result (entries and profiles) is bit-identical to the
+  /// serial pass.
   enum class Op { kAdd, kSubtract, kMax };
   View& accumulate(std::span<const View* const> others, Op op,
-                   bool clampAtZero = false, const ProfileContext& ctx = {});
+                   bool clampAtZero = false, WorkerPool* pool = nullptr);
 
   /// Append the ids of clusters with a set profile to `out` (in this
   /// view's sorted order; no deduplication across calls).

@@ -766,11 +766,9 @@ void resweepCluster(ClusterId cid, const StepFunction& availCap,
 }  // namespace
 
 void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
-                           Time now, bool strict, const ProfileContext& ctx) {
+                           Time now, bool strict, WorkerPool* pool) {
   const std::size_t napps = apps.size();
   if (napps == 0) return;
-  WorkerPool* const pool = ctx.pool;
-  const ArenaScope arenaScope(ctx.arena);
 
   // Callers (schedulePass()) usually hand in an already-clamped view; only
   // copy when the clamp would actually change something.
@@ -880,17 +878,14 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
 // ---------------------------------------------------------------------------
 void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   WorkerPool* const pool = pool_.get();
-  const ProfileContext ctx{&arena_, pool};
-  // Install the scheduler's arena for the whole pass: every profile built
-  // on this thread below (occupation folds, fit scratch, view algebra)
-  // recycles the same pooled blocks pass over pass. Worker threads keep
-  // their own thread-default arenas.
-  const ArenaScope arenaScope(ctx.arena);
-  // The views the server's commit swapped back into the snapshot (its
-  // superseded stash) are dropped below just before each app's new views
-  // are built, so blocks whose last holder they were recycle here too.
+  // Every profile built on this thread below (occupation folds, fit
+  // scratch, view algebra) draws its segment blocks from the thread's one
+  // arena, where blocks dropped anywhere on this thread park. The views the
+  // server's commit swapped back into the snapshot (its superseded stash)
+  // are dropped below just before each app's new views are built, so the
+  // blocks whose last holder they were are the first ones reused.
   if (inc_ != nullptr) {
-    schedulePassIncremental(snapshot, now, ctx);
+    schedulePassIncremental(snapshot, now, pool);
     return;
   }
   const std::span<AppSnapshot> apps = snapshot.apps();
@@ -912,7 +907,7 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   std::vector<const View*> operands;
   operands.reserve(apps.size() * 2);
   for (const View& occ : paOcc) operands.push_back(&occ);
-  vnp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, ctx);
+  vnp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, pool);
 
   // Non-preemptive views and start times, in connection order. The toView
   // results above stay valid through this loop: fit() only mutates the
@@ -944,10 +939,10 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   operands.clear();
   for (const View& occ : npOcc) operands.push_back(&occ);
   for (const View& occ : npFitted) operands.push_back(&occ);
-  vp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, ctx);
+  vp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, pool);
 
   vp.clampMin(0);
-  eqSchedule(apps, vp, now, config_.strictEquiPartition, ctx);
+  eqSchedule(apps, vp, now, config_.strictEquiPartition, pool);
 }
 
 // ---------------------------------------------------------------------------
@@ -966,8 +961,7 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
 // thread count (pinned by tests/test_scheduler_incremental.cpp).
 // ---------------------------------------------------------------------------
 void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
-                                        const ProfileContext& ctx) const {
-  WorkerPool* const pool = ctx.pool;
+                                        WorkerPool* pool) const {
   IncrementalState& inc = *inc_;
   const std::span<AppSnapshot> apps = snapshot.apps();
   const std::size_t napps = apps.size();
@@ -1030,7 +1024,7 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   operands.clear();
   operands.reserve(napps * 2);
   for (const View& occ : inc.paOcc) operands.push_back(&occ);
-  vnp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, ctx);
+  vnp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, pool);
   // While vnpSame holds, vnp at the current loop position is bit-identical
   // to the cached pass's vnp at the same position, so a clean app's view
   // cannot have moved. The loop then keeps publishing the previous pass's
@@ -1053,8 +1047,8 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   for (std::size_t i = 0; i < napps; ++i) {
     AppSnapshot& app = apps[i];
     // Retire the view the server's commit swapped back into the snapshot
-    // (its superseded stash) while the pass's arena is installed: when it
-    // held a block's last reference, that block parks there for reuse.
+    // (its superseded stash) before building this app's replacement: when
+    // it held a block's last reference, that block is the next one reused.
     app.nonPreemptiveView.clear();
     const auto current = static_cast<std::uint32_t>(freeNow.size() - 1);
     if (inc.clean[i]) {
@@ -1098,7 +1092,7 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   operands.clear();
   for (const View& occ : inc.npOcc) operands.push_back(&occ);
   for (const View& occ : inc.npFitted) operands.push_back(&occ);
-  vp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, ctx);
+  vp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, pool);
   vp.clampMin(0);
 
   for (AppSnapshot& app : apps) app.preemptiveView.clear();  // likewise
@@ -1343,7 +1337,7 @@ void Scheduler::schedule(std::span<AppSchedule> apps, Time now) const {
   schedulePass(scratch_, now);
   scratch_.writeBack();
   // Swapped like the server's stash: the superseded views are dropped by
-  // the next pass, under the scheduler's arena, so their blocks recycle.
+  // the next pass just before it builds their replacements.
   // Reused views are still exact where the caller holds them.
   const std::span<AppSnapshot> scheduled = scratch_.apps();
   for (std::size_t i = 0; i < apps.size(); ++i) {
@@ -1385,13 +1379,13 @@ View Scheduler::fit(const RequestSet& set, const View& available, Time t0) {
 }
 
 void Scheduler::eqSchedule(std::span<AppSchedule> apps, const View& available,
-                           Time now, bool strict, const ProfileContext& ctx) {
+                           Time now, bool strict, WorkerPool* pool) {
   thread_local std::vector<AppSnapshot> snapshots;
   snapshots.resize(apps.size());
   for (std::size_t i = 0; i < apps.size(); ++i) {
     snapshots[i].capture(apps[i].app, nullptr, nullptr, apps[i].preemptible);
   }
-  eqSchedule(std::span<AppSnapshot>(snapshots), available, now, strict, ctx);
+  eqSchedule(std::span<AppSnapshot>(snapshots), available, now, strict, pool);
   for (std::size_t i = 0; i < apps.size(); ++i) {
     snapshots[i].writeBack();
     apps[i].preemptiveView = std::move(snapshots[i].preemptiveView);

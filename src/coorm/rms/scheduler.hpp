@@ -20,8 +20,6 @@
 #include <vector>
 
 #include "coorm/common/runtime_options.hpp"
-#include "coorm/profile/profile_context.hpp"
-#include "coorm/profile/segment_arena.hpp"
 #include "coorm/profile/view.hpp"
 #include "coorm/rms/machine.hpp"
 #include "coorm/rms/request_set.hpp"
@@ -162,15 +160,12 @@ class Scheduler {
   /// Algorithm 3 (eqSchedule): equi-partition `available` among the
   /// applications' preemptible sets and write each AppSnapshot's
   /// preemptiveView. With `strict`, no filling of unused partitions.
-  /// When `ctx.pool` is non-null, Step 1/3 fan out per application and the
-  /// Step 2 sweep per cluster; output is bit-identical to the default
-  /// context. `ctx.arena` (when non-null) is installed as the calling
-  /// thread's segment arena for the call. The snapshots' per-cluster demand
-  /// summaries narrow each cluster sweep to the applications that can
-  /// occupy it.
+  /// When `pool` is non-null, Step 1/3 fan out per application and the
+  /// Step 2 sweep per cluster; output is bit-identical to the serial call.
+  /// The snapshots' per-cluster demand summaries narrow each cluster sweep
+  /// to the applications that can occupy it.
   static void eqSchedule(std::span<AppSnapshot> apps, const View& available,
-                         Time now, bool strict,
-                         const ProfileContext& ctx = {});
+                         Time now, bool strict, WorkerPool* pool = nullptr);
 
   // --- live-RequestSet shims (capture → snapshot algorithm → write back) --
   // Semantics identical to operating in place on the live requests; kept
@@ -180,8 +175,7 @@ class Scheduler {
                      Time now = 0);
   static View fit(const RequestSet& set, const View& available, Time t0);
   static void eqSchedule(std::span<AppSchedule> apps, const View& available,
-                         Time now, bool strict,
-                         const ProfileContext& ctx = {});
+                         Time now, bool strict, WorkerPool* pool = nullptr);
 
   /// The full machine as a view (every cluster constantly at capacity).
   [[nodiscard]] View machineView() const;
@@ -202,18 +196,13 @@ class Scheduler {
   /// while priming the cache; warm cache re-derives only the dirty
   /// applications and the dirty Step 2 breakpoint ranges.
   void schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
-                               const ProfileContext& ctx) const;
+                               WorkerPool* pool) const;
   Machine machine_;
   Config config_;
   /// Present iff options.threads > 1. Mutable because a scheduling pass is
   /// logically const (the pool serves the pass's own fan-out, not
   /// observable state); schedule() is still not re-entrant.
   mutable std::unique_ptr<WorkerPool> pool_;
-  /// Segment pool installed (via ArenaScope) on the pass thread for the
-  /// duration of schedulePass(), so pass-scoped profile scratch recycles
-  /// with the scheduler instead of the thread default. Scratch like the
-  /// pool, hence mutable.
-  mutable SegmentArena arena_;
   /// Re-captured in place by schedule() each call, so repeated passes over
   /// similar populations allocate nothing. Scratch, like the pool: not
   /// observable state, hence mutable; schedule() is not re-entrant.

@@ -100,6 +100,11 @@ Server::Server(Executor& executor, Machine machine, Config config)
 Server::~Server() {
   metrics::add(metrics::Gauge::kLiveRequests,
                -static_cast<std::int64_t>(requestIndex_.size()));
+  // Every session not yet closed counts as live, detached ones included.
+  const auto open = std::count_if(
+      sessions_.begin(), sessions_.end(),
+      [](const auto& st) { return !st->killed && !st->disconnected; });
+  metrics::add(metrics::Gauge::kLiveSessions, -open);
 }
 
 Session* Server::connect(AppEndpoint& endpoint, std::string name) {
@@ -588,24 +593,23 @@ void Server::runPass() {
     {
       const trace::Phase phase("capture", metrics::Histo::kPassCaptureUs,
                                &passPhases_.captureUs);
-      std::vector<AppSchedule> apps;
+      passSchedules_.clear();
       passApps_.clear();
       for (auto& st : sessions_) {
         if (st->killed || st->disconnected) continue;
-        AppSchedule app;
+        AppSchedule& app = passSchedules_.emplace_back();
         app.app = st->app;
         app.preAllocations = &st->preAllocations;
         app.nonPreemptible = &st->nonPreemptible;
         app.preemptible = &st->preemptible;
         app.epoch = st->mutationEpoch;
-        apps.push_back(std::move(app));
         passApps_.push_back(st.get());
       }
       if (passSnapshot_ == nullptr) {
         passSnapshot_ = std::make_unique<RequestSetSnapshot>();
       }
       // In place: steady state allocates nothing.
-      passSnapshot_->recapture(apps);
+      passSnapshot_->recapture(passSchedules_);
     }
     try {
       const trace::Phase phase("schedule", metrics::Histo::kPassScheduleUs,
@@ -645,10 +649,9 @@ void Server::runPass() {
         // Stash freshly computed views before starting requests so
         // violation checks and pushes see consistent data. Swapped, not
         // moved: the retired views go back into the snapshot, and the next
-        // pass drops them inside schedulePass(), where their blocks recycle
-        // into the scheduler's arena and the views it builds (their last
-        // holder is usually the stash; dropped here, the blocks would park
-        // in the thread's default arena instead).
+        // pass drops them inside schedulePass() just before it builds their
+        // replacements, so blocks whose last holder was the stash are the
+        // first ones that pass reuses.
         std::swap(passApps_[i]->lastNonPreemptive,
                   scheduled[i].nonPreemptiveView);
         std::swap(passApps_[i]->lastPreemptive, scheduled[i].preemptiveView);

@@ -487,6 +487,9 @@ class Server {
   /// keyed on it.
   std::unique_ptr<RequestSetSnapshot> passSnapshot_;
   std::vector<SessionState*> passApps_;  ///< the captured sessions, in order
+  /// The capture's input, one per entry of passApps_: cleared and refilled
+  /// each pass, so steady-state capture allocates nothing.
+  std::vector<AppSchedule> passSchedules_;
 
   /// Wall-time breakdown of the current/last pass (µs, whole and per
   /// phase).

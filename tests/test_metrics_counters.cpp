@@ -105,6 +105,28 @@ TEST(MetricsCounters, ConcurrentIncrementsAreExact) {
   EXPECT_EQ(metrics::value(Gauge::kLiveRequests), gaugeBefore);
 }
 
+TEST(MetricsCounters, ServerDestructionTakesItsOpenSessionsOffTheGauge) {
+  // live_sessions counts sessions not yet closed; a server destroyed with
+  // sessions still open, detached ones included, must take them off.
+  const std::int64_t before = metrics::value(Gauge::kLiveSessions);
+  nettest::ScriptApp left;
+  nettest::ScriptApp detached;
+  nettest::ScriptApp attached;
+  {
+    Engine engine;
+    Server server(engine, Machine::single(16));
+    left.bind(*server.connect(left));
+    Session* detachedSession = server.connect(detached);
+    detached.bind(*detachedSession);
+    attached.bind(*server.connect(attached));
+    left.leave();
+    server.detachEndpoint(detachedSession->app());
+    engine.run();
+    EXPECT_EQ(metrics::value(Gauge::kLiveSessions), before + 2);
+  }
+  EXPECT_EQ(metrics::value(Gauge::kLiveSessions), before);
+}
+
 // ---------------------------------------------------------------------------
 // STATS over loopback TCP against a coorm_rmsd-shaped daemon.
 

@@ -624,6 +624,90 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
   stash();
 }
 
+TEST(SchedulerIncremental, BlocksDroppedOutsideAPassAreReusedByTheNext) {
+  // Views that spill out of the inline buffer: 300 apps, each holding a
+  // started 1-node pre-allocation of a distinct length, so the free
+  // profile has ~300 segments. One app's pre-allocation toggles every
+  // pass, which moves the free profile and re-publishes every view; one
+  // app holds a preemptible lease. The caller keeps the lease holder's
+  // views past the next pass, re-copying them every third pass as the
+  // daemon's delta base does, so the last reference to those blocks drops
+  // outside any pass. The next pass must reuse them: past warm-up no pass
+  // takes a block from the heap, and the parked bytes do not grow.
+  constexpr int kApps = 300;
+  constexpr int kWarmUp = 200;
+  constexpr int kMeasured = 2800;
+  const ClusterId c0{0};
+  Population p;
+  p.machine.clusters.push_back({c0, 1024});
+  std::int32_t nextNode = 0;
+  const auto addApp = [&](RequestType type, NodeCount nodes,
+                          Time duration) -> Request* {
+    for (int k = 0; k < 3; ++k) {
+      p.sets.push_back(std::make_unique<RequestSet>());
+    }
+    AppSchedule app;
+    app.app = AppId{static_cast<std::int32_t>(p.apps.size())};
+    app.preAllocations = p.sets[p.sets.size() - 3].get();
+    app.nonPreemptible = p.sets[p.sets.size() - 2].get();
+    app.preemptible = p.sets[p.sets.size() - 1].get();
+    app.epoch = 1;
+    auto r = std::make_unique<Request>();
+    r->id = RequestId{p.nextId++};
+    r->cluster = c0;
+    r->nodes = nodes;
+    r->duration = duration;
+    r->type = type;
+    r->startedAt = 0;
+    for (NodeCount n = 0; n < nodes; ++n) {
+      r->nodeIds.push_back(NodeId{c0, nextNode++});
+    }
+    (type == RequestType::kPreAllocation ? app.preAllocations
+                                         : app.preemptible)
+        ->add(r.get());
+    p.owned.push_back(std::move(r));
+    p.apps.push_back(app);
+    return p.owned.back().get();
+  };
+  for (int a = 0; a < kApps; ++a) {
+    addApp(RequestType::kPreAllocation, 1, sec(3600 + 37 * a));
+  }
+  const std::size_t toggled = p.apps.size();
+  Request* toggledPa = addApp(RequestType::kPreAllocation, 16, sec(5000));
+  const std::size_t leaseHolder = p.apps.size();
+  addApp(RequestType::kPreemptible, 48, kTimeInf);
+
+  Scheduler scheduler(p.machine);  // incremental, serial
+  NonPreemptiveView keptNp;
+  View keptP;
+  bool toggledStarted = true;
+  const auto pass = [&](int k) {
+    RequestSet& set = *p.apps[toggled].preAllocations;
+    if (toggledStarted) {
+      set.removeIf([&](Request* r) { return r == toggledPa; });
+    } else {
+      set.add(toggledPa);
+    }
+    toggledStarted = !toggledStarted;
+    ++p.apps[toggled].epoch;
+    scheduler.schedule(p.apps, sec(60 + k));
+    if (k % 3 == 0) {  // drops the copy taken three passes ago
+      keptNp = p.apps[leaseHolder].nonPreemptiveView;
+      keptP = p.apps[leaseHolder].preemptiveView;
+    }
+  };
+  for (int k = 0; k < kWarmUp; ++k) pass(k);
+  ASSERT_GT(keptNp.freeProfile.cap(c0).segmentCount(),
+            SegmentStore::kInlineCapacity);
+  const std::uint64_t slowBefore =
+      metrics::value(metrics::Event::kArenaSlowPath);
+  const std::int64_t heldBefore =
+      metrics::value(metrics::Gauge::kArenaBytesHeld);
+  for (int k = kWarmUp; k < kWarmUp + kMeasured; ++k) pass(k);
+  EXPECT_EQ(metrics::value(metrics::Event::kArenaSlowPath), slowBefore);
+  EXPECT_LE(metrics::value(metrics::Gauge::kArenaBytesHeld), heldBefore);
+}
+
 // ---------------------------------------------------------------------------
 // Long-horizon server fuzz: incremental vs pristine single-threaded full
 // recompute. Applications acquire preemptible leases, then mostly idle —

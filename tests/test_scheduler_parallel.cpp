@@ -283,13 +283,12 @@ TEST(SchedulerParallel, EqScheduleBitIdenticalWithPool) {
     }
 
     Population serial = makePopulation(seed);
-    Scheduler::eqSchedule(serial.apps, avail, serial.now, serial.strict,
-                          ProfileContext{});
+    Scheduler::eqSchedule(serial.apps, avail, serial.now, serial.strict);
     for (const int threads : {2, 8}) {
       WorkerPool pool(threads);
       Population parallel = makePopulation(seed);
       Scheduler::eqSchedule(parallel.apps, avail, parallel.now,
-                            parallel.strict, ProfileContext{.pool = &pool});
+                            parallel.strict, &pool);
       expectIdentical(serial, parallel,
                       "seed=" + std::to_string(seed) +
                           " threads=" + std::to_string(threads));
@@ -380,7 +379,7 @@ TEST(SchedulerParallel, MaterializedViewsMatchReferenceAtEveryPass) {
 TEST(SchedulerParallel, EmptyAppListIsANoopWithPool) {
   WorkerPool pool(4);
   std::vector<AppSchedule> apps;
-  Scheduler::eqSchedule(apps, View{}, 0, false, ProfileContext{.pool = &pool});
+  Scheduler::eqSchedule(apps, View{}, 0, false, &pool);
   Scheduler scheduler(Machine::single(16), Scheduler::Config{},
                       SchedulerOptions{4});
   scheduler.schedule(apps, 0);  // must not touch the pool with empty batches

@@ -105,28 +105,6 @@ TEST(SegmentArena, BigClassParkingIsCappedByBytes) {
   EXPECT_EQ(arena.freeBlocks(), expected);
 }
 
-TEST(SegmentArena, MoveTransfersParkedBlocks) {
-  SegmentArena source;
-  std::size_t capacity = 32;
-  Segment* block = source.allocate(capacity);
-  source.release(block, capacity);
-  ASSERT_EQ(source.freeBlocks(), 1u);
-
-  SegmentArena moved(std::move(source));
-  EXPECT_EQ(moved.freeBlocks(), 1u);
-  EXPECT_EQ(source.freeBlocks(), 0u);
-
-  SegmentArena assigned;
-  assigned = std::move(moved);
-  EXPECT_EQ(assigned.freeBlocks(), 1u);
-  EXPECT_EQ(moved.freeBlocks(), 0u);
-
-  std::size_t again = 32;
-  Segment* reused = assigned.allocate(again);
-  EXPECT_EQ(reused, block);  // the parked block travelled with the moves
-  assigned.release(reused, again);
-}
-
 TEST(SegmentArena, ArenaScopeRoutesStoreSpillsToInstalledArena) {
   SegmentArena arena;
   {
