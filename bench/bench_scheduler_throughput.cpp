@@ -18,7 +18,7 @@
 //    started preemptible allocations, half have pending ones);
 //  - BM_ServerPipeline: the full Server + Engine stack — every pass's
 //    prune, capture, schedule, write-back, views and commit — under a
-//    message-heavy multi-app protocol load (args {apps, threads});
+//    message-heavy multi-app protocol load (arg: apps);
 //  - BM_ScheduleIncremental / BM_SchedulePopulation: steady-state
 //    incremental passes over lease and pre-allocation populations, the
 //    latter shaped like servebench `population`.
@@ -36,7 +36,6 @@
 
 #include "coorm/common/metrics.hpp"
 #include "coorm/common/rng.hpp"
-#include "coorm/common/worker_pool.hpp"
 #include "coorm/rms/scheduler.hpp"
 #include "coorm/rms/server.hpp"
 #include "coorm/sim/engine.hpp"
@@ -51,7 +50,6 @@ struct PopulationParams {
   NodeCount nodesPerCluster = 4096;
   bool mixCoAlloc = false;  ///< alternate NEXT/COALLOC along the chain
   bool startedPreemptibles = false;  ///< every other app holds nodes already
-  int threads = 1;          ///< SchedulerOptions::threads
   std::uint64_t seed = 99;
 };
 
@@ -136,8 +134,7 @@ struct Population {
 
 void runSchedulePass(benchmark::State& state, const PopulationParams& params) {
   Population population(params);
-  Scheduler scheduler(population.machine, Scheduler::Config{},
-                      SchedulerOptions{params.threads});
+  Scheduler scheduler(population.machine);
   Time now = 0;
   for (auto _ : state) {
     scheduler.schedule(population.apps, now);
@@ -197,10 +194,7 @@ BENCHMARK(BM_ScheduleDeepChains)
     ->Args({256, 64})
     ->Unit(benchmark::kMillisecond);
 
-// Args: {napps, threads}. threads > 1 exercises the worker-pool fan-out
-// (per-application occupation steps, per-cluster Step 2 sweeps); the
-// schedules are bit-identical across thread counts, so the ratio between
-// the /1 and /N variants is pure scheduling throughput.
+// Arg: napps, spread over 8 clusters (per-cluster Step 2 sweeps).
 void BM_ScheduleMultiCluster(benchmark::State& state) {
   PopulationParams params;
   params.napps = static_cast<int>(state.range(0));
@@ -208,20 +202,15 @@ void BM_ScheduleMultiCluster(benchmark::State& state) {
   params.nclusters = 8;
   params.nodesPerCluster = 4 * params.napps;
   params.startedPreemptibles = true;
-  params.threads = static_cast<int>(state.range(1));
   runSchedulePass(state, params);
 }
 
 BENCHMARK(BM_ScheduleMultiCluster)
-    ->Args({256, 1})
-    ->Args({256, 2})
-    ->Args({256, 4})
-    ->Args({1024, 1})
-    ->Args({1024, 4})
+    ->Arg(256)
+    ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-// Args: {napps, threads}. Algorithm 3 in isolation on a single cluster;
-// threads > 1 fans Steps 1/3 out per application.
+// Arg: napps. Algorithm 3 in isolation on a single cluster.
 void BM_EqSchedule(benchmark::State& state) {
   PopulationParams params;
   params.napps = static_cast<int>(state.range(0));
@@ -231,23 +220,17 @@ void BM_EqSchedule(benchmark::State& state) {
   Population population(params);
   Scheduler scheduler(population.machine);
   const View vp = scheduler.machineView();
-  const int threads = static_cast<int>(state.range(1));
-  std::unique_ptr<WorkerPool> pool;
-  if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
   for (auto _ : state) {
-    Scheduler::eqSchedule(population.apps, vp, 0, /*strict=*/false,
-                          pool.get());
+    Scheduler::eqSchedule(population.apps, vp, 0, /*strict=*/false);
     benchmark::DoNotOptimize(population.apps.front().preemptiveView);
   }
 }
 
 BENCHMARK(BM_EqSchedule)
-    ->Args({64, 1})
-    ->Args({256, 1})
-    ->Args({1024, 1})
-    ->Args({4096, 1})
-    ->Args({1024, 4})
-    ->Args({4096, 4})
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 /// A scripted application for the server benchmark: submits bursts of
@@ -305,13 +288,11 @@ class PipelineBenchApp : public AppEndpoint {
   std::uint64_t messages_ = 0;
 };
 
-// Args: {apps, threads}. One iteration simulates two minutes of
-// message-heavy protocol traffic through the whole Engine + Server stack,
-// each pass running inline in its timer event. Outputs are bit-identical
-// at any thread count; `passes` records how many passes ran.
+// Arg: apps. One iteration simulates two minutes of message-heavy
+// protocol traffic through the whole Engine + Server stack, each pass
+// running inline in its timer event; `passes` records how many passes ran.
 void BM_ServerPipeline(benchmark::State& state) {
   const int napps = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   const metrics::Snapshot before = metrics::snapshot();
   std::uint64_t messages = 0;
   std::uint64_t passes = 0;
@@ -319,7 +300,6 @@ void BM_ServerPipeline(benchmark::State& state) {
     Engine engine;
     Server::Config config;
     config.reschedInterval = sec(1);
-    config.threads = threads;
     Server server(engine, Machine::single(8 * napps), config);
     std::vector<std::unique_ptr<PipelineBenchApp>> apps;
     Rng rng(42);
@@ -359,10 +339,8 @@ void BM_ServerPipeline(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ServerPipeline)
-    ->Args({16, 1})
-    ->Args({16, 2})
-    ->Args({64, 1})
-    ->Args({64, 2})
+    ->Arg(16)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 // Args: {napps, churnPct, incremental}. Steady-state lease population:
@@ -434,11 +412,8 @@ void BM_ScheduleIncremental(benchmark::State& state) {
     population.apps.push_back(std::move(app));
   }
 
-  Scheduler scheduler(population.machine, Scheduler::Config{}, [&] {
-    SchedulerOptions options{1};
-    options.incremental = incremental;
-    return options;
-  }());
+  Scheduler scheduler(population.machine,
+                      Scheduler::Config{.incremental = incremental});
   RequestSetSnapshot snapshot;
 
   const auto pass = [&] {

@@ -7,7 +7,7 @@
 // locks on the hot path beyond the buffer's own (uncontended) mutex, no
 // allocation at steady state, and the oldest spans fall off when a thread
 // out-runs its ring. Buffers are registered globally and outlive their
-// threads, so a dump sees worker-pool spans too.
+// threads, so a dump also sees the spans of threads that have exited.
 //
 // Span names must be string literals (static storage): the ring stores the
 // pointer, the dump reads it long after the scope ended.

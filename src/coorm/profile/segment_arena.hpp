@@ -25,9 +25,9 @@
 //
 // Blocks are plain anonymous heap memory, not owned by the arena that
 // issued them: a block may be granted on one thread and its last reference
-// dropped on another (worker-pool fan-out: a view built on a worker and
-// pushed from the server's thread) — the block simply joins the dropping
-// thread's arena. One pool per thread is what makes that recycling close:
+// dropped on another (a process that hosts a daemon on one thread and
+// clients on others, as tests and the examples do) — the block simply
+// joins the dropping thread's arena. One pool per thread is what makes that recycling close:
 // where a block's last reference drops (inside a scheduling pass, or later
 // when the daemon replaces a session's last-sent views) does not decide
 // whether the thread's next pass can reuse it. Two pools on one thread

@@ -6,7 +6,6 @@
 
 #include "coorm/common/check.hpp"
 #include "coorm/common/metrics.hpp"
-#include "coorm/common/worker_pool.hpp"
 #include "coorm/profile/profile_sweep.hpp"
 
 namespace coorm {
@@ -184,7 +183,7 @@ StepFunction accumulateProfiles(std::span<const StepFunction* const> fns,
 }  // namespace
 
 View& View::accumulate(std::span<const View* const> others, Op op,
-                       bool clampAtZero, WorkerPool* pool) {
+                       bool clampAtZero) {
   // Empty views are the identity for every op (the zero-clamp is applied
   // by the base pass regardless), and they are common: most request sets
   // have nothing started. Prune them before sizing the sweep, without
@@ -278,18 +277,18 @@ View& View::accumulate(std::span<const View* const> others, Op op,
   for (const View* other : others) other->appendClusterIds(ids);
   sortUniqueClusterIds(ids);
 
-  // The per-cluster sweeps are independent; each one writes its own slot
-  // and the slots land in `entries_` in cluster order, so the pooled pass
-  // is bit-identical to the serial one.
-  std::vector<Entry> result(ids.size());
-  coorm::parallelFor(pool, ids.size(), [&](std::size_t c) {
-    const ClusterId cid = ids[c];
-    std::vector<const StepFunction*> fns;
-    fns.reserve(others.size() + 1);
+  // The result is built aside: the sweeps read this view's own profiles
+  // (and an operand may be this view).
+  std::vector<Entry> result;
+  result.reserve(ids.size());
+  std::vector<const StepFunction*> fns;
+  fns.reserve(others.size() + 1);
+  for (const ClusterId cid : ids) {
+    fns.clear();
     fns.push_back(&cap(cid));
     for (const View* other : others) fns.push_back(&other->cap(cid));
-    result[c] = {cid, accumulateProfiles(fns, op, clampAtZero)};
-  });
+    result.push_back({cid, accumulateProfiles(fns, op, clampAtZero)});
+  }
   entries_ = std::move(result);
   return *this;
 }

@@ -17,8 +17,6 @@
 
 namespace coorm {
 
-class WorkerPool;
-
 /// A set of per-cluster availability profiles.
 ///
 /// Clusters not present behave as the zero profile. The container is a
@@ -68,14 +66,10 @@ class View {
   ///   kSubtract:  *this - other_0 - other_1 - ...
   ///   kMax:       max(*this, other_0, other_1, ...)
   /// With `clampAtZero`, values are clamped to >= 0 during the same sweep
-  /// (equivalent to clampMin(0) on the finished result). A non-null
-  /// `pool` fans the independent per-cluster sweeps of the N-ary path out
-  /// over its workers; segment blocks come from each sweeping thread's
-  /// own arena. The result (entries and profiles) is bit-identical to the
-  /// serial pass.
+  /// (equivalent to clampMin(0) on the finished result).
   enum class Op { kAdd, kSubtract, kMax };
   View& accumulate(std::span<const View* const> others, Op op,
-                   bool clampAtZero = false, WorkerPool* pool = nullptr);
+                   bool clampAtZero = false);
 
   /// Append the ids of clusters with a set profile to `out` (in this
   /// view's sorted order; no deduplication across calls).

@@ -7,7 +7,6 @@
 #include "coorm/common/check.hpp"
 #include "coorm/common/metrics.hpp"
 #include "coorm/common/trace.hpp"
-#include "coorm/common/worker_pool.hpp"
 #include "coorm/profile/profile_diff.hpp"
 #include "coorm/profile/profile_sweep.hpp"
 
@@ -180,18 +179,8 @@ struct IncrementalState {
   std::vector<const View*> operands;
   std::vector<std::vector<std::uint32_t>> candidates;
   std::vector<ClusterId> newClusterIds;
-  /// Outcome of one cluster's Step 2 in the parallel phase, merged into
-  /// the per-app views serially afterwards (cluster order, like the full
-  /// path's merge loop).
-  struct ClusterDelta {
-    bool fullRecompute = false;
-    std::vector<StepFunction> row;  ///< all-apps outputs (fullRecompute)
-    std::vector<std::uint32_t> newPresent;
-    std::vector<std::uint32_t> changedPresent;  ///< present slots respliced
-    bool idleChanged = false;
-    std::uint64_t rangesReused = 0;
-  };
-  std::vector<ClusterDelta> deltas;
+  std::vector<std::uint32_t> newPresent;  ///< one cluster's occupying apps
+  std::vector<StepFunction> row;  ///< one cluster's all-apps recompute
 };
 
 namespace {
@@ -248,14 +237,8 @@ bool freeProfileMoveShows(IncrementalState& inc, std::size_t i,
 Scheduler::Scheduler(Machine machine) : Scheduler(std::move(machine), Config{}) {}
 
 Scheduler::Scheduler(Machine machine, Config config)
-    : Scheduler(std::move(machine), config, SchedulerOptions{}) {}
-
-Scheduler::Scheduler(Machine machine, Config config, SchedulerOptions options)
     : machine_(std::move(machine)), config_(config) {
-  if (options.threads > 1) {
-    pool_ = std::make_unique<WorkerPool>(options.threads);
-  }
-  if (options.incremental) {
+  if (config.incremental) {
     inc_ = std::make_unique<IncrementalState>();
   }
 }
@@ -554,8 +537,8 @@ class Step2Values {
 /// Step 2 of eqSchedule for one cluster: one synchronized sweep over the
 /// merged breakpoints of `avail` and the occupation profiles decides what
 /// each application may have, writing each application's profile into
-/// `out` (pre-sized to one slot per application). Pure in everything but
-/// `out`, so clusters can run concurrently on a worker pool.
+/// `out` (pre-sized to one slot per application; every slot is written).
+/// Pure in everything but `out`.
 ///
 /// Applications with no preemptible occupation on this cluster ("absent")
 /// have identically-zero demand: they neither contribute breakpoints nor
@@ -600,7 +583,7 @@ void eqScheduleCluster(ClusterId cid, const View& avail,
   Step2Values values(sweep, napps, strict, strictParticipants);
 
   // Arena-backed scratch: per breakpoint the emitted profiles reuse pooled
-  // blocks from the sweeping thread's arena instead of fresh vectors.
+  // blocks from the thread's arena instead of fresh vectors.
   std::vector<SegmentStore> outSegments(present.size());
   // The idle series: what every application without demand here may have.
   // Needed whenever some application is absent (and exclusively in strict
@@ -766,7 +749,7 @@ void resweepCluster(ClusterId cid, const StepFunction& availCap,
 }  // namespace
 
 void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
-                           Time now, bool strict, WorkerPool* pool) {
+                           Time now, bool strict) {
   const std::size_t napps = apps.size();
   if (napps == 0) return;
 
@@ -781,16 +764,15 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
 
   // Step 1: preliminary occupation views (started + newly fitted
   // requests). Each application's step touches only its own snapshot
-  // records and occupation slot (constraints never cross applications), so
-  // the applications fan out over the pool. Applications with an empty
-  // preemptible set have no records to fix and an empty occupation — skip
-  // the algebra entirely.
+  // records and occupation slot (constraints never cross applications).
+  // Applications with an empty preemptible set have no records to fix and
+  // an empty occupation — skip the algebra entirely.
   const std::uint64_t step1Start = metrics::nowNanos();
   std::vector<View> occupation(napps);
-  parallelFor(pool, napps, [&](std::size_t i) {
+  for (std::size_t i = 0; i < napps; ++i) {
     apps[i].preemptiveView = View{};
     SetSnapshot& set = apps[i].preemptible();
-    if (set.empty()) return;
+    if (set.empty()) continue;
     occupation[i] = toView(set, &avail, now);
     if (occupation[i].empty()) {
       // Nothing started: avail - 0 clamped is avail itself (clamped on
@@ -802,17 +784,17 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
                     /*clampAtZero=*/true);
       occupation[i] += fit(set, freeForMe, now);
     }
-  });
+  }
 
   const std::uint64_t step2Start = metrics::nowNanos();
   trace::span("eq_step1", step1Start, step2Start);
 
   // Step 2: per piece-wise-constant interval, decide what each application
-  // may have. The sweep partitions cleanly by cluster; every cluster
-  // writes its own pre-sized slot row and the rows are merged below in
-  // cluster order, so any thread count produces byte-identical views. The
-  // captured demand summaries invert into per-cluster candidate lists, so
-  // each cluster sweep only probes the applications that can occupy it.
+  // may have. The sweep partitions cleanly by cluster: each cluster's row
+  // of per-application profiles lands in the views before the next
+  // cluster is swept. The captured demand summaries invert into
+  // per-cluster candidate lists, so each cluster sweep only probes the
+  // applications that can occupy it.
   std::vector<ClusterId> clusterIds;
   avail.appendClusterIds(clusterIds);
   for (const View& occ : occupation) occ.appendClusterIds(clusterIds);
@@ -837,16 +819,12 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
     }
   }
 
-  std::vector<std::vector<StepFunction>> perCluster(clusterIds.size());
-  parallelFor(pool, clusterIds.size(), [&](std::size_t c) {
-    perCluster[c].resize(napps);
-    eqScheduleCluster(clusterIds[c], avail, occupation, candidates[c],
-                      strict, strictParticipants, perCluster[c]);
-  });
+  std::vector<StepFunction> row(napps);
   for (std::size_t c = 0; c < clusterIds.size(); ++c) {
+    eqScheduleCluster(clusterIds[c], avail, occupation, candidates[c],
+                      strict, strictParticipants, row);
     for (std::size_t i = 0; i < napps; ++i) {
-      apps[i].preemptiveView.setCap(clusterIds[c],
-                                    std::move(perCluster[c][i]));
+      apps[i].preemptiveView.setCap(clusterIds[c], std::move(row[i]));
     }
   }
 
@@ -855,10 +833,10 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
 
   // Step 3: reschedule every application's preemptible requests against its
   // final view so scheduledAt and nAlloc are consistent with what we will
-  // actually grant. Per-application again, so it rides the pool too.
-  parallelFor(pool, napps, [&](std::size_t i) {
+  // actually grant.
+  for (std::size_t i = 0; i < napps; ++i) {
     SetSnapshot& set = apps[i].preemptible();
-    if (set.empty()) return;
+    if (set.empty()) continue;
     const View own = toView(set, &apps[i].preemptiveView, now);
     if (own.empty()) {
       // Preemptive views are non-negative by construction, so the
@@ -869,7 +847,7 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
       accumulateOne(rest, own, View::Op::kSubtract, /*clampAtZero=*/true);
       fit(set, rest, now);
     }
-  });
+  }
   trace::span("eq_step3", step3Start, metrics::nowNanos());
 }
 
@@ -877,7 +855,6 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
 // Algorithm 4: main scheduling algorithm
 // ---------------------------------------------------------------------------
 void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
-  WorkerPool* const pool = pool_.get();
   // Every profile built on this thread below (occupation folds, fit
   // scratch, view algebra) draws its segment blocks from the thread's one
   // arena, where blocks dropped anywhere on this thread park. The views the
@@ -885,7 +862,7 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   // are dropped below just before each app's new views are built, so the
   // blocks whose last holder they were are the first ones reused.
   if (inc_ != nullptr) {
-    schedulePassIncremental(snapshot, now, pool);
+    schedulePassIncremental(snapshot, now);
     return;
   }
   const std::span<AppSnapshot> apps = snapshot.apps();
@@ -894,20 +871,17 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
 
   // Subtract resources held by started pre-allocations / NP requests: one
   // N-ary sweep each, instead of a fold of binary subtractions that
-  // re-merges the accumulated view once per application. The occupation
-  // views only read/write one application's records each, so they fan out
-  // per application; the N-ary folds fan out per cluster inside
-  // View::accumulate.
+  // re-merges the accumulated view once per application.
   std::vector<View> paOcc(apps.size());
   std::vector<View> npOcc(apps.size());
-  parallelFor(pool, apps.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < apps.size(); ++i) {
     paOcc[i] = toView(apps[i].preAllocations());
     npOcc[i] = toView(apps[i].nonPreemptible());
-  });
+  }
   std::vector<const View*> operands;
   operands.reserve(apps.size() * 2);
   for (const View& occ : paOcc) operands.push_back(&occ);
-  vnp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, pool);
+  vnp.accumulate(operands, View::Op::kSubtract);
 
   // Non-preemptive views and start times, in connection order. The toView
   // results above stay valid through this loop: fit() only mutates the
@@ -939,10 +913,10 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   operands.clear();
   for (const View& occ : npOcc) operands.push_back(&occ);
   for (const View& occ : npFitted) operands.push_back(&occ);
-  vp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, pool);
+  vp.accumulate(operands, View::Op::kSubtract);
 
   vp.clampMin(0);
-  eqSchedule(apps, vp, now, config_.strictEquiPartition, pool);
+  eqSchedule(apps, vp, now, config_.strictEquiPartition);
 }
 
 // ---------------------------------------------------------------------------
@@ -957,11 +931,11 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
 //    has no non-fixed records to place (empty occupation, no vnp change).
 // Such a lease-clean app's entire per-app derivation is served from the
 // cache; everything else is recomputed with exactly the full path's
-// arithmetic, in the same order, which keeps results bit-identical at any
-// thread count (pinned by tests/test_scheduler_incremental.cpp).
+// arithmetic, in the same order, which keeps results bit-identical (pinned
+// by tests/test_scheduler_incremental.cpp).
 // ---------------------------------------------------------------------------
-void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
-                                        WorkerPool* pool) const {
+void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot,
+                                        Time now) const {
   IncrementalState& inc = *inc_;
   const std::span<AppSnapshot> apps = snapshot.apps();
   const std::size_t napps = apps.size();
@@ -1013,18 +987,18 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   // Started pre-allocation / non-preemptible occupations (dirty apps only:
   // these depend exclusively on captured request attributes, so an
   // epoch-clean app's cached views are exact).
-  parallelFor(pool, napps, [&](std::size_t i) {
-    if (inc.clean[i]) return;
+  for (std::size_t i = 0; i < napps; ++i) {
+    if (inc.clean[i]) continue;
     inc.paOcc[i] = toView(apps[i].preAllocations());
     inc.npOcc[i] = toView(apps[i].nonPreemptible());
-  });
+  }
 
   View vnp = machineView();
   std::vector<const View*>& operands = inc.operands;
   operands.clear();
   operands.reserve(napps * 2);
   for (const View& occ : inc.paOcc) operands.push_back(&occ);
-  vnp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, pool);
+  vnp.accumulate(operands, View::Op::kSubtract);
   // While vnpSame holds, vnp at the current loop position is bit-identical
   // to the cached pass's vnp at the same position, so a clean app's view
   // cannot have moved. The loop then keeps publishing the previous pass's
@@ -1092,7 +1066,7 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   operands.clear();
   for (const View& occ : inc.npOcc) operands.push_back(&occ);
   for (const View& occ : inc.npFitted) operands.push_back(&occ);
-  vp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, pool);
+  vp.accumulate(operands, View::Op::kSubtract);
   vp.clampMin(0);
 
   for (AppSnapshot& app : apps) app.preemptiveView.clear();  // likewise
@@ -1101,13 +1075,13 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   // an all-started app's occupation ignores both `vp` and `now`). The
   // pre-recompute views are kept aside as the Step 2 diff baseline.
   const std::uint64_t step1Start = metrics::nowNanos();
-  parallelFor(pool, napps, [&](std::size_t i) {
-    if (inc.clean[i]) return;
+  for (std::size_t i = 0; i < napps; ++i) {
+    if (inc.clean[i]) continue;
     inc.oldOccupation[i] = std::move(inc.occupation[i]);
     SetSnapshot& set = apps[i].preemptible();
     if (set.empty()) {
       inc.occupation[i] = View{};
-      return;
+      continue;
     }
     inc.occupation[i] = toView(set, &vp, now);
     if (inc.occupation[i].empty()) {
@@ -1118,7 +1092,7 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
                     /*clampAtZero=*/true);
       inc.occupation[i] += fit(set, freeForMe, now);
     }
-  });
+  }
   const std::uint64_t step2Start = metrics::nowNanos();
   trace::span("eq_step1", step1Start, step2Start);
 
@@ -1151,7 +1125,6 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
       inc.pChanged.assign(napps, 1);
     }
     inc.clusters.resize(clusterIds.size());
-    inc.deltas.resize(clusterIds.size());
 
     inc.candidates.resize(clusterIds.size());
     for (auto& list : inc.candidates) list.clear();
@@ -1166,29 +1139,60 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
       }
     }
 
-    parallelFor(pool, clusterIds.size(), [&](std::size_t c) {
+    // Cluster by cluster, in cluster order like the full path: each
+    // cluster's outcome lands in its cache and the per-app preemptive
+    // views before the next cluster is swept.
+    std::uint64_t rangesReused = 0;
+    for (std::size_t c = 0; c < clusterIds.size(); ++c) {
       const ClusterId cid = clusterIds[c];
       IncrementalState::ClusterCache& cc = inc.clusters[c];
-      IncrementalState::ClusterDelta& d = inc.deltas[c];
-      d.fullRecompute = false;
-      d.newPresent.clear();
-      d.changedPresent.clear();
-      d.idleChanged = false;
-      d.rangesReused = 0;
 
+      std::vector<std::uint32_t>& present = inc.newPresent;
+      present.clear();
       if (!strict) {
         for (const std::uint32_t i : inc.candidates[c]) {
-          if (!inc.occupation[i].cap(cid).isZero()) d.newPresent.push_back(i);
+          if (!inc.occupation[i].cap(cid).isZero()) present.push_back(i);
         }
       }
-      if (!step2Warm || d.newPresent != cc.present) {
+      if (!step2Warm || present != cc.present) {
         // Cold cache or membership change on this cluster: the sweep
         // structure itself moved — recompute the whole cluster.
-        d.fullRecompute = true;
-        d.row.resize(napps);
+        std::vector<StepFunction>& row = inc.row;
+        row.resize(napps);
         eqScheduleCluster(cid, vp, inc.occupation, inc.candidates[c], strict,
-                          strictParticipants, d.row);
-        return;
+                          strictParticipants, row);
+        cc.present.swap(present);  // the old list's buffer is next scratch
+        cc.outputs.resize(cc.present.size());
+        cc.hasIdle = strict || cc.present.size() < napps;
+        if (cc.hasIdle) {
+          // Any absent slot holds (a share of) the idle series.
+          std::size_t absent = 0;
+          std::size_t k = 0;
+          while (k < cc.present.size() && cc.present[k] == absent) {
+            ++k;
+            ++absent;
+          }
+          cc.idle = row[absent];
+        }
+        std::size_t k = 0;
+        for (std::size_t i = 0; i < napps; ++i) {
+          const bool isPresent =
+              k < cc.present.size() && cc.present[k] == i;
+          const bool changed =
+              !step2Warm || !(row[i] == inc.pViews[i].cap(cid));
+          if (isPresent) {
+            cc.outputs[k] = std::move(row[i]);
+            if (changed) {
+              inc.pViews[i].setCap(cid, cc.outputs[k]);
+              inc.pChanged[i] = 1;
+            }
+            ++k;
+          } else if (changed) {
+            inc.pViews[i].setCap(cid, std::move(row[i]));
+            inc.pChanged[i] = 1;
+          }
+        }
+        continue;
       }
 
       // Same membership: collect the ranges where any input moved.
@@ -1206,8 +1210,8 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
           ranges.push_back({lo, hi});
         }
       }
-      d.rangesReused = cc.present.size() + (cc.hasIdle ? 1 : 0);
-      if (ranges.empty()) return;  // every series reused outright
+      rangesReused += cc.present.size() + (cc.hasIdle ? 1 : 0);
+      if (ranges.empty()) continue;  // every series reused outright
 
       mergeRanges(ranges);
       std::vector<char> slotChanged(cc.present.size(), 0);
@@ -1216,62 +1220,12 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
                      strictParticipants, napps, ranges, cc, slotChanged,
                      idleChanged);
       for (std::size_t k = 0; k < cc.present.size(); ++k) {
-        if (slotChanged[k]) d.changedPresent.push_back(
-            static_cast<std::uint32_t>(k));
-      }
-      d.idleChanged = idleChanged;
-    });
-
-    // Serial merge in cluster order (like the full path): fold each
-    // cluster's outcome into the cache and the per-app preemptive views.
-    std::uint64_t rangesReused = 0;
-    for (std::size_t c = 0; c < clusterIds.size(); ++c) {
-      const ClusterId cid = clusterIds[c];
-      IncrementalState::ClusterCache& cc = inc.clusters[c];
-      IncrementalState::ClusterDelta& d = inc.deltas[c];
-      rangesReused += d.rangesReused;
-
-      if (d.fullRecompute) {
-        cc.present = std::move(d.newPresent);
-        cc.outputs.resize(cc.present.size());
-        cc.hasIdle = strict || cc.present.size() < napps;
-        if (cc.hasIdle) {
-          // Any absent slot holds (a share of) the idle series.
-          std::size_t absent = 0;
-          std::size_t k = 0;
-          while (k < cc.present.size() && cc.present[k] == absent) {
-            ++k;
-            ++absent;
-          }
-          cc.idle = d.row[absent];
-        }
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < napps; ++i) {
-          const bool isPresent =
-              k < cc.present.size() && cc.present[k] == i;
-          const bool changed =
-              !step2Warm || !(d.row[i] == inc.pViews[i].cap(cid));
-          if (isPresent) {
-            cc.outputs[k] = std::move(d.row[i]);
-            if (changed) {
-              inc.pViews[i].setCap(cid, cc.outputs[k]);
-              inc.pChanged[i] = 1;
-            }
-            ++k;
-          } else if (changed) {
-            inc.pViews[i].setCap(cid, std::move(d.row[i]));
-            inc.pChanged[i] = 1;
-          }
-        }
-        continue;
-      }
-
-      for (const std::uint32_t k : d.changedPresent) {
+        if (!slotChanged[k]) continue;
         const std::uint32_t i = cc.present[k];
         inc.pViews[i].setCap(cid, cc.outputs[k]);
         inc.pChanged[i] = 1;
       }
-      if (d.idleChanged) {
+      if (idleChanged) {
         std::size_t k = 0;
         for (std::size_t i = 0; i < napps; ++i) {
           if (!strict && k < cc.present.size() && cc.present[k] == i) {
@@ -1314,10 +1268,10 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   // rewrite identical values and fit has nothing to place.
   const std::uint64_t step3Start = metrics::nowNanos();
   trace::span("eq_step2", step2Start, step3Start);
-  parallelFor(pool, napps, [&](std::size_t i) {
-    if (inc.clean[i]) return;
+  for (std::size_t i = 0; i < napps; ++i) {
+    if (inc.clean[i]) continue;
     SetSnapshot& set = apps[i].preemptible();
-    if (set.empty()) return;
+    if (set.empty()) continue;
     const View own = toView(set, &apps[i].preemptiveView, now);
     if (own.empty()) {
       fit(set, apps[i].preemptiveView, now);
@@ -1326,7 +1280,7 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
       accumulateOne(rest, own, View::Op::kSubtract, /*clampAtZero=*/true);
       fit(set, rest, now);
     }
-  });
+  }
   trace::span("eq_step3", step3Start, metrics::nowNanos());
 
   inc.valid = true;
@@ -1379,13 +1333,13 @@ View Scheduler::fit(const RequestSet& set, const View& available, Time t0) {
 }
 
 void Scheduler::eqSchedule(std::span<AppSchedule> apps, const View& available,
-                           Time now, bool strict, WorkerPool* pool) {
+                           Time now, bool strict) {
   thread_local std::vector<AppSnapshot> snapshots;
   snapshots.resize(apps.size());
   for (std::size_t i = 0; i < apps.size(); ++i) {
     snapshots[i].capture(apps[i].app, nullptr, nullptr, apps[i].preemptible);
   }
-  eqSchedule(std::span<AppSnapshot>(snapshots), available, now, strict, pool);
+  eqSchedule(std::span<AppSnapshot>(snapshots), available, now, strict);
   for (std::size_t i = 0; i < apps.size(); ++i) {
     snapshots[i].writeBack();
     apps[i].preemptiveView = std::move(snapshots[i].preemptiveView);

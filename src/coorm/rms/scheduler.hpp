@@ -19,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "coorm/common/runtime_options.hpp"
 #include "coorm/profile/view.hpp"
 #include "coorm/rms/machine.hpp"
 #include "coorm/rms/request_set.hpp"
@@ -27,7 +26,6 @@
 
 namespace coorm {
 
-class WorkerPool;
 struct IncrementalState;
 
 /// Fair distribution of `capacity` among `wants` (paper Algorithm 3, lines
@@ -38,34 +36,6 @@ struct IncrementalState;
 /// Deterministic in input order; negative demands are treated as zero.
 [[nodiscard]] std::vector<NodeCount> fairDistribute(
     NodeCount capacity, const std::vector<NodeCount>& wants);
-
-/// Execution knobs, orthogonal to the scheduling policy in
-/// Scheduler::Config.
-struct SchedulerOptions {
-  SchedulerOptions() = default;
-  /// Implicit on purpose: SchedulerOptions{4} reads as "4 worker threads".
-  SchedulerOptions(int threadCount) : threads(threadCount) {}
-  /// Projection of the shared runtime-tuning surface
-  /// (common/runtime_options.hpp).
-  explicit SchedulerOptions(const RuntimeOptions& runtime)
-      : threads(runtime.threads) {}
-
-  /// Worker threads for the per-cluster and per-application fan-out of a
-  /// scheduling pass. <= 1 keeps every pass on the calling thread (the
-  /// default). The partitioned work writes into pre-sized per-slot outputs
-  /// merged in deterministic order, so any thread count produces
-  /// bit-identical schedules and views.
-  int threads = 1;
-
-  /// Incremental passes: the scheduler keeps the previous pass's
-  /// intermediates and, when the snapshot reports an application as
-  /// epoch-clean with every request started, serves its derivation from
-  /// that cache; eqSchedule Step 2 re-sweeps only the breakpoint ranges
-  /// whose inputs changed and splices the clean ranges from the cached
-  /// output. Bit-identical to the full pass at every thread count (pinned
-  /// by tests/test_scheduler_incremental.cpp); false always recomputes.
-  bool incremental = true;
-};
 
 /// Per-application scheduling state: the three request sets (input, whose
 /// requests' scheduling attributes are updated in place) and the two views
@@ -108,11 +78,19 @@ class Scheduler {
     /// available resources: an application cannot fill what another leaves
     /// unused. This is the "strict equi-partitioning" baseline of §5.4.
     bool strictEquiPartition = false;
+    /// Incremental passes: the scheduler keeps the previous pass's
+    /// intermediates and, when the snapshot reports an application as
+    /// epoch-clean with every request started, serves its derivation from
+    /// that cache; eqSchedule Step 2 re-sweeps only the breakpoint ranges
+    /// whose inputs changed and splices the clean ranges from the cached
+    /// output. Bit-identical to the full pass (pinned by
+    /// tests/test_scheduler_incremental.cpp); false always recomputes, the
+    /// reference the differential suites compare with.
+    bool incremental = true;
   };
 
-  explicit Scheduler(Machine machine);  // default config, serial
+  explicit Scheduler(Machine machine);  // default config
   Scheduler(Machine machine, Config config);
-  Scheduler(Machine machine, Config config, SchedulerOptions options);
   ~Scheduler();
   Scheduler(Scheduler&&) noexcept;
   Scheduler& operator=(Scheduler&&) noexcept;
@@ -124,10 +102,8 @@ class Scheduler {
   /// live `RequestSet`s or `Request`s, so it reads one consistent image
   /// and the server decides what of the result reaches live state.
   ///
-  /// With SchedulerOptions::threads > 1 the per-cluster and per-application
-  /// work fans out over the scheduler's worker pool; the result is
-  /// bit-identical to the serial pass. Not re-entrant: one pass at a time
-  /// per Scheduler.
+  /// The pass runs on the calling thread. Not re-entrant: one pass at a
+  /// time per Scheduler.
   void schedulePass(RequestSetSnapshot& snapshot, Time now) const;
 
   /// Live-set convenience: capture → schedulePass → writeBack, handing the
@@ -160,12 +136,10 @@ class Scheduler {
   /// Algorithm 3 (eqSchedule): equi-partition `available` among the
   /// applications' preemptible sets and write each AppSnapshot's
   /// preemptiveView. With `strict`, no filling of unused partitions.
-  /// When `pool` is non-null, Step 1/3 fan out per application and the
-  /// Step 2 sweep per cluster; output is bit-identical to the serial call.
   /// The snapshots' per-cluster demand summaries narrow each cluster sweep
   /// to the applications that can occupy it.
   static void eqSchedule(std::span<AppSnapshot> apps, const View& available,
-                         Time now, bool strict, WorkerPool* pool = nullptr);
+                         Time now, bool strict);
 
   // --- live-RequestSet shims (capture → snapshot algorithm → write back) --
   // Semantics identical to operating in place on the live requests; kept
@@ -175,7 +149,7 @@ class Scheduler {
                      Time now = 0);
   static View fit(const RequestSet& set, const View& available, Time t0);
   static void eqSchedule(std::span<AppSchedule> apps, const View& available,
-                         Time now, bool strict, WorkerPool* pool = nullptr);
+                         Time now, bool strict);
 
   /// The full machine as a view (every cluster constantly at capacity).
   [[nodiscard]] View machineView() const;
@@ -195,21 +169,16 @@ class Scheduler {
   /// population change, after invalidateIncremental) re-derives everything
   /// while priming the cache; warm cache re-derives only the dirty
   /// applications and the dirty Step 2 breakpoint ranges.
-  void schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
-                               WorkerPool* pool) const;
+  void schedulePassIncremental(RequestSetSnapshot& snapshot, Time now) const;
   Machine machine_;
   Config config_;
-  /// Present iff options.threads > 1. Mutable because a scheduling pass is
-  /// logically const (the pool serves the pass's own fan-out, not
-  /// observable state); schedule() is still not re-entrant.
-  mutable std::unique_ptr<WorkerPool> pool_;
   /// Re-captured in place by schedule() each call, so repeated passes over
-  /// similar populations allocate nothing. Scratch, like the pool: not
-  /// observable state, hence mutable; schedule() is not re-entrant.
+  /// similar populations allocate nothing. Scratch, not observable state,
+  /// hence mutable; schedule() is not re-entrant.
   mutable RequestSetSnapshot scratch_;
   /// Pass-to-pass cache of the incremental path (scheduler.cpp); null when
-  /// SchedulerOptions::incremental is false. Mutable for the same reason
-  /// as the pool: a pass is logically const, the cache is its scratch.
+  /// Config::incremental is false. Mutable for the same reason as the
+  /// scratch: a pass is logically const, the cache is its scratch.
   mutable std::unique_ptr<IncrementalState> inc_;
 };
 

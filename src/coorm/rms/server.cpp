@@ -85,12 +85,8 @@ Server::Server(Executor& executor, Machine machine)
 
 Server::Server(Executor& executor, Machine machine, Config config)
     : executor_(executor),
-      scheduler_(machine, Scheduler::Config{config.strictEquiPartition},
-                 [&config] {
-                   SchedulerOptions options{config.threads};
-                   options.incremental = config.incremental;
-                   return options;
-                 }()),
+      scheduler_(machine, Scheduler::Config{config.strictEquiPartition,
+                                            config.incremental}),
       pool_(machine),
       config_(config) {
   tokenSeed_ = (std::uint64_t{std::random_device{}()} << 32) ^

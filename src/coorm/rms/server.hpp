@@ -7,13 +7,12 @@
 //    request() and done() messages;
 //  - a scheduling pass runs at most once per re-scheduling interval
 //    (administrator parameter, §3.2), coalescing bursts of messages;
-//  - each pass runs inline, inside its timer event: it reclaims ended
-//    requests, freezes every live request set into a RequestSetSnapshot,
-//    runs the pure scheduling computation on it (fanned out over
-//    `threads` workers) and commits — writes the results back, pushes
-//    views, starts due requests and checks violations — before the
-//    executor dispatches anything else. Any `threads` setting yields
-//    bit-identical output; see README "Scheduling passes";
+//  - each pass runs inline, inside its timer event, on the executor's
+//    thread: it reclaims ended requests, freezes every live request set
+//    into a RequestSetSnapshot, runs the pure scheduling computation on it
+//    and commits — writes the results back, pushes views, starts due
+//    requests and checks violations — before the executor dispatches
+//    anything else; see README "Scheduling passes";
 //  - when a request's computed start time arrives and enough node IDs are
 //    free, the request starts and the application is notified (startNotify);
 //    otherwise it stays pending until other applications release nodes
@@ -149,11 +148,7 @@ class Server {
     Time violationGrace = sec(5);
     /// Strict equi-partitioning (Fig. 11 baseline) instead of filling.
     bool strictEquiPartition = false;
-    /// Worker threads for the scheduling pass (SchedulerOptions::threads);
-    /// <= 1 runs every pass on the server's thread alone. Any value
-    /// produces bit-identical schedules.
-    int threads = 1;
-    /// Incremental scheduling passes (SchedulerOptions::incremental): in
+    /// Incremental scheduling passes (Scheduler::Config::incremental): in
     /// steady state, epoch-clean all-started applications keep their
     /// previous allocation as a renewed lease (their views are served from
     /// the scheduler's cache and the stashed views stay valid) instead of
@@ -170,13 +165,12 @@ class Server {
     Time slowPass = 0;
 
     /// Projection of the shared runtime-tuning surface
-    /// (common/runtime_options.hpp): the three shared knobs come from
+    /// (common/runtime_options.hpp): the two shared knobs come from
     /// `runtime`, everything else keeps its default.
     [[nodiscard]] static Config fromRuntime(const RuntimeOptions& runtime) {
       Config config;
       config.reschedInterval = runtime.reschedInterval;
       config.strictEquiPartition = runtime.strictEquiPartition;
-      config.threads = runtime.threads;
       return config;
     }
   };

@@ -93,13 +93,6 @@ TEST(Cli, ParsesFlagsAndHorizon) {
   EXPECT_EQ(r.options.seed, 7u);
 }
 
-TEST(Cli, ParsesThreads) {
-  EXPECT_EQ(parse({}).options.runtime.threads, 1);  // serial by default
-  const ParseResult r = parse({"--threads", "4"});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.options.runtime.threads, 4);
-}
-
 TEST(Cli, ParsesStatsQuery) {
   const ParseResult r = parse({"--stats", "--connect", "127.0.0.1:7788"});
   ASSERT_TRUE(r.ok());
@@ -139,12 +132,6 @@ TEST(Cli, NegativeDeadlinesAreErrors) {
   EXPECT_EQ(parse({"--resume-grace", "-0.5"}).status, ParseStatus::kError);
 }
 
-TEST(Cli, NonPositiveThreadsIsError) {
-  EXPECT_EQ(parse({"--threads", "0"}).status, ParseStatus::kError);
-  EXPECT_EQ(parse({"--threads", "-2"}).status, ParseStatus::kError);
-  EXPECT_EQ(parse({"--threads"}).status, ParseStatus::kError);
-}
-
 TEST(Cli, HelpShortCircuits) {
   EXPECT_EQ(parse({"--help"}).status, ParseStatus::kHelp);
   EXPECT_EQ(parse({"-h"}).status, ParseStatus::kHelp);
@@ -161,13 +148,15 @@ TEST(Cli, UnknownOptionIsError) {
 }
 
 TEST(Cli, RetiredFlagsAreUnknown) {
-  // One event loop, one view push, passes inline and incremental: the
-  // flags that selected the alternatives are gone, not silently accepted.
+  // One event loop, one view push, passes inline, serial and incremental:
+  // the flags that selected the alternatives are gone, not silently
+  // accepted.
   for (const auto& args :
        {std::initializer_list<const char*>{"--io-backend", "epoll"},
         std::initializer_list<const char*>{"--delta-views", "on"},
         std::initializer_list<const char*>{"--pipeline", "off"},
-        std::initializer_list<const char*>{"--incremental", "off"}}) {
+        std::initializer_list<const char*>{"--incremental", "off"},
+        std::initializer_list<const char*>{"--threads", "4"}}) {
     const ParseResult r = parse(args);
     EXPECT_EQ(r.status, ParseStatus::kError) << *args.begin();
     EXPECT_NE(r.error.find("unknown or incomplete option"), std::string::npos)
@@ -270,8 +259,8 @@ TEST(Cli, UsageMentionsEveryOption) {
   for (const char* flag :
        {"--nodes", "--seed", "--amr", "--amr-steps", "--amr-static",
         "--overcommit", "--announce", "--psa", "--jobs", "--swf", "--strict",
-        "--threads", "--until", "--timeline", "--trace", "--listen",
-        "--connect", "--resched", "--stats", "--journal", "--idle-deadline",
+        "--until", "--timeline", "--trace", "--listen", "--connect",
+        "--resched", "--stats", "--journal", "--idle-deadline",
         "--resume-grace", "--connections", "--probe", "--stats-all",
         "--trace-out", "--slow-pass-ms", "--metrics-listen", "--help"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;

@@ -7,8 +7,7 @@
 //
 // Whole-second action bursts land exactly on the second-aligned scheduling
 // passes, so request/done/disconnect messages share their instants with
-// passes. Runs must be bit-identical, trace for trace, across threads
-// {1, 2, 4, 8} and across repeats.
+// passes. Runs must be bit-identical, trace for trace, across repeats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,11 +185,10 @@ struct FuzzResult {
   std::uint64_t passes = 0;
 };
 
-Server::Config fuzzConfig(int threads = 1) {
+Server::Config fuzzConfig() {
   Server::Config config;
   config.reschedInterval = sec(1);
   config.violationGrace = sec(5);
-  config.threads = threads;
   return config;
 }
 
@@ -274,24 +272,20 @@ TEST_P(FuzzProtocol, DeterministicPerSeed) {
   EXPECT_EQ(a.freeAtEnd, b.freeAtEnd);
 }
 
-// Request/done/disconnect bursts at the passes' instants: every thread
-// count must reproduce the single-threaded server's result and trace
-// exactly.
-TEST_P(FuzzProtocol, ThreadCountsMatchUnderBursts) {
+// Request/done/disconnect bursts at the passes' instants: a repeat of the
+// seed must reproduce the first run's result and trace exactly.
+TEST_P(FuzzProtocol, RepeatsMatchUnderBursts) {
   const std::uint64_t seed = GetParam();
-  std::vector<std::string> serialTrace;
-  const FuzzResult serial =
-      runFuzz(seed, 5, minutes(15), fuzzConfig(1), &serialTrace,
+  std::vector<std::string> firstTrace;
+  const FuzzResult first =
+      runFuzz(seed, 5, minutes(15), fuzzConfig(), &firstTrace,
               /*midRunDisconnects=*/true);
-  for (const int threads : {2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::vector<std::string> trace;
-    const FuzzResult parallel =
-        runFuzz(seed, 5, minutes(15), fuzzConfig(threads), &trace,
-                /*midRunDisconnects=*/true);
-    expectSameResult(serial, parallel);
-    EXPECT_EQ(serialTrace, trace);
-  }
+  std::vector<std::string> repeatTrace;
+  const FuzzResult repeat =
+      runFuzz(seed, 5, minutes(15), fuzzConfig(), &repeatTrace,
+              /*midRunDisconnects=*/true);
+  expectSameResult(first, repeat);
+  EXPECT_EQ(firstTrace, repeatTrace);
 }
 
 // A denser scenario (more applications, tighter action grid): every node
@@ -299,7 +293,7 @@ TEST_P(FuzzProtocol, ThreadCountsMatchUnderBursts) {
 TEST(FuzzProtocolDense, BurstsReclaimEveryNode) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const FuzzResult result =
-        runFuzz(seed, 10, minutes(10), fuzzConfig(2), nullptr,
+        runFuzz(seed, 10, minutes(10), fuzzConfig(), nullptr,
                 /*midRunDisconnects=*/true);
     EXPECT_EQ(result.freeAtEnd, 24);
   }
@@ -309,9 +303,9 @@ TEST_P(FuzzProtocol, TraceDeterministicPerSeed) {
   const std::uint64_t seed = GetParam();
   std::vector<std::string> first;
   std::vector<std::string> second;
-  const FuzzResult a = runFuzz(seed, 4, minutes(10), fuzzConfig(2), &first,
+  const FuzzResult a = runFuzz(seed, 4, minutes(10), fuzzConfig(), &first,
                                /*midRunDisconnects=*/true);
-  const FuzzResult b = runFuzz(seed, 4, minutes(10), fuzzConfig(2), &second,
+  const FuzzResult b = runFuzz(seed, 4, minutes(10), fuzzConfig(), &second,
                                /*midRunDisconnects=*/true);
   expectSameResult(a, b);
   EXPECT_EQ(first, second);

@@ -2,7 +2,7 @@
 //
 // The incremental pass promises *bit-identical* output to the full
 // recompute — every request attribute and the exact view representation
-// (operator==, not sameAs) — at every thread count, over any churn rate:
+// (operator==, not sameAs) — over any churn rate:
 //  - epoch-clean all-started applications are served from the pass-to-pass
 //    cache (their snapshot reports viewsReused and the previous views stay
 //    exact);
@@ -12,10 +12,9 @@
 //    pass) silently degrades to a full re-derivation, never to a wrong
 //    one.
 // The suite pins all of that on randomized churn grids (population sizes
-// × churn rates {0,1,10,100}% × threads {1,2,4,8}) driven through the
-// real snapshot/epoch machinery, and closes with a long-horizon server
-// fuzz: the incremental server, at any thread count, must trace-match the
-// pristine single-threaded full-recompute server exactly.
+// × churn rates {0,1,10,100}%) driven through the real snapshot/epoch
+// machinery, and closes with a long-horizon server fuzz: the incremental
+// server must trace-match the pristine full-recompute server exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -219,14 +218,9 @@ struct Runner {
   std::vector<NonPreemptiveView> stashNp;
   std::vector<View> stashP;
 
-  Runner(std::uint64_t seed, int napps, bool incremental, int threads,
-         int stablePct = 60)
+  Runner(std::uint64_t seed, int napps, bool incremental, int stablePct = 60)
       : pop(makePopulation(seed, napps, stablePct)),
-        scheduler(pop.machine, Scheduler::Config{pop.strict}, [&] {
-          SchedulerOptions options{threads};
-          options.incremental = incremental;
-          return options;
-        }()) {}
+        scheduler(pop.machine, Scheduler::Config{pop.strict, incremental}) {}
 
   void pass(Time now) {
     snapshot.recapture(pop.apps);
@@ -273,10 +267,9 @@ void expectIdentical(const Runner& a, const Runner& b,
   }
 }
 
-void runGrid(std::uint64_t seed, int napps, int churnPct, int threads,
-             int passes) {
-  Runner full(seed, napps, /*incremental=*/false, /*threads=*/1);
-  Runner inc(seed, napps, /*incremental=*/true, threads);
+void runGrid(std::uint64_t seed, int napps, int churnPct, int passes) {
+  Runner full(seed, napps, /*incremental=*/false);
+  Runner inc(seed, napps, /*incremental=*/true);
   for (int pass = 0; pass < passes; ++pass) {
     const Time now = sec(60 + pass * 30);
     churn(full.pop, seed * 1000 + static_cast<std::uint64_t>(pass), churnPct,
@@ -289,34 +282,28 @@ void runGrid(std::uint64_t seed, int napps, int churnPct, int threads,
                     "seed=" + std::to_string(seed) +
                         " napps=" + std::to_string(napps) +
                         " churn=" + std::to_string(churnPct) +
-                        "% threads=" + std::to_string(threads) +
-                        " pass=" + std::to_string(pass));
+                        "% pass=" + std::to_string(pass));
   }
 }
 
 TEST(SchedulerIncremental, ChurnGridBitIdentical) {
   for (const int napps : {1, 3, 17, 64}) {
     for (const int churnPct : {0, 1, 10, 100}) {
-      for (const int threads : {1, 2, 4, 8}) {
-        runGrid(static_cast<std::uint64_t>(napps * 1000 + churnPct + threads),
-                napps, churnPct, threads, 6);
-      }
+      runGrid(static_cast<std::uint64_t>(napps * 1000 + churnPct + 1), napps,
+              churnPct, 6);
     }
   }
 }
 
 TEST(SchedulerIncremental, LargePopulationLowChurn) {
   // The headline configuration, scaled for a unit test: a large population
-  // in near-steady state across several passes, serial and parallel.
-  for (const int threads : {1, 8}) {
-    runGrid(/*seed=*/42 + static_cast<std::uint64_t>(threads), /*napps=*/512,
-            /*churnPct=*/1, threads, 4);
-  }
+  // in near-steady state across several passes.
+  runGrid(/*seed=*/43, /*napps=*/512, /*churnPct=*/1, 4);
 }
 
 TEST(SchedulerIncremental, SteadyStateServesFromCacheAndReusesRanges) {
   // Pure lease population: every pass after the first is a renewal.
-  Runner inc(/*seed=*/7, /*napps=*/48, /*incremental=*/true, /*threads=*/1,
+  Runner inc(/*seed=*/7, /*napps=*/48, /*incremental=*/true,
              /*stablePct=*/100);
   inc.pass(sec(60));  // cold pass primes the cache
   const metrics::Snapshot before = metrics::snapshot();
@@ -336,8 +323,8 @@ TEST(SchedulerIncremental, SteadyStateServesFromCacheAndReusesRanges) {
 
 TEST(SchedulerIncremental, InvalidateForcesColdPassWithSameResults) {
   const std::uint64_t seed = 11;
-  Runner full(seed, 32, /*incremental=*/false, 1);
-  Runner inc(seed, 32, /*incremental=*/true, 4);
+  Runner full(seed, 32, /*incremental=*/false);
+  Runner inc(seed, 32, /*incremental=*/true);
   for (int pass = 0; pass < 5; ++pass) {
     const Time now = sec(60 + pass * 30);
     churn(full.pop, seed * 1000 + static_cast<std::uint64_t>(pass), 10, now);
@@ -351,8 +338,8 @@ TEST(SchedulerIncremental, InvalidateForcesColdPassWithSameResults) {
 
 TEST(SchedulerIncremental, PopulationChangeFallsBackToFullPass) {
   const std::uint64_t seed = 23;
-  Runner full(seed, 24, /*incremental=*/false, 1);
-  Runner inc(seed, 24, /*incremental=*/true, 2);
+  Runner full(seed, 24, /*incremental=*/false);
+  Runner inc(seed, 24, /*incremental=*/true);
   const auto dropApp = [](Population& p, std::size_t index) {
     p.apps.erase(p.apps.begin() + static_cast<long>(index));
   };
@@ -432,14 +419,13 @@ TEST(SchedulerIncremental, FreeProfileChangingClustersStaysBitIdentical) {
     addApp(drained, 3);  // toggled between passes
     addApp(c0, 4);       // clean from the second pass on
   };
-  Runner full(/*seed=*/1, /*napps=*/0, /*incremental=*/false, 1);
-  Runner inc(/*seed=*/1, /*napps=*/0, /*incremental=*/true, 1);
+  Runner full(/*seed=*/1, /*napps=*/0, /*incremental=*/false);
+  Runner inc(/*seed=*/1, /*napps=*/0, /*incremental=*/true);
   build(full);
   build(inc);
   for (Runner* r : {&full, &inc}) {
-    SchedulerOptions options{1};
-    options.incremental = r == &inc;
-    r->scheduler = Scheduler(r->pop.machine, Scheduler::Config{}, options);
+    r->scheduler = Scheduler(r->pop.machine,
+                             Scheduler::Config{.incremental = r == &inc});
   }
   std::vector<std::unique_ptr<Request>> parked(2);
   const auto toggle = [&](Runner& r, std::unique_ptr<Request>& slot) {
@@ -536,7 +522,7 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
   Request* lease = addStarted(p.apps[malleable].preemptible, 48, kTimeInf,
                               RequestType::kPreemptible, nullptr);
 
-  Scheduler scheduler(p.machine);  // incremental, serial
+  Scheduler scheduler(p.machine);  // incremental
   RequestSetSnapshot snapshot;
   std::vector<NonPreemptiveView> stashNp(p.apps.size());
   std::vector<View> stashP(p.apps.size());
@@ -677,7 +663,7 @@ TEST(SchedulerIncremental, BlocksDroppedOutsideAPassAreReusedByTheNext) {
   const std::size_t leaseHolder = p.apps.size();
   addApp(RequestType::kPreemptible, 48, kTimeInf);
 
-  Scheduler scheduler(p.machine);  // incremental, serial
+  Scheduler scheduler(p.machine);  // incremental
   NonPreemptiveView keptNp;
   View keptP;
   bool toggledStarted = true;
@@ -709,8 +695,8 @@ TEST(SchedulerIncremental, BlocksDroppedOutsideAPassAreReusedByTheNext) {
 }
 
 // ---------------------------------------------------------------------------
-// Long-horizon server fuzz: incremental vs pristine single-threaded full
-// recompute. Applications acquire preemptible leases, then mostly idle —
+// Long-horizon server fuzz: incremental vs pristine full recompute.
+// Applications acquire preemptible leases, then mostly idle —
 // long steady-state stretches where the incremental server renews leases —
 // interleaved with bursts of new requests and releases.
 // ---------------------------------------------------------------------------
@@ -863,7 +849,7 @@ struct ServerOutcome {
 /// (tests/lease_chain.hpp) competes with the lease holders on cluster 0;
 /// its log is the last entry of ServerOutcome::appLogs.
 ServerOutcome runServerScenario(std::uint64_t seed, bool incremental,
-                                int threads, Time horizon = minutes(20),
+                                Time horizon = minutes(20),
                                 int chainTransitions = 0) {
   const metrics::Snapshot before = metrics::snapshot();
   Engine engine;
@@ -873,7 +859,6 @@ ServerOutcome runServerScenario(std::uint64_t seed, bool incremental,
   Server::Config config;
   config.reschedInterval = sec(1);
   config.incremental = incremental;
-  config.threads = threads;
   Server server(engine, machine, config);
   Trace trace;
   server.setTrace(&trace);
@@ -919,22 +904,18 @@ TEST(SchedulerIncremental, ServerLongHorizonMatchesPristineSerialServer) {
   std::uint64_t totalRenewed = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const ServerOutcome pristine =
-        runServerScenario(seed, /*incremental=*/false, /*threads=*/1);
-    for (const int threads : {1, 4}) {
-      const ServerOutcome inc =
-          runServerScenario(seed, /*incremental=*/true, threads);
-      SCOPED_TRACE("seed=" + std::to_string(seed) +
-                   " threads=" + std::to_string(threads));
-      ASSERT_EQ(pristine.appLogs.size(), inc.appLogs.size());
-      for (std::size_t i = 0; i < pristine.appLogs.size(); ++i) {
-        EXPECT_EQ(pristine.appLogs[i], inc.appLogs[i]) << "app " << i;
-      }
-      EXPECT_EQ(pristine.freeC0, inc.freeC0);
-      EXPECT_EQ(pristine.freeC1, inc.freeC1);
-      EXPECT_EQ(pristine.passes, inc.passes);
-      EXPECT_EQ(pristine.trace, inc.trace);
-      totalRenewed += inc.leasesRenewed;
+        runServerScenario(seed, /*incremental=*/false);
+    const ServerOutcome inc = runServerScenario(seed, /*incremental=*/true);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ASSERT_EQ(pristine.appLogs.size(), inc.appLogs.size());
+    for (std::size_t i = 0; i < pristine.appLogs.size(); ++i) {
+      EXPECT_EQ(pristine.appLogs[i], inc.appLogs[i]) << "app " << i;
     }
+    EXPECT_EQ(pristine.freeC0, inc.freeC0);
+    EXPECT_EQ(pristine.freeC1, inc.freeC1);
+    EXPECT_EQ(pristine.passes, inc.passes);
+    EXPECT_EQ(pristine.trace, inc.trace);
+    totalRenewed += inc.leasesRenewed;
   }
   // The horizon must actually exercise the steady state: leases renewed.
   EXPECT_GT(totalRenewed, 0u);
@@ -947,25 +928,20 @@ TEST(SchedulerIncremental, LeaseChainMatchesPristineSerialServer) {
   // servers must still agree request for request.
   constexpr int kTransitions = 1000;
   for (std::uint64_t seed = 4; seed <= 5; ++seed) {
-    const ServerOutcome pristine =
-        runServerScenario(seed, /*incremental=*/false, /*threads=*/1,
-                          minutes(25), kTransitions);
+    const ServerOutcome pristine = runServerScenario(
+        seed, /*incremental=*/false, minutes(25), kTransitions);
     EXPECT_GE(pristine.chainTransitions, kTransitions) << "seed=" << seed;
-    for (const int threads : {1, 4}) {
-      const ServerOutcome inc =
-          runServerScenario(seed, /*incremental=*/true, threads, minutes(25),
-                            kTransitions);
-      SCOPED_TRACE("chain seed=" + std::to_string(seed) +
-                   " threads=" + std::to_string(threads));
-      ASSERT_EQ(pristine.appLogs.size(), inc.appLogs.size());
-      for (std::size_t i = 0; i < pristine.appLogs.size(); ++i) {
-        EXPECT_EQ(pristine.appLogs[i], inc.appLogs[i]) << "app " << i;
-      }
-      EXPECT_EQ(pristine.freeC0, inc.freeC0);
-      EXPECT_EQ(pristine.freeC1, inc.freeC1);
-      EXPECT_EQ(pristine.passes, inc.passes);
-      EXPECT_EQ(pristine.trace, inc.trace);
+    const ServerOutcome inc = runServerScenario(seed, /*incremental=*/true,
+                                                minutes(25), kTransitions);
+    SCOPED_TRACE("chain seed=" + std::to_string(seed));
+    ASSERT_EQ(pristine.appLogs.size(), inc.appLogs.size());
+    for (std::size_t i = 0; i < pristine.appLogs.size(); ++i) {
+      EXPECT_EQ(pristine.appLogs[i], inc.appLogs[i]) << "app " << i;
     }
+    EXPECT_EQ(pristine.freeC0, inc.freeC0);
+    EXPECT_EQ(pristine.freeC1, inc.freeC1);
+    EXPECT_EQ(pristine.passes, inc.passes);
+    EXPECT_EQ(pristine.trace, inc.trace);
   }
 }
 

@@ -1,21 +1,22 @@
-// Differential property suite for the parallel scheduler (ISSUE 3).
+// Differential property suite: the scheduling pass against a reference.
 //
-// The worker-pool refactor promises that `schedule`/`eqSchedule` output is
-// *bit-identical* across thread counts: every request attribute and every
-// view entry, compared with operator== (not just semantic sameAs). The
-// suite pins that on randomized multi-cluster populations (cluster counts
-// 1–8, varying app counts, NEXT/COALLOC chains, started and pending
-// requests), and additionally checks the refactored serial path against a
-// pre-refactor reference built from binary view algebra.
+// `Scheduler::schedule` batches its view algebra (N-ary sweeps, per-cluster
+// Step 2 rows, occupation-view reuse, pair-published non-preemptive views)
+// and must still reproduce a reference pass built from plain binary view
+// algebra *bit for bit*: every request attribute and every view entry,
+// compared with operator== (not just semantic sameAs). The suite pins that
+// on randomized multi-cluster populations (cluster counts 1–8, varying app
+// counts, NEXT/COALLOC chains, started and pending requests), in filling
+// and strict mode, and pass after pass with requests starting in between.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "coorm/common/metrics.hpp"
 #include "coorm/common/rng.hpp"
-#include "coorm/common/worker_pool.hpp"
 #include "coorm/rms/scheduler.hpp"
 
 namespace coorm {
@@ -177,16 +178,10 @@ void expectIdentical(const Population& a, const Population& b,
   }
 }
 
-void scheduleWithThreads(Population& p, int threads) {
-  Scheduler scheduler(p.machine, Scheduler::Config{p.strict},
-                      SchedulerOptions{threads});
-  scheduler.schedule(p.apps, p.now);
-}
-
-/// The pre-refactor serial scheduling pass (Algorithm 4 as of PR 2),
-/// rebuilt from the public building blocks with plain binary view algebra:
-/// no pool, no N-ary batching, no occupation-view reuse. The refactored
-/// pass must reproduce it bit for bit. Each non-preemptive view is stored
+/// The pre-refactor scheduling pass (Algorithm 4 as of PR 2), rebuilt from
+/// the public building blocks with plain binary view algebra: no N-ary
+/// batching, no occupation-view reuse. The refactored pass must reproduce
+/// it bit for bit. Each non-preemptive view is stored
 /// evaluated, as the pair (view, nothing), whose value is the view itself.
 void referenceSchedule(const Machine& machine, std::span<AppSchedule> apps,
                        Time now, bool strict) {
@@ -221,97 +216,23 @@ void referenceSchedule(const Machine& machine, std::span<AppSchedule> apps,
   Scheduler::eqSchedule(apps, vp, now, strict);
 }
 
-TEST(SchedulerParallel, ScheduleBitIdenticalAcrossThreadCounts) {
-  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    Population serial = makePopulation(seed);
-    scheduleWithThreads(serial, 1);
-    for (const int threads : {2, 4, 8}) {
-      Population parallel = makePopulation(seed);
-      scheduleWithThreads(parallel, threads);
-      expectIdentical(serial, parallel,
-                      "seed=" + std::to_string(seed) +
-                          " threads=" + std::to_string(threads));
-    }
-  }
-}
-
 TEST(SchedulerParallel, ScheduleMatchesPreRefactorSerialReference) {
-  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    Population reference = makePopulation(seed);
-    referenceSchedule(reference.machine, reference.apps, reference.now,
-                      reference.strict);
-    for (const int threads : {1, 4}) {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) seeds.push_back(seed);
+  for (std::uint64_t seed = 100; seed <= 120; ++seed) seeds.push_back(seed);
+  for (const std::uint64_t seed : seeds) {
+    for (const bool strict : {false, true}) {
+      Population reference = makePopulation(seed);
+      reference.strict = strict;
+      referenceSchedule(reference.machine, reference.apps, reference.now,
+                        strict);
       Population refactored = makePopulation(seed);
-      scheduleWithThreads(refactored, threads);
+      Scheduler scheduler(refactored.machine, Scheduler::Config{strict});
+      scheduler.schedule(refactored.apps, refactored.now);
       expectIdentical(reference, refactored,
                       "seed=" + std::to_string(seed) +
-                          " threads=" + std::to_string(threads));
+                          " strict=" + std::to_string(strict));
     }
-  }
-}
-
-TEST(SchedulerParallel, StrictModeBitIdenticalAcrossThreadCounts) {
-  for (std::uint64_t seed = 100; seed <= 120; ++seed) {
-    Population serial = makePopulation(seed);
-    serial.strict = true;
-    scheduleWithThreads(serial, 1);
-    Population parallel = makePopulation(seed);
-    parallel.strict = true;
-    scheduleWithThreads(parallel, 8);
-    expectIdentical(serial, parallel, "seed=" + std::to_string(seed));
-  }
-}
-
-TEST(SchedulerParallel, EqScheduleBitIdenticalWithPool) {
-  // Algorithm 3 in isolation, against availability with negative
-  // stretches (exercising the entry clamp) and clusters nobody occupies.
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    Rng rng(seed * 77);
-    View avail;
-    const int nclusters = static_cast<int>(rng.uniformInt(1, 8));
-    for (int c = 0; c < nclusters; ++c) {
-      StepFunction cap = StepFunction::constant(rng.uniformInt(4, 30));
-      const int dips = static_cast<int>(rng.uniformInt(0, 3));
-      for (int d = 0; d < dips; ++d) {
-        cap -= StepFunction::pulse(
-            sec(rng.uniformInt(0, 300)),
-            rng.uniformInt(0, 3) == 0 ? kTimeInf
-                                      : sec(rng.uniformInt(20, 200)),
-            rng.uniformInt(1, 20));
-      }
-      avail.setCap(ClusterId{c}, std::move(cap));
-    }
-
-    Population serial = makePopulation(seed);
-    Scheduler::eqSchedule(serial.apps, avail, serial.now, serial.strict);
-    for (const int threads : {2, 8}) {
-      WorkerPool pool(threads);
-      Population parallel = makePopulation(seed);
-      Scheduler::eqSchedule(parallel.apps, avail, parallel.now,
-                            parallel.strict, &pool);
-      expectIdentical(serial, parallel,
-                      "seed=" + std::to_string(seed) +
-                          " threads=" + std::to_string(threads));
-    }
-  }
-}
-
-TEST(SchedulerParallel, PoolReusedAcrossPassesStaysDeterministic) {
-  // One Scheduler (one pool) driving repeated passes at advancing times
-  // must track a serial scheduler pass for pass.
-  const std::uint64_t seed = 9;
-  Population serial = makePopulation(seed);
-  Population parallel = makePopulation(seed);
-  Scheduler serialScheduler(serial.machine, Scheduler::Config{serial.strict},
-                            SchedulerOptions{1});
-  Scheduler parallelScheduler(parallel.machine,
-                              Scheduler::Config{parallel.strict},
-                              SchedulerOptions{4});
-  for (int pass = 0; pass < 5; ++pass) {
-    const Time now = serial.now + sec(pass * 30);
-    serialScheduler.schedule(serial.apps, now);
-    parallelScheduler.schedule(parallel.apps, now);
-    expectIdentical(serial, parallel, "pass=" + std::to_string(pass));
   }
 }
 
@@ -351,38 +272,32 @@ TEST(SchedulerParallel, MaterializedViewsMatchReferenceAtEveryPass) {
   const std::uint64_t cleanBefore =
       metrics::value(metrics::Event::kPassAppsClean);
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    for (const int threads : {1, 4}) {
-      Population reference = makePopulation(seed);
-      Population tested = makePopulation(seed);
-      for (AppSchedule& app : tested.apps) app.epoch = 1;
-      Scheduler scheduler(tested.machine, Scheduler::Config{tested.strict},
-                          SchedulerOptions{threads});
-      for (int pass = 0; pass < 8; ++pass) {
-        const Time now = reference.now + sec(30 * pass);
-        if (pass > 0) {
-          startOneRequest(reference, seed, pass, now);
-          startOneRequest(tested, seed, pass, now);
-        }
-        referenceSchedule(reference.machine, reference.apps, now,
-                          reference.strict);
-        scheduler.schedule(tested.apps, now);
-        expectIdentical(reference, tested,
-                        "seed=" + std::to_string(seed) +
-                            " threads=" + std::to_string(threads) +
-                            " pass=" + std::to_string(pass));
+    Population reference = makePopulation(seed);
+    Population tested = makePopulation(seed);
+    for (AppSchedule& app : tested.apps) app.epoch = 1;
+    Scheduler scheduler(tested.machine, Scheduler::Config{tested.strict});
+    for (int pass = 0; pass < 8; ++pass) {
+      const Time now = reference.now + sec(30 * pass);
+      if (pass > 0) {
+        startOneRequest(reference, seed, pass, now);
+        startOneRequest(tested, seed, pass, now);
       }
+      referenceSchedule(reference.machine, reference.apps, now,
+                        reference.strict);
+      scheduler.schedule(tested.apps, now);
+      expectIdentical(reference, tested,
+                      "seed=" + std::to_string(seed) +
+                          " pass=" + std::to_string(pass));
     }
   }
   EXPECT_GT(metrics::value(metrics::Event::kPassAppsClean), cleanBefore);
 }
 
-TEST(SchedulerParallel, EmptyAppListIsANoopWithPool) {
-  WorkerPool pool(4);
+TEST(SchedulerParallel, EmptyAppListIsANoop) {
   std::vector<AppSchedule> apps;
-  Scheduler::eqSchedule(apps, View{}, 0, false, &pool);
-  Scheduler scheduler(Machine::single(16), Scheduler::Config{},
-                      SchedulerOptions{4});
-  scheduler.schedule(apps, 0);  // must not touch the pool with empty batches
+  Scheduler::eqSchedule(apps, View{}, 0, false);
+  Scheduler scheduler(Machine::single(16));
+  scheduler.schedule(apps, 0);
 }
 
 }  // namespace

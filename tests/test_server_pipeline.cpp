@@ -1,12 +1,13 @@
 // Differential suite for the server's scheduling passes.
 //
-// Each pass runs inline in its timer event, fanning its per-application
-// and per-cluster work out over `threads` workers. The suite pins:
-//  1. application-observable output — every endpoint callback with its
-//     payload, final node-pool state, pass count — and the server's own
-//     protocol trace are *bit-identical* for threads {1, 2, 4, 8};
-//  2. runs are fully deterministic: identical traces across repeats;
-//  3. what a pass publishes — views, leases, RESUME deliveries — against
+// Each pass runs inline in its timer event, on the executor's thread. The
+// suite pins:
+//  1. runs are fully deterministic: application-observable output — every
+//     endpoint callback with its payload, final node-pool state, pass
+//     count — and the server's own protocol trace are *bit-identical*
+//     across repeats of one seed, with and without a 1,000-transition
+//     lease chain;
+//  2. what a pass publishes — views, leases, RESUME deliveries — against
 //     the full-recompute reference and a never-detached twin.
 #include <gtest/gtest.h>
 
@@ -234,7 +235,7 @@ struct Outcome {
 /// `chainTransitions` > 0 adds a malleable filler running an endless NEXT
 /// lease chain (tests/lease_chain.hpp) on a third cluster next to the
 /// scripted applications; its log is the last entry of Outcome::appLogs.
-Outcome runScenario(std::uint64_t seed, int threads, int napps = 5,
+Outcome runScenario(std::uint64_t seed, int napps = 5,
                     Time horizon = minutes(8), int chainTransitions = 0) {
   Engine engine;
   Machine machine;
@@ -244,7 +245,6 @@ Outcome runScenario(std::uint64_t seed, int threads, int napps = 5,
   Server::Config config;
   config.reschedInterval = sec(1);
   config.violationGrace = sec(5);
-  config.threads = threads;
   Server server(engine, machine, config);
   Trace trace;
   server.setTrace(&trace);
@@ -307,48 +307,29 @@ void expectSameOutput(const Outcome& a, const Outcome& b,
   EXPECT_EQ(a.passes, b.passes);
 }
 
-TEST(ServerPipeline, OutputAndTraceBitIdenticalAcrossThreadCounts) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Outcome serial = runScenario(seed, 1);
-    for (const int threads : {2, 4, 8}) {
-      const Outcome parallel = runScenario(seed, threads);
-      expectSameOutput(serial, parallel,
-                       "seed=" + std::to_string(seed) +
-                           " threads=" + std::to_string(threads));
-      EXPECT_EQ(serial.trace, parallel.trace)
-          << "seed=" << seed << " threads=" << threads;
-    }
+TEST(ServerPipeline, TracesAreDeterministicAcrossRepeats) {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) seeds.push_back(seed);
+  for (std::uint64_t seed = 11; seed <= 14; ++seed) seeds.push_back(seed);
+  for (const std::uint64_t seed : seeds) {
+    const Outcome first = runScenario(seed);
+    const Outcome repeat = runScenario(seed);
+    EXPECT_EQ(first.trace, repeat.trace) << "seed=" << seed;
+    expectSameOutput(first, repeat, "repeat seed=" + std::to_string(seed));
   }
 }
 
-TEST(ServerPipeline, LeaseChainOutputBitIdenticalAcrossThreadCounts) {
+TEST(ServerPipeline, LeaseChainOutputIsDeterministicAcrossRepeats) {
   // The same scripted population plus a filler whose NEXT lease chain runs
   // past 1,000 transitions: every pass start reclaims ended leases and
   // unlinks running successors.
   constexpr int kTransitions = 1000;
   constexpr std::uint64_t kSeed = 21;
-  const Outcome serial = runScenario(kSeed, 1, 5, minutes(18), kTransitions);
-  EXPECT_GE(serial.chainTransitions, kTransitions);
-  const Outcome parallel = runScenario(kSeed, 4, 5, minutes(18), kTransitions);
-  expectSameOutput(serial, parallel, "chain threads=4");
-  EXPECT_EQ(serial.trace, parallel.trace);
-}
-
-TEST(ServerPipeline, TracesAreDeterministicAcrossRepeatsAndThreadCounts) {
-  for (std::uint64_t seed = 11; seed <= 14; ++seed) {
-    const Outcome first = runScenario(seed, 2);
-    const Outcome repeat = runScenario(seed, 2);
-    EXPECT_EQ(first.trace, repeat.trace) << "seed=" << seed;
-    expectSameOutput(first, repeat, "repeat seed=" + std::to_string(seed));
-    for (const int threads : {1, 4}) {
-      const Outcome other = runScenario(seed, threads);
-      EXPECT_EQ(first.trace, other.trace)
-          << "seed=" << seed << " threads=" << threads;
-      expectSameOutput(first, other,
-                       "seed=" + std::to_string(seed) +
-                           " threads=" + std::to_string(threads));
-    }
-  }
+  const Outcome first = runScenario(kSeed, 5, minutes(18), kTransitions);
+  EXPECT_GE(first.chainTransitions, kTransitions);
+  const Outcome repeat = runScenario(kSeed, 5, minutes(18), kTransitions);
+  expectSameOutput(first, repeat, "chain repeat");
+  EXPECT_EQ(first.trace, repeat.trace);
 }
 
 TEST(ServerPipeline, RunSchedulingPassNowCommits) {

@@ -20,8 +20,6 @@ void printUsage(std::ostream& out) {
          "  --jobs N           add N synthetic rigid jobs\n"
          "  --swf FILE         replay a rigid SWF trace\n"
          "  --strict           strict equi-partitioning (no filling)\n"
-         "  --threads N        scheduler worker threads (default 1; any\n"
-         "                     value yields bit-identical schedules)\n"
          "  --until SECS       horizon when no AMR is present (default 86400)\n"
          "  --timeline         render an ASCII allocation timeline\n"
          "  --trace            dump the protocol trace\n"
@@ -91,8 +89,6 @@ ParseResult parseArgs(int argc, const char* const* argv) {
       options.swfPath = v;
     } else if (arg == "--strict") {
       options.runtime.strictEquiPartition = true;
-    } else if (arg == "--threads" && (v = value(i))) {
-      options.runtime.threads = std::atoi(v);
     } else if (arg == "--until" && (v = value(i))) {
       options.until = secF(std::atof(v));
     } else if (arg == "--timeline") {
@@ -143,10 +139,10 @@ ParseResult parseArgs(int argc, const char* const* argv) {
     }
   }
   if (options.nodes <= 0 || options.amrSteps <= 0 ||
-      options.overcommit <= 0.0 || options.runtime.threads <= 0 ||
-      options.runtime.reschedInterval <= 0 || options.idleDeadline < 0 ||
-      options.resumeGrace < 0 || options.connections <= 0 ||
-      options.probes < 0 || options.slowPassMs < 0) {
+      options.overcommit <= 0.0 || options.runtime.reschedInterval <= 0 ||
+      options.idleDeadline < 0 || options.resumeGrace < 0 ||
+      options.connections <= 0 || options.probes < 0 ||
+      options.slowPassMs < 0) {
     result.error = "invalid numeric option";
     return result;
   }

@@ -34,10 +34,9 @@ struct Options {
   std::vector<Time> psaTasks;
   int syntheticJobs = 0;
   std::string swfPath;
-  /// The shared runtime-tuning knobs (threads, resched interval, strict
+  /// The shared runtime-tuning knobs (resched interval, strict
   /// equi-partitioning), parsed once here and projected into
-  /// Server::Config / SchedulerOptions by the drivers (--strict,
-  /// --threads, --resched).
+  /// Server::Config by the drivers (--strict, --resched).
   RuntimeOptions runtime;
   Time until = hours(24);
   bool showTimeline = false;

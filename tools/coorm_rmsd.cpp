@@ -1,7 +1,7 @@
 // coorm_rmsd: the CooRMv2 RMS as a network daemon.
 //
-// Runs the exact same `Server` the simulator exercises — worker threads,
-// incremental passes and all — on a real-time epoll loop, serving the wire
+// Runs the exact same `Server` the simulator exercises — incremental
+// passes and all — on a real-time epoll loop, serving the wire
 // protocol (net/wire.hpp) over TCP. Applications connect with
 // net::RmsClient (or anything that speaks the frames); `coorm_loadgen` is
 // the bundled load generator.
