@@ -17,7 +17,7 @@
 //  - BM_EqSchedule: Algorithm 3 in isolation (half the applications hold
 //    started preemptible allocations, half have pending ones);
 //  - BM_ServerPipeline: the full Server + Engine stack — every pass's
-//    prune, capture, schedule, write-back, views and commit — under a
+//    prune, schedule, view stash, views and commit — under a
 //    message-heavy multi-app protocol load (arg: apps);
 //  - BM_ScheduleIncremental / BM_SchedulePopulation: steady-state
 //    incremental passes over lease and pre-allocation populations, the
@@ -319,17 +319,8 @@ void BM_ServerPipeline(benchmark::State& state) {
   state.counters["messages/s"] = benchmark::Counter(
       static_cast<double>(messages), benchmark::Counter::kIsRate);
   state.counters["passes"] = static_cast<double>(passes);
-  // Write-back fast path (snapshot.cpp): passes whose results all match
-  // their capture-time seeds skip the scattered live-request walk. The
-  // clean share pins that the fast path actually engages under protocol
-  // load (counters are process-global, hence the delta).
+  // Counters are process-global, hence the delta.
   const auto delta = metrics::snapshot();
-  state.counters["writeback_clean"] = static_cast<double>(
-      delta[metrics::Event::kWriteBackAppsClean] -
-      before[metrics::Event::kWriteBackAppsClean]);
-  state.counters["writeback_dirty"] = static_cast<double>(
-      delta[metrics::Event::kWriteBackAppsDirty] -
-      before[metrics::Event::kWriteBackAppsDirty]);
   // Every pass through the stack must land in the pass-latency histogram
   // (the percentile source for --stats and /metrics); CI gates this stays
   // nonzero so the observability layer cannot silently detach.
@@ -350,7 +341,7 @@ BENCHMARK(BM_ServerPipeline)
 // durations spreading ~napps/16 breakpoints per cluster. Each iteration
 // churns `churnPct`% of the applications (a small lease extension — a
 // local breakpoint move — plus the epoch bump the server does) and runs
-// one recapture + schedulePass + writeBack round at a fixed `now`.
+// one Scheduler::schedule pass at a fixed `now`.
 //
 // incremental=0 is the full-recompute reference; the /1 variant divided
 // into it is the O(changed) pass-latency claim (ISSUE 8 gates on >= 5x at
@@ -414,13 +405,7 @@ void BM_ScheduleIncremental(benchmark::State& state) {
 
   Scheduler scheduler(population.machine,
                       Scheduler::Config{.incremental = incremental});
-  RequestSetSnapshot snapshot;
-
-  const auto pass = [&] {
-    snapshot.recapture(population.apps);
-    scheduler.schedulePass(snapshot, kNow);
-    snapshot.writeBack();
-  };
+  const auto pass = [&] { scheduler.schedule(population.apps, kNow); };
   pass();  // cold pass primes the cache outside the measured loop
 
   Rng churnRng(7);
@@ -471,9 +456,9 @@ BENCHMARK(BM_ScheduleIncremental)
 // iteration one rigid application's pre-allocation alternately starts and
 // ends (the free profile moves, so every non-preemptive view is
 // re-derived) and one malleable lease changes size (the idle share that
-// every absent application receives moves). Then one recapture +
-// schedulePass + writeBack round runs and the published views are stashed
-// the way Server::runPass does (swapped into per-app slots).
+// every absent application receives moves). Then one Scheduler::schedule
+// pass runs and the published views are stashed the way Server::runPass
+// does (swapped into per-app slots).
 void BM_SchedulePopulation(benchmark::State& state) {
   const int napps = static_cast<int>(state.range(0));
   const ClusterId c0{0};
@@ -535,14 +520,11 @@ void BM_SchedulePopulation(benchmark::State& state) {
   malleable.preemptible->add(lease);
 
   Scheduler scheduler(population.machine);
-  RequestSetSnapshot snapshot;
   std::vector<NonPreemptiveView> stashNp(population.apps.size());
   std::vector<View> stashP(population.apps.size());
   const auto pass = [&] {
-    snapshot.recapture(population.apps);
-    scheduler.schedulePass(snapshot, kNow);
-    snapshot.writeBack();
-    const std::span<AppSnapshot> apps = snapshot.apps();
+    scheduler.schedule(population.apps, kNow);
+    const std::span<AppSchedule> apps = population.apps;
     for (std::size_t i = 0; i < apps.size(); ++i) {
       if (apps[i].viewsReused) continue;
       std::swap(stashNp[i], apps[i].nonPreemptiveView);

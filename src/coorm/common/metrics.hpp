@@ -38,11 +38,14 @@ namespace coorm::metrics {
 enum class Event : std::uint16_t {
   kSchedulePasses,            ///< scheduling passes run to completion
   kSchedulePassesOverlapped,  ///< always 0: passes run inline (read by name)
-  kSnapshotRebuilds,          ///< app snapshot captures rebuilt from scratch
-  kSnapshotRefreshes,         ///< captures satisfied by verify-and-refresh
-  kSnapshotSkips,             ///< captures skipped outright (epoch clean)
-  kWriteBackAppsClean,        ///< write-backs skipped: results unchanged
-  kWriteBackAppsDirty,        ///< write-backs that had to walk live requests
+  // The next five are always 0: a pass reads and writes the live requests,
+  // with no per-pass snapshot to capture or write back. They stay
+  // registered because servebench's `--trace 1` reads them by name.
+  kSnapshotRebuilds,          ///< always 0 (read by name)
+  kSnapshotRefreshes,         ///< always 0 (read by name)
+  kSnapshotSkips,             ///< always 0 (read by name)
+  kWriteBackAppsClean,        ///< always 0 (read by name)
+  kWriteBackAppsDirty,        ///< always 0 (read by name)
   kArenaHits,                 ///< segment blocks served from a free list
   kArenaSlowPath,             ///< segment blocks that hit the heap
   kSweepSegmentsMerged,       ///< segments produced by profile merge sweeps
@@ -60,7 +63,7 @@ enum class Event : std::uint16_t {
   kJournalRecordsReplayed,    ///< records replayed at startup recovery
   kSessionsResumed,           ///< RESUME handshakes re-attaching a session
   kReconnects,                ///< client reconnects completed (both ends count)
-  kPassAppsDirty,             ///< apps re-derived by a pass (epoch moved)
+  kPassAppsDirty,             ///< apps re-derived by a pass (not lease-clean)
   kPassAppsClean,             ///< apps served from the incremental cache
   kStep2RangesReused,         ///< Step 2 output profiles reused or spliced
   kLeasesRenewed,             ///< clean apps whose allocation carried over
@@ -89,9 +92,9 @@ enum class Gauge : std::uint16_t {
 enum class Histo : std::uint16_t {
   kPassLatencyUs,    ///< scheduling pass, runPass() entry to commit done
   kPassPruneUs,      ///< pass phase: reclaim ended requests
-  kPassCaptureUs,    ///< pass phase: snapshot recapture of the live sets
-  kPassScheduleUs,   ///< pass phase: Scheduler::schedulePass (Steps 1-3)
-  kPassWriteBackUs,  ///< pass phase: snapshot write-back + lease renewal
+  kPassCaptureUs,    ///< pass phase: build the pass's AppSchedule list
+  kPassScheduleUs,   ///< pass phase: Scheduler::schedule (Steps 1-3)
+  kPassWriteBackUs,  ///< pass phase: stash views + lease accounting
   kPassViewsUs,      ///< pass phase: view diff + push to sessions
   kPassCommitUs,     ///< pass phase: starts, violations, journal barrier
   kRequestRttUs,     ///< daemon-side REQUEST decode -> REQ_ACK write

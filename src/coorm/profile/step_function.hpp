@@ -30,7 +30,7 @@ namespace coorm {
 /// live inline, larger ones draw pooled blocks from the calling thread's
 /// SegmentArena (profile/segment_arena.hpp). Copies share a larger
 /// profile's block instead of copying it, so handing a view on (scheduler
-/// cache → pass snapshot → session stash → push) costs O(1) per profile.
+/// cache → AppSchedule → session stash → push) costs O(1) per profile.
 /// Value semantics are unchanged: every mutator either builds a fresh block
 /// or clones a shared one once at entry, so a write through one copy is
 /// never seen through another.

@@ -19,13 +19,13 @@ namespace {
 /// (and the violation protocol), not encoded in the grant. Min-over-window
 /// (View::alloc) would make an open-ended lease unserveable whenever any
 /// future drop exists.
-NodeCount grantAtStart(const View& view, const SnapshotRecord& r, Time at) {
+NodeCount grantAtStart(const View& view, const Request& r, Time at) {
   if (isInf(at)) return 0;
   return std::clamp<NodeCount>(view.at(r.cluster, at), 0, r.nodes);
 }
 
-/// Occupation pulse of one scheduled record.
-void addOccupation(View& view, const SnapshotRecord& r) {
+/// Occupation pulse of one scheduled request.
+void addOccupation(View& view, const Request& r) {
   if (isInf(r.scheduledAt) || r.nAlloc <= 0 || r.duration <= 0) return;
   view.capRef(r.cluster).addPulse(r.scheduledAt, r.duration, r.nAlloc);
 }
@@ -102,10 +102,80 @@ std::vector<NodeCount> fairDistribute(NodeCount capacity,
   return gives;
 }
 
+/// The SetIndex cache of the pass, by application position: each
+/// application's three indices stay valid, and are kept, while its key —
+/// the set identities, their membership versions and the owner's mutation
+/// epoch — stays as it was. Membership alone is not enough: the server
+/// orphans a cancelled request's children and unlinks reclaimed parents,
+/// which edits constraint edges without changing membership but bumps the
+/// epoch. Epoch 0 re-indexes every pass.
+struct PassIndex {
+  struct Key {
+    const RequestSet* sets[3] = {nullptr, nullptr, nullptr};
+    std::uint64_t versions[3] = {0, 0, 0};
+    std::uint64_t epoch = 0;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  std::vector<Key> keys;
+  std::vector<SetIndex> preAllocations;
+  std::vector<SetIndex> nonPreemptible;
+  std::vector<SetIndex> preemptible;
+  std::vector<char> allStarted;  ///< every member started at the last build
+
+  /// Re-indexes every application whose key moved and sets each
+  /// AppSchedule::leaseClean: key unchanged and every request started.
+  /// Started requests' pass results are independent of the pass's `now`
+  /// and of the availability views, which is what makes such an app's
+  /// whole re-derivation skippable; an app with a pending request must be
+  /// re-derived even when its key is unchanged, because fit() and
+  /// grantAtStart() anchor pending requests at max(scheduledAt, now).
+  void refresh(std::span<AppSchedule> apps) {
+    const std::size_t napps = apps.size();
+    keys.resize(napps);
+    preAllocations.resize(napps);
+    nonPreemptible.resize(napps);
+    preemptible.resize(napps);
+    allStarted.resize(napps);
+    for (std::size_t i = 0; i < napps; ++i) {
+      AppSchedule& app = apps[i];
+      const RequestSet* sets[3] = {app.preAllocations, app.nonPreemptible,
+                                   app.preemptible};
+      Key key;
+      for (int s = 0; s < 3; ++s) {
+        key.sets[s] = sets[s];
+        key.versions[s] = sets[s] != nullptr ? sets[s]->version() : 0;
+      }
+      key.epoch = app.epoch;
+      if (app.epoch != 0 && key == keys[i]) {
+        app.leaseClean = allStarted[i] != 0;
+        continue;
+      }
+      // Same epoch over the same sets with moved membership: an add or
+      // remove whose owner forgot the mutationEpoch bump. Release builds
+      // re-index, which is always safe.
+      COORM_DCHECK(app.epoch == 0 || app.epoch != keys[i].epoch ||
+                   !std::equal(sets, sets + 3, keys[i].sets) ||
+                   std::equal(key.versions, key.versions + 3,
+                              keys[i].versions));
+      keys[i] = key;
+      preAllocations[i].build(sets[0]);
+      nonPreemptible[i].build(sets[1]);
+      preemptible[i].build(sets[2]);
+      bool started = true;
+      for (const RequestSet* set : sets) {
+        if (set == nullptr) continue;
+        for (const Request* r : *set) started = started && r->started();
+      }
+      allStarted[i] = started ? 1 : 0;
+      app.leaseClean = false;
+    }
+  }
+};
+
 /// Pass-to-pass cache of the incremental scheduling path. Everything is
-/// indexed by application position in the snapshot (the scheduler requires
-/// connection order, so positions are stable between passes unless the
-/// population itself changed — which invalidates the cache wholesale).
+/// indexed by application position (the scheduler requires connection
+/// order, so positions are stable between passes unless the population
+/// itself changed — which invalidates the cache wholesale).
 ///
 /// The cached profiles are plain StepFunctions/Views whose segment blocks
 /// the published views share (segment_arena.hpp): blocks are reference-
@@ -120,13 +190,9 @@ std::vector<NodeCount> fairDistribute(NodeCount capacity,
 /// application's view moved is decided inside the free profile's diff
 /// window only (freeProfileMoveShows below).
 struct IncrementalState {
-  /// False until a pass completes; cleared at pass start (exception
-  /// safety) and by Scheduler::invalidateIncremental().
+  /// False until a pass completes; cleared at pass start, so a pass that
+  /// throws leaves the next one cold.
   bool valid = false;
-  /// Identity of the snapshot object the cache describes. A different
-  /// snapshot over the same apps has independent record state, so the
-  /// capture-kind-based cleanliness argument does not transfer.
-  const void* snapshotKey = nullptr;
   std::vector<AppId> appIds;
 
   // --- previous pass intermediates, one slot per application --------------
@@ -237,14 +303,12 @@ bool freeProfileMoveShows(IncrementalState& inc, std::size_t i,
 Scheduler::Scheduler(Machine machine) : Scheduler(std::move(machine), Config{}) {}
 
 Scheduler::Scheduler(Machine machine, Config config)
-    : machine_(std::move(machine)), config_(config) {
+    : machine_(std::move(machine)),
+      config_(config),
+      index_(std::make_unique<PassIndex>()) {
   if (config.incremental) {
     inc_ = std::make_unique<IncrementalState>();
   }
-}
-
-void Scheduler::invalidateIncremental() const {
-  if (inc_ != nullptr) inc_->valid = false;
 }
 
 Scheduler::~Scheduler() = default;
@@ -262,31 +326,33 @@ View Scheduler::machineView() const {
 // ---------------------------------------------------------------------------
 // Algorithm 1: toView
 // ---------------------------------------------------------------------------
-View Scheduler::toView(SetSnapshot& set, const View* available, Time now) {
+namespace {
+
+View toViewIndexed(const SetIndex& set, const View* available, Time now) {
   View out;
-  for (SnapIndex i = set.begin(); i < set.end(); ++i) {
-    set.rec(i).fixed = false;
-  }
+  const auto n = static_cast<std::uint32_t>(set.size());
+  for (std::uint32_t s = 0; s < n; ++s) set.member(s).fixed = false;
 
   // FIFO worklist; `fixed` doubles as the visited marker (reset above, set
-  // exactly when a record is processed below).
-  std::vector<SnapIndex> queue;
-  queue.reserve(set.size());
-  for (SnapIndex i = set.begin(); i < set.end(); ++i) {
-    if (set.rec(i).started()) queue.push_back(i);
+  // exactly when a request is processed below).
+  std::vector<std::uint32_t> queue;
+  queue.reserve(n);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (set.member(s).started()) queue.push_back(s);
   }
 
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const SnapIndex index = queue[head];
-    SnapshotRecord& r = set.rec(index);
+    const std::uint32_t slot = queue[head];
+    Request& r = set.member(slot);
     if (r.fixed) continue;
 
     if (r.started()) {
       // Ground truth beats the derived time for running requests.
       r.scheduledAt = r.startedAt;
     } else {
-      COORM_DCHECK(r.parent != kNoRecord);
-      const SnapshotRecord& parent = set.rec(r.parent);
+      // Only children are queued unstarted: the parent is in this set.
+      COORM_DCHECK(set.parentSlot(slot) != SetIndex::kNoSlot);
+      const Request& parent = *r.relatedTo;
       switch (r.relatedHow) {
         case Relation::kNext:
           r.scheduledAt = satAdd(parent.scheduledAt, parent.duration);
@@ -301,7 +367,7 @@ View Scheduler::toView(SetSnapshot& set, const View* available, Time now) {
 
     if (r.started() && r.type == RequestType::kPreemptible) {
       // A running preemptible request occupies what it actually holds.
-      r.nAlloc = r.heldIds;
+      r.nAlloc = static_cast<NodeCount>(r.nodeIds.size());
     } else if (available != nullptr &&
                r.type == RequestType::kPreemptible) {
       // Pending leases are granted from *current* availability: the
@@ -317,7 +383,7 @@ View Scheduler::toView(SetSnapshot& set, const View* available, Time now) {
     r.fixed = true;
     addOccupation(out, r);
 
-    for (const SnapIndex child : set.childrenOf(index)) {
+    for (const std::uint32_t child : set.childrenOf(slot)) {
       queue.push_back(child);
     }
   }
@@ -327,22 +393,23 @@ View Scheduler::toView(SetSnapshot& set, const View* available, Time now) {
 // ---------------------------------------------------------------------------
 // Algorithm 2: fit
 // ---------------------------------------------------------------------------
-View Scheduler::fit(SetSnapshot& set, const View& available, Time t0,
-                    FitStats* stats) {
+View fitIndexed(const SetIndex& set, const View& available, Time t0,
+                FitStats* stats) {
   FitStats local;
   if (stats == nullptr) stats = &local;
-  std::vector<SnapIndex> queue;
+  const auto n = static_cast<std::uint32_t>(set.size());
+  std::vector<std::uint32_t> queue;
   queue.reserve(set.size() * 2 + 8);  // constraint conflicts re-push parents
   std::size_t nonFixed = 0;
-  for (SnapIndex i = set.begin(); i < set.end(); ++i) {
-    SnapshotRecord& r = set.rec(i);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    Request& r = set.member(s);
     if (r.fixed) continue;
     r.earliestScheduleAt = t0;  // nothing can be scheduled earlier than t0
     r.scheduledAt = kTimeInf;   // in case of error, the request never starts
     r.nAlloc = 0;
     ++nonFixed;
   }
-  for (const SnapIndex root : set.roots()) queue.push_back(root);
+  for (const std::uint32_t root : set.roots()) queue.push_back(root);
 
   // The constraint-propagation loop converges because earliestScheduleAt
   // only moves forward; the guard bounds pathological inputs.
@@ -351,19 +418,21 @@ View Scheduler::fit(SetSnapshot& set, const View& available, Time t0,
   for (std::size_t head = 0; head < queue.size() && budget > 0; ++head) {
     --budget;
     ++stats->queuePops;
-    const SnapIndex index = queue[head];
-    SnapshotRecord& r = set.rec(index);
+    const std::uint32_t slot = queue[head];
+    Request& r = set.member(slot);
 
     if (r.fixed) {
-      // Start times of fixed records cannot move; just visit children.
-      for (const SnapIndex child : set.childrenOf(index)) {
+      // Start times of fixed requests cannot move; just visit children.
+      for (const std::uint32_t child : set.childrenOf(slot)) {
         ++stats->childVisits;
         queue.push_back(child);
       }
       continue;
     }
 
-    SnapshotRecord* parent = r.parent != kNoRecord ? &set.rec(r.parent) : nullptr;
+    // A parent outside this set is read (never re-pushed): its schedule is
+    // whatever its own set's placement left there.
+    const std::uint32_t parentSlot = set.parentSlot(slot);
     r.nAlloc = r.nodes;  // default; preemptible branches override below
     const Time before = r.scheduledAt;
 
@@ -384,6 +453,7 @@ View Scheduler::fit(SetSnapshot& set, const View& available, Time t0,
         break;
       }
       case Relation::kCoAlloc: {
+        Request* parent = r.relatedTo;
         if (parent == nullptr) break;
         if (r.type == RequestType::kPreemptible &&
             parent->type != RequestType::kPreemptible) {
@@ -394,16 +464,17 @@ View Scheduler::fit(SetSnapshot& set, const View& available, Time t0,
               r.cluster, r.nodes, r.duration,
               std::max(parent->scheduledAt, r.earliestScheduleAt));
           if (r.scheduledAt != parent->scheduledAt && !parent->fixed &&
-              set.contains(r.parent)) {
+              parentSlot != SetIndex::kNoSlot) {
             // The parent must be delayed for the constraint to hold.
             parent->earliestScheduleAt = r.scheduledAt;
             ++stats->parentRepushes;
-            queue.push_back(r.parent);
+            queue.push_back(parentSlot);
           }
         }
         break;
       }
       case Relation::kNext: {
+        Request* parent = r.relatedTo;
         if (parent == nullptr) break;
         const Time parentEnd = satAdd(parent->scheduledAt, parent->duration);
         if (r.type == RequestType::kPreemptible) {
@@ -414,11 +485,11 @@ View Scheduler::fit(SetSnapshot& set, const View& available, Time t0,
               r.cluster, r.nodes, r.duration,
               std::max(parentEnd, r.earliestScheduleAt));
           if (r.scheduledAt != parentEnd && !parent->fixed &&
-              set.contains(r.parent)) {
+              parentSlot != SetIndex::kNoSlot) {
             parent->earliestScheduleAt =
                 satSub(r.scheduledAt, parent->duration);
             ++stats->parentRepushes;
-            queue.push_back(r.parent);
+            queue.push_back(parentSlot);
           }
         }
         break;
@@ -426,7 +497,7 @@ View Scheduler::fit(SetSnapshot& set, const View& available, Time t0,
     }
 
     if (before != r.scheduledAt) {
-      for (const SnapIndex child : set.childrenOf(index)) {
+      for (const std::uint32_t child : set.childrenOf(slot)) {
         ++stats->childVisits;
         queue.push_back(child);
       }
@@ -435,11 +506,34 @@ View Scheduler::fit(SetSnapshot& set, const View& available, Time t0,
 
   // Schedule converged (or budget exhausted): emit the generated view.
   View out;
-  for (SnapIndex i = set.begin(); i < set.end(); ++i) {
-    const SnapshotRecord& r = set.rec(i);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const Request& r = set.member(s);
     if (!r.fixed) addOccupation(out, r);
   }
   return out;
+}
+
+/// Index scratch of the building-block overloads, kept for its capacity:
+/// every call re-indexes, so results never depend on an earlier call.
+SetIndex& scratchIndex() {
+  thread_local SetIndex index;
+  return index;
+}
+
+}  // namespace
+
+View Scheduler::toView(const RequestSet& set, const View* available,
+                       Time now) {
+  SetIndex& index = scratchIndex();
+  index.build(&set);
+  return toViewIndexed(index, available, now);
+}
+
+View Scheduler::fit(const RequestSet& set, const View& available, Time t0,
+                    FitStats* stats) {
+  SetIndex& index = scratchIndex();
+  index.build(&set);
+  return fitIndexed(index, available, t0, stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -550,10 +644,10 @@ class Step2Values {
 /// per breakpoint. Values are identical to the all-apps sweep.
 ///
 /// `candidates` (ascending app indices) are the applications whose
-/// snapshot demand summary names this cluster — a superset of the
-/// occupying applications, since occupation pulses only ever land on a
-/// request's own cluster. Probing candidates instead of every application
-/// makes present-detection O(demand entries) instead of O(clusters × apps).
+/// occupation view has an entry for this cluster (collectCandidates) — a
+/// superset of the occupying applications. Probing candidates instead of
+/// every application makes present-detection O(occupation entries)
+/// instead of O(clusters × apps).
 void eqScheduleCluster(ClusterId cid, const View& avail,
                        std::span<const View> occupation,
                        std::span<const std::uint32_t> candidates, bool strict,
@@ -746,14 +840,39 @@ void resweepCluster(ClusterId cid, const StepFunction& availCap,
   }
 }
 
-}  // namespace
+/// Step 2's per-cluster candidate lists: for each cluster of `clusterIds`
+/// (sorted, covering every occupation's clusters), the applications whose
+/// occupation view has an entry for it, ascending. Occupation pulses only
+/// land on a request's own cluster, so these are the applications with a
+/// preemptible request there that can occupy it.
+void collectCandidates(std::span<const View> occupation,
+                       std::span<const ClusterId> clusterIds,
+                       std::vector<std::vector<std::uint32_t>>& candidates) {
+  candidates.resize(clusterIds.size());
+  for (std::vector<std::uint32_t>& list : candidates) list.clear();
+  std::vector<ClusterId> own;
+  for (std::size_t i = 0; i < occupation.size(); ++i) {
+    own.clear();
+    occupation[i].appendClusterIds(own);
+    for (const ClusterId cid : own) {
+      const auto it =
+          std::lower_bound(clusterIds.begin(), clusterIds.end(), cid);
+      COORM_DCHECK(it != clusterIds.end() && *it == cid);
+      candidates[static_cast<std::size_t>(it - clusterIds.begin())]
+          .push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+}
 
-void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
-                           Time now, bool strict) {
+/// Algorithm 3 over indexed preemptible sets (`preemptible[i]` indexes
+/// apps[i].preemptible).
+void eqScheduleIndexed(std::span<AppSchedule> apps,
+                       std::span<const SetIndex> preemptible,
+                       const View& available, Time now, bool strict) {
   const std::size_t napps = apps.size();
   if (napps == 0) return;
 
-  // Callers (schedulePass()) usually hand in an already-clamped view; only
+  // Callers (the pass) usually hand in an already-clamped view; only
   // copy when the clamp would actually change something.
   View clamped;
   if (!available.nonNegative()) {
@@ -763,26 +882,26 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
   const View& avail = clamped.empty() ? available : clamped;
 
   // Step 1: preliminary occupation views (started + newly fitted
-  // requests). Each application's step touches only its own snapshot
-  // records and occupation slot (constraints never cross applications).
-  // Applications with an empty preemptible set have no records to fix and
+  // requests). Each application's step touches only its own requests and
+  // occupation slot (constraints never cross applications).
+  // Applications with an empty preemptible set have no requests to fix and
   // an empty occupation — skip the algebra entirely.
   const std::uint64_t step1Start = metrics::nowNanos();
   std::vector<View> occupation(napps);
   for (std::size_t i = 0; i < napps; ++i) {
     apps[i].preemptiveView = View{};
-    SetSnapshot& set = apps[i].preemptible();
+    const SetIndex& set = preemptible[i];
     if (set.empty()) continue;
-    occupation[i] = toView(set, &avail, now);
+    occupation[i] = toViewIndexed(set, &avail, now);
     if (occupation[i].empty()) {
       // Nothing started: avail - 0 clamped is avail itself (clamped on
       // entry), so fit directly against it and adopt the result outright.
-      occupation[i] = fit(set, avail, now);
+      occupation[i] = fitIndexed(set, avail, now, nullptr);
     } else {
       View freeForMe = avail;
       accumulateOne(freeForMe, occupation[i], View::Op::kSubtract,
                     /*clampAtZero=*/true);
-      occupation[i] += fit(set, freeForMe, now);
+      occupation[i] += fitIndexed(set, freeForMe, now, nullptr);
     }
   }
 
@@ -792,30 +911,20 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
   // Step 2: per piece-wise-constant interval, decide what each application
   // may have. The sweep partitions cleanly by cluster: each cluster's row
   // of per-application profiles lands in the views before the next
-  // cluster is swept. The captured demand summaries invert into
-  // per-cluster candidate lists, so each cluster sweep only probes the
-  // applications that can occupy it.
+  // cluster is swept. Each cluster sweep only probes the applications
+  // whose occupation names it.
   std::vector<ClusterId> clusterIds;
   avail.appendClusterIds(clusterIds);
   for (const View& occ : occupation) occ.appendClusterIds(clusterIds);
   View::sortUniqueClusterIds(clusterIds);
 
-  std::vector<std::vector<std::uint32_t>> candidates(clusterIds.size());
-  for (std::size_t i = 0; i < napps; ++i) {
-    for (const ClusterDemand& demand : apps[i].preemptibleDemand()) {
-      const auto it = std::lower_bound(clusterIds.begin(), clusterIds.end(),
-                                       demand.cluster);
-      if (it != clusterIds.end() && *it == demand.cluster) {
-        candidates[static_cast<std::size_t>(it - clusterIds.begin())]
-            .push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-  }
+  std::vector<std::vector<std::uint32_t>> candidates;
+  collectCandidates(occupation, clusterIds, candidates);
 
   NodeCount strictParticipants = 0;  // breakpoint-invariant
   if (strict) {
-    for (const AppSnapshot& app : apps) {
-      if (!app.preemptible().empty()) ++strictParticipants;
+    for (const SetIndex& set : preemptible) {
+      if (!set.empty()) ++strictParticipants;
     }
   }
 
@@ -835,37 +944,51 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
   // final view so scheduledAt and nAlloc are consistent with what we will
   // actually grant.
   for (std::size_t i = 0; i < napps; ++i) {
-    SetSnapshot& set = apps[i].preemptible();
+    const SetIndex& set = preemptible[i];
     if (set.empty()) continue;
-    const View own = toView(set, &apps[i].preemptiveView, now);
+    const View own = toViewIndexed(set, &apps[i].preemptiveView, now);
     if (own.empty()) {
       // Preemptive views are non-negative by construction, so the
       // subtract-clamp of an empty occupation is the view itself.
-      fit(set, apps[i].preemptiveView, now);
+      fitIndexed(set, apps[i].preemptiveView, now, nullptr);
     } else {
       View rest = apps[i].preemptiveView;
       accumulateOne(rest, own, View::Op::kSubtract, /*clampAtZero=*/true);
-      fit(set, rest, now);
+      fitIndexed(set, rest, now, nullptr);
     }
   }
   trace::span("eq_step3", step3Start, metrics::nowNanos());
 }
 
+}  // namespace
+
+void Scheduler::eqSchedule(std::span<AppSchedule> apps, const View& available,
+                           Time now, bool strict) {
+  thread_local std::vector<SetIndex> indexes;
+  indexes.resize(apps.size());
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    indexes[i].build(apps[i].preemptible);
+  }
+  eqScheduleIndexed(apps, std::span(indexes.data(), apps.size()), available,
+                    now, strict);
+}
+
 // ---------------------------------------------------------------------------
 // Algorithm 4: main scheduling algorithm
 // ---------------------------------------------------------------------------
-void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
+void Scheduler::schedule(std::span<AppSchedule> apps, Time now) const {
   // Every profile built on this thread below (occupation folds, fit
   // scratch, view algebra) draws its segment blocks from the thread's one
   // arena, where blocks dropped anywhere on this thread park. The views the
-  // server's commit swapped back into the snapshot (its superseded stash)
-  // are dropped below just before each app's new views are built, so the
+  // caller left in the AppSchedules (the server's superseded stash) are
+  // dropped below just before each app's new views are built, so the
   // blocks whose last holder they were are the first ones reused.
+  index_->refresh(apps);
   if (inc_ != nullptr) {
-    schedulePassIncremental(snapshot, now);
+    scheduleIncremental(apps, now);
     return;
   }
-  const std::span<AppSnapshot> apps = snapshot.apps();
+  const PassIndex& index = *index_;
   View vnp = machineView();  // non-preemptible resources still available
   View vp = machineView();   // preemptible resources still available
 
@@ -875,8 +998,8 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   std::vector<View> paOcc(apps.size());
   std::vector<View> npOcc(apps.size());
   for (std::size_t i = 0; i < apps.size(); ++i) {
-    paOcc[i] = toView(apps[i].preAllocations());
-    npOcc[i] = toView(apps[i].nonPreemptible());
+    paOcc[i] = toViewIndexed(index.preAllocations[i], nullptr, 0);
+    npOcc[i] = toViewIndexed(index.nonPreemptible[i], nullptr, 0);
   }
   std::vector<const View*> operands;
   operands.reserve(apps.size() * 2);
@@ -892,20 +1015,21 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   std::vector<View> npFitted;
   npFitted.reserve(apps.size());
   for (std::size_t i = 0; i < apps.size(); ++i) {
-    AppSnapshot& app = apps[i];
+    AppSchedule& app = apps[i];
     const View& ownStartedPa = paOcc[i];
 
     app.viewsReused = false;  // the full pass always publishes views
     app.nonPreemptiveView = {vnp, ownStartedPa};
     const View occPa =
-        fit(app.preAllocations(), NonPreemptiveView::sum(vnp, ownStartedPa),
-            now);
+        fitIndexed(index.preAllocations[i],
+                   NonPreemptiveView::sum(vnp, ownStartedPa), now, nullptr);
 
     View npAvailable = ownStartedPa;
     accumulateOne(npAvailable, occPa, View::Op::kAdd);
     accumulateOne(npAvailable, npOcc[i], View::Op::kSubtract,
                   /*clampAtZero=*/true);
-    npFitted.push_back(fit(app.nonPreemptible(), npAvailable, now));
+    npFitted.push_back(
+        fitIndexed(index.nonPreemptible[i], npAvailable, now, nullptr));
 
     accumulateOne(vnp, occPa, View::Op::kSubtract);
   }
@@ -916,55 +1040,53 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   vp.accumulate(operands, View::Op::kSubtract);
 
   vp.clampMin(0);
-  eqSchedule(apps, vp, now, config_.strictEquiPartition);
+  eqScheduleIndexed(apps, index.preemptible, vp, now,
+                    config_.strictEquiPartition);
 }
 
 // ---------------------------------------------------------------------------
 // Incremental pass: Algorithm 4 organised around the pass-to-pass cache.
 //
 // Cleanliness argument, applied per application below:
-//  - kSkipped capture means nothing about the app's requests mutated since
-//    the cached pass, so every record still holds that pass's results.
-//  - allStarted means every member record's results are independent of the
+//  - an unchanged key means nothing about the app's requests mutated since
+//    the cached pass, so every request still holds that pass's results.
+//  - allStarted means every request's results are independent of the
 //    pass's `now` and of the availability views: toView would rewrite
-//    scheduledAt = startedAt / nAlloc = heldIds / fixed = true, and fit
-//    has no non-fixed records to place (empty occupation, no vnp change).
+//    scheduledAt = startedAt / nAlloc = held IDs / fixed = true, and fit
+//    has no non-fixed requests to place (empty occupation, no vnp change).
 // Such a lease-clean app's entire per-app derivation is served from the
 // cache; everything else is recomputed with exactly the full path's
 // arithmetic, in the same order, which keeps results bit-identical (pinned
 // by tests/test_scheduler_incremental.cpp).
 // ---------------------------------------------------------------------------
-void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot,
-                                        Time now) const {
+void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
+                                    Time now) const {
   IncrementalState& inc = *inc_;
-  const std::span<AppSnapshot> apps = snapshot.apps();
+  const PassIndex& index = *index_;
   const std::size_t napps = apps.size();
   const bool strict = config_.strictEquiPartition;
 
   // The cache is positional: it describes the previous pass over this same
-  // application sequence in this same snapshot. Any membership or order
-  // change re-derives everything (while still priming the cache).
-  bool warm = inc.valid && inc.snapshotKey == &snapshot &&
-              inc.appIds.size() == napps;
+  // application sequence. Any membership or order change re-derives
+  // everything (while still priming the cache).
+  bool warm = inc.valid && inc.appIds.size() == napps;
   if (warm) {
     for (std::size_t i = 0; i < napps; ++i) {
-      if (inc.appIds[i] != apps[i].app()) {
+      if (inc.appIds[i] != apps[i].app) {
         warm = false;
         break;
       }
     }
   }
   inc.valid = false;  // re-armed only when this pass completes
-  inc.snapshotKey = &snapshot;
   inc.appIds.resize(napps);
-  for (std::size_t i = 0; i < napps; ++i) inc.appIds[i] = apps[i].app();
+  for (std::size_t i = 0; i < napps; ++i) inc.appIds[i] = apps[i].app;
 
   inc.clean.assign(napps, 0);
   std::size_t cleanCount = 0;
   if (warm) {
     for (std::size_t i = 0; i < napps; ++i) {
-      if (apps[i].lastCapture() == CaptureKind::kSkipped &&
-          apps[i].allStarted()) {
+      if (apps[i].leaseClean) {
         inc.clean[i] = 1;
         ++cleanCount;
       }
@@ -985,12 +1107,12 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot,
   inc.pChanged.assign(napps, 0);
 
   // Started pre-allocation / non-preemptible occupations (dirty apps only:
-  // these depend exclusively on captured request attributes, so an
-  // epoch-clean app's cached views are exact).
+  // these depend exclusively on request attributes, so a clean app's
+  // cached views are exact).
   for (std::size_t i = 0; i < napps; ++i) {
     if (inc.clean[i]) continue;
-    inc.paOcc[i] = toView(apps[i].preAllocations());
-    inc.npOcc[i] = toView(apps[i].nonPreemptible());
+    inc.paOcc[i] = toViewIndexed(index.preAllocations[i], nullptr, 0);
+    inc.npOcc[i] = toViewIndexed(index.nonPreemptible[i], nullptr, 0);
   }
 
   View vnp = machineView();
@@ -1019,10 +1141,10 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot,
   freeNow.push_back(vnp);
   inc.freeMove.valid = false;
   for (std::size_t i = 0; i < napps; ++i) {
-    AppSnapshot& app = apps[i];
-    // Retire the view the server's commit swapped back into the snapshot
-    // (its superseded stash) before building this app's replacement: when
-    // it held a block's last reference, that block is the next one reused.
+    AppSchedule& app = apps[i];
+    // Retire the view the caller left here (the server's superseded stash)
+    // before building this app's replacement: when it held a block's last
+    // reference, that block is the next one reused.
     app.nonPreemptiveView.clear();
     const auto current = static_cast<std::uint32_t>(freeNow.size() - 1);
     if (inc.clean[i]) {
@@ -1035,14 +1157,16 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot,
       continue;
     }
     // The view as fit's scratch, dropped once the pre-allocations are in.
-    View occPa = fit(app.preAllocations(),
-                     NonPreemptiveView::sum(vnp, inc.paOcc[i]), now);
+    View occPa =
+        fitIndexed(index.preAllocations[i],
+                   NonPreemptiveView::sum(vnp, inc.paOcc[i]), now, nullptr);
 
     View npAvailable = inc.paOcc[i];
     accumulateOne(npAvailable, occPa, View::Op::kAdd);
     accumulateOne(npAvailable, inc.npOcc[i], View::Op::kSubtract,
                   /*clampAtZero=*/true);
-    inc.npFitted[i] = fit(app.nonPreemptible(), npAvailable, now);
+    inc.npFitted[i] =
+        fitIndexed(index.nonPreemptible[i], npAvailable, now, nullptr);
 
     inc.freeAt[i] = current;
     if (vnpSame && !(occPa == inc.occPa[i])) vnpSame = false;
@@ -1069,7 +1193,7 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot,
   vp.accumulate(operands, View::Op::kSubtract);
   vp.clampMin(0);
 
-  for (AppSnapshot& app : apps) app.preemptiveView.clear();  // likewise
+  for (AppSchedule& app : apps) app.preemptiveView.clear();  // likewise
 
   // eqSchedule Step 1: preliminary preemptible occupations (dirty apps;
   // an all-started app's occupation ignores both `vp` and `now`). The
@@ -1078,19 +1202,19 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot,
   for (std::size_t i = 0; i < napps; ++i) {
     if (inc.clean[i]) continue;
     inc.oldOccupation[i] = std::move(inc.occupation[i]);
-    SetSnapshot& set = apps[i].preemptible();
+    const SetIndex& set = index.preemptible[i];
     if (set.empty()) {
       inc.occupation[i] = View{};
       continue;
     }
-    inc.occupation[i] = toView(set, &vp, now);
+    inc.occupation[i] = toViewIndexed(set, &vp, now);
     if (inc.occupation[i].empty()) {
-      inc.occupation[i] = fit(set, vp, now);
+      inc.occupation[i] = fitIndexed(set, vp, now, nullptr);
     } else {
       View freeForMe = vp;
       accumulateOne(freeForMe, inc.occupation[i], View::Op::kSubtract,
                     /*clampAtZero=*/true);
-      inc.occupation[i] += fit(set, freeForMe, now);
+      inc.occupation[i] += fitIndexed(set, freeForMe, now, nullptr);
     }
   }
   const std::uint64_t step2Start = metrics::nowNanos();
@@ -1106,8 +1230,8 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot,
 
     NodeCount strictParticipants = 0;
     if (strict) {
-      for (const AppSnapshot& app : apps) {
-        if (!app.preemptible().empty()) ++strictParticipants;
+      for (const SetIndex& set : index.preemptible) {
+        if (!set.empty()) ++strictParticipants;
       }
     }
 
@@ -1126,18 +1250,7 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot,
     }
     inc.clusters.resize(clusterIds.size());
 
-    inc.candidates.resize(clusterIds.size());
-    for (auto& list : inc.candidates) list.clear();
-    for (std::size_t i = 0; i < napps; ++i) {
-      for (const ClusterDemand& demand : apps[i].preemptibleDemand()) {
-        const auto it = std::lower_bound(clusterIds.begin(), clusterIds.end(),
-                                         demand.cluster);
-        if (it != clusterIds.end() && *it == demand.cluster) {
-          inc.candidates[static_cast<std::size_t>(it - clusterIds.begin())]
-              .push_back(static_cast<std::uint32_t>(i));
-        }
-      }
-    }
+    collectCandidates(inc.occupation, clusterIds, inc.candidates);
 
     // Cluster by cluster, in cluster order like the full path: each
     // cluster's outcome lands in its cache and the per-app preemptive
@@ -1250,11 +1363,11 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot,
 
   // Publish the output views: copies share the cache's segment blocks, and
   // the non-preemptive view goes out as its operand pair. A lease-clean
-  // app whose neither view moved publishes nothing: the snapshot's views
+  // app whose neither view moved publishes nothing: its AppSchedule views
   // stay empty (retired above) and viewsReused tells the owner its stashed
   // views are still exact.
   for (std::size_t i = 0; i < napps; ++i) {
-    AppSnapshot& app = apps[i];
+    AppSchedule& app = apps[i];
     app.viewsReused =
         inc.clean[i] && inc.npChanged[i] == 0 && inc.pChanged[i] == 0;
     if (!app.viewsReused) {
@@ -1270,80 +1383,20 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot,
   trace::span("eq_step2", step2Start, step3Start);
   for (std::size_t i = 0; i < napps; ++i) {
     if (inc.clean[i]) continue;
-    SetSnapshot& set = apps[i].preemptible();
+    const SetIndex& set = index.preemptible[i];
     if (set.empty()) continue;
-    const View own = toView(set, &apps[i].preemptiveView, now);
+    const View own = toViewIndexed(set, &apps[i].preemptiveView, now);
     if (own.empty()) {
-      fit(set, apps[i].preemptiveView, now);
+      fitIndexed(set, apps[i].preemptiveView, now, nullptr);
     } else {
       View rest = apps[i].preemptiveView;
       accumulateOne(rest, own, View::Op::kSubtract, /*clampAtZero=*/true);
-      fit(set, rest, now);
+      fitIndexed(set, rest, now, nullptr);
     }
   }
   trace::span("eq_step3", step3Start, metrics::nowNanos());
 
   inc.valid = true;
-}
-
-void Scheduler::schedule(std::span<AppSchedule> apps, Time now) const {
-  scratch_.recapture(apps);
-  schedulePass(scratch_, now);
-  scratch_.writeBack();
-  // Swapped like the server's stash: the superseded views are dropped by
-  // the next pass just before it builds their replacements.
-  // Reused views are still exact where the caller holds them.
-  const std::span<AppSnapshot> scheduled = scratch_.apps();
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    if (scheduled[i].viewsReused) continue;
-    std::swap(apps[i].nonPreemptiveView, scheduled[i].nonPreemptiveView);
-    std::swap(apps[i].preemptiveView, scheduled[i].preemptiveView);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Live-RequestSet shims: capture, run the snapshot algorithm, write back.
-// The capture scratch is thread-local so tight call loops (tests, the
-// building-block benchmarks, reference implementations composed from these
-// shims) reuse buffer capacity instead of re-allocating per call; contents
-// are re-captured every call, so results are unaffected.
-// ---------------------------------------------------------------------------
-namespace {
-AppSnapshot& shimScratch() {
-  thread_local AppSnapshot scratch;
-  return scratch;
-}
-}  // namespace
-
-View Scheduler::toView(const RequestSet& set, const View* available,
-                       Time now) {
-  AppSnapshot& app = shimScratch();
-  app.capture(AppId{}, nullptr, &set, nullptr);
-  View out = toView(app.nonPreemptible(), available, now);
-  app.writeBack();
-  return out;
-}
-
-View Scheduler::fit(const RequestSet& set, const View& available, Time t0) {
-  AppSnapshot& app = shimScratch();
-  app.capture(AppId{}, nullptr, &set, nullptr);
-  View out = fit(app.nonPreemptible(), available, t0);
-  app.writeBack();
-  return out;
-}
-
-void Scheduler::eqSchedule(std::span<AppSchedule> apps, const View& available,
-                           Time now, bool strict) {
-  thread_local std::vector<AppSnapshot> snapshots;
-  snapshots.resize(apps.size());
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    snapshots[i].capture(apps[i].app, nullptr, nullptr, apps[i].preemptible);
-  }
-  eqSchedule(std::span<AppSnapshot>(snapshots), available, now, strict);
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    snapshots[i].writeBack();
-    apps[i].preemptiveView = std::move(snapshots[i].preemptiveView);
-  }
 }
 
 }  // namespace coorm

@@ -587,70 +587,58 @@ void Server::runPass() {
       pruneEnded();
     }
     {
+      // Builds the pass's input: one AppSchedule per live session, in
+      // connection order. Resized in place, so each entry keeps the views
+      // the previous commit swapped into it until the pass drops them.
       const trace::Phase phase("capture", metrics::Histo::kPassCaptureUs,
                                &passPhases_.captureUs);
-      passSchedules_.clear();
       passApps_.clear();
       for (auto& st : sessions_) {
-        if (st->killed || st->disconnected) continue;
-        AppSchedule& app = passSchedules_.emplace_back();
-        app.app = st->app;
-        app.preAllocations = &st->preAllocations;
-        app.nonPreemptible = &st->nonPreemptible;
-        app.preemptible = &st->preemptible;
-        app.epoch = st->mutationEpoch;
-        passApps_.push_back(st.get());
+        if (!st->killed && !st->disconnected) passApps_.push_back(st.get());
       }
-      if (passSnapshot_ == nullptr) {
-        passSnapshot_ = std::make_unique<RequestSetSnapshot>();
+      passSchedules_.resize(passApps_.size());
+      for (std::size_t i = 0; i < passApps_.size(); ++i) {
+        SessionState& st = *passApps_[i];
+        AppSchedule& app = passSchedules_[i];
+        app.app = st.app;
+        app.preAllocations = &st.preAllocations;
+        app.nonPreemptible = &st.nonPreemptible;
+        app.preemptible = &st.preemptible;
+        app.epoch = st.mutationEpoch;
       }
-      // In place: steady state allocates nothing.
-      passSnapshot_->recapture(passSchedules_);
-    }
-    try {
-      const trace::Phase phase("schedule", metrics::Histo::kPassScheduleUs,
-                               &passPhases_.scheduleUs);
-      scheduler_.schedulePass(*passSnapshot_, lastPassAt_);
-    } catch (...) {
-      // A pass that threw computed nothing committable: nothing is written
-      // back or pushed, and the next protocol message arms a fresh pass.
-      // The snapshot's result scratch now diverges from the live requests,
-      // so its captured epochs must not let the next capture skip an app;
-      // the scheduler's incremental cache describes a pass that never
-      // committed, so the next pass must not splice from it.
-      passSnapshot_->invalidate();
-      scheduler_.invalidateIncremental();
-      throw;
     }
     {
+      const trace::Phase phase("schedule", metrics::Histo::kPassScheduleUs,
+                               &passPhases_.scheduleUs);
+      scheduler_.schedule(passSchedules_, lastPassAt_);
+    }
+    {
+      // Stashes the views and accounts for leases (the phase keeps its
+      // historical name: its histogram and trace key are read by name).
       const trace::Phase phase("write_back", metrics::Histo::kPassWriteBackUs,
                                &passPhases_.writeBackUs);
-      passSnapshot_->writeBack();
-      const std::span<AppSnapshot> scheduled = passSnapshot_->apps();
       for (std::size_t i = 0; i < passApps_.size(); ++i) {
-        // Lease renewal: an epoch-clean, all-started application whose
-        // views the pass did not publish keeps its stash — the pass proved
-        // both views' values unchanged. Any published view means the app's
-        // share moved (a dirty neighbour preempted part of it) and the
-        // stash is replaced as usual.
-        if (scheduled[i].viewsReused) {
+        AppSchedule& scheduled = passSchedules_[i];
+        // Lease renewal: a lease-clean application whose views the pass
+        // did not publish keeps its stash — the pass proved both views'
+        // values unchanged. Any published view means the app's share moved
+        // (a dirty neighbour preempted part of it) and the stash is
+        // replaced as usual.
+        if (scheduled.viewsReused) {
           metrics::increment(metrics::Event::kLeasesRenewed);
           continue;
         }
-        if (config_.incremental &&
-            scheduled[i].lastCapture() == CaptureKind::kSkipped &&
-            scheduled[i].allStarted()) {
+        if (config_.incremental && scheduled.leaseClean) {
           metrics::increment(metrics::Event::kLeasesPreempted);
         }
         // Stash freshly computed views before starting requests so
         // violation checks and pushes see consistent data. Swapped, not
-        // moved: the retired views go back into the snapshot, and the next
-        // pass drops them inside schedulePass() just before it builds their
-        // replacements, so blocks whose last holder was the stash are the
-        // first ones that pass reuses.
-        std::swap(passApps_[i]->lastNonPreemptive,
-                  scheduled[i].nonPreemptiveView);
-        std::swap(passApps_[i]->lastPreemptive, scheduled[i].preemptiveView);
+        // moved: the retired views stay in the AppSchedule, and the next
+        // pass drops them just before it builds their replacements, so
+        // blocks whose last holder was the stash are the first ones that
+        // pass reuses.
+        std::swap(passApps_[i]->lastNonPreemptive, scheduled.nonPreemptiveView);
+        std::swap(passApps_[i]->lastPreemptive, scheduled.preemptiveView);
       }
     }
     {
@@ -840,7 +828,7 @@ void Server::pushViews() {
 }
 
 bool Server::deliverViews(SessionState& st, bool always) {
-  // lastNonPreemptive/lastPreemptive were stashed by the pass's write-back.
+  // lastNonPreemptive/lastPreemptive were stashed by the pass commit.
   if (!st.viewsEverSent ||
       !(st.sentNonPreemptiveFrom == st.lastNonPreemptive)) {
     View np = st.lastNonPreemptive.materialize();
@@ -863,9 +851,9 @@ bool Server::deliverViews(SessionState& st, bool always) {
 }
 
 void Server::pruneEnded() {
-  // Runs at pass start only: the snapshot about to be captured is the first
-  // reader of the sets after this, and every session touched here is
-  // marked dirty so no capture skips it.
+  // Runs at pass start only: the pass about to run is the first reader of
+  // the sets after this, and every session touched here is marked dirty so
+  // the pass re-indexes it and never treats it as clean.
   std::vector<const Request*> pinned;
   for (auto& stPtr : sessions_) {
     SessionState& st = *stPtr;

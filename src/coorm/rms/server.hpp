@@ -8,9 +8,9 @@
 //  - a scheduling pass runs at most once per re-scheduling interval
 //    (administrator parameter, §3.2), coalescing bursts of messages;
 //  - each pass runs inline, inside its timer event, on the executor's
-//    thread: it reclaims ended requests, freezes every live request set
-//    into a RequestSetSnapshot, runs the pure scheduling computation on it
-//    and commits — writes the results back, pushes views, starts due
+//    thread: it reclaims ended requests, runs the pure scheduling
+//    computation on the live request sets (which writes each request's
+//    schedule in place) and commits — stashes and pushes views, starts due
 //    requests and checks violations — before the executor dispatches
 //    anything else; see README "Scheduling passes";
 //  - when a request's computed start time arrives and enough node IDs are
@@ -43,7 +43,6 @@
 #include "coorm/rms/node_pool.hpp"
 #include "coorm/rms/request_set.hpp"
 #include "coorm/rms/scheduler.hpp"
-#include "coorm/rms/snapshot.hpp"
 #include "coorm/sim/trace.hpp"
 
 namespace coorm {
@@ -149,11 +148,12 @@ class Server {
     /// Strict equi-partitioning (Fig. 11 baseline) instead of filling.
     bool strictEquiPartition = false;
     /// Incremental scheduling passes (Scheduler::Config::incremental): in
-    /// steady state, epoch-clean all-started applications keep their
-    /// previous allocation as a renewed lease (their views are served from
-    /// the scheduler's cache and the stashed views stay valid) instead of
-    /// being re-derived each pass. Bit-identical either way; `false` is
-    /// the full-recompute reference the differential suites compare with.
+    /// steady state, lease-clean applications (mutation epoch unchanged
+    /// since the previous pass, every request started) keep their previous
+    /// allocation as a renewed lease (their views are served from the
+    /// scheduler's cache and the stashed views stay valid) instead of being
+    /// re-derived each pass. Bit-identical either way; `false` is the
+    /// full-recompute reference the differential suites compare with.
     bool incremental = true;
     /// Once an attached journal grows past this many bytes, the next pass
     /// commit rewrites it as the records of the live state (rms/journal.hpp
@@ -254,20 +254,6 @@ class Server {
   /// Number of scheduling passes run so far (test/bench introspection).
   [[nodiscard]] std::uint64_t passCount() const { return passCount_; }
 
-  /// Cumulative per-app snapshot capture outcomes across all passes
-  /// (test/bench introspection): in steady state untouched apps are
-  /// `skipped` thanks to the mutation-epoch dirty flag.
-  [[nodiscard]] CaptureStats captureStats() const {
-    return passSnapshot_ != nullptr ? passSnapshot_->captureStats()
-                                    : CaptureStats{};
-  }
-
-  /// Requests the most recent pass captured (test/bench introspection):
-  /// bounded by the live requests, not by the lease history.
-  [[nodiscard]] std::size_t capturedRequestCount() const {
-    return passSnapshot_ != nullptr ? passSnapshot_->requestCount() : 0;
-  }
-
   /// Snapshot of the process-wide metrics registry (common/metrics.hpp).
   /// The daemon's STATS reply is built from exactly this call, so a remote
   /// query and an in-process read observe the same counters.
@@ -319,9 +305,10 @@ class Server {
     bool killed = false;
     bool disconnected = false;
     /// Bumped on every mutation of this application's requests or sets
-    /// (AppSchedule::epoch). Lets the pass snapshot skip the re-capture
-    /// refresh walk for apps untouched since the previous pass. Starts at 1:
-    /// 0 is the snapshot's "always walk" sentinel.
+    /// (AppSchedule::epoch). Lets the pass keep the app's SetIndex, and
+    /// serve an all-started app from the incremental cache, while nothing
+    /// touched it since the previous pass. Starts at 1: 0 is the "unknown,
+    /// re-index every pass" sentinel.
     std::uint64_t mutationEpoch = 1;
     EventHandle violationTimer;
     /// Implicit pre-allocation wrapping a given NP request (§3.2).
@@ -337,15 +324,14 @@ class Server {
 
   // --- scheduling ----------------------------------------------------------
   void requestReschedule();
-  /// One scheduling pass, inline: reclaims ended requests, freezes the
-  /// request sets into the snapshot and runs the scheduler on it, then
-  /// writes the results back, stashes and pushes views, starts due
-  /// requests, checks violations and journals the pass commit. Logs the
-  /// Config::slowPass outlier breakdown line.
+  /// One scheduling pass, inline: reclaims ended requests, runs the
+  /// scheduler on the live request sets, then stashes and pushes views,
+  /// starts due requests, checks violations and journals the pass commit.
+  /// Logs the Config::slowPass outlier breakdown line.
   void runPass();
   void startDueRequests();
   bool tryStart(SessionState& st, Request& r, Time now);
-  /// Pushes the latest views to every attached captured session that has
+  /// Pushes the latest views to every attached scheduled session that has
   /// not seen their values yet.
   void pushViews();
   /// Posts the session's latest views to its endpoint and records them as
@@ -393,14 +379,15 @@ class Server {
   void closeSession(SessionState& st, Time at, bool killed);
 
   // --- request lifecycle ---------------------------------------------------
-  /// Records a mutation of `st`'s requests or set membership. Every code
-  /// path that touches them must call this (or mutate via snapshot
-  /// writeBack, whose stores leave snapshot and live values identical by
-  /// construction): the epoch is what lets the next pass's recapture skip
-  /// the refresh walk for untouched apps. Debug builds audit each skip
-  /// (AppSnapshot::verifyClean).
+  /// Records a mutation of `st`'s requests, their constraint edges or set
+  /// membership. Every code path that touches them must call this; only a
+  /// pass's own result stores (scheduledAt, nAlloc, fixed,
+  /// earliestScheduleAt) need not. The epoch is what lets the next pass keep
+  /// the app's SetIndex and treat an all-started app as clean; debug builds
+  /// assert when a set's membership moved under an unchanged epoch.
   static void markDirty(SessionState& st) {
-    // 0 is the "unknown, always walk" sentinel — never hand it out on wrap.
+    // 0 is the "unknown, re-index every pass" sentinel — never hand it out
+    // on wrap.
     if (++st.mutationEpoch == 0) st.mutationEpoch = 1;
   }
   void endRequest(SessionState& st, Request& r,
@@ -476,13 +463,11 @@ class Server {
   std::vector<std::vector<std::uint8_t>>* compactSink_ = nullptr;
 
   // --- pass state ----------------------------------------------------------
-  /// The pass image, recaptured in place each pass: its epochs let the next
-  /// capture skip untouched apps, and the scheduler's incremental cache is
-  /// keyed on it.
-  std::unique_ptr<RequestSetSnapshot> passSnapshot_;
-  std::vector<SessionState*> passApps_;  ///< the captured sessions, in order
-  /// The capture's input, one per entry of passApps_: cleared and refilled
-  /// each pass, so steady-state capture allocates nothing.
+  std::vector<SessionState*> passApps_;  ///< the scheduled sessions, in order
+  /// The pass's input and output, one per entry of passApps_: refilled in
+  /// place each pass, so steady-state passes allocate nothing for it.
+  /// Between passes each entry holds the superseded views the commit
+  /// swapped out of its session's stash; the next pass drops them.
   std::vector<AppSchedule> passSchedules_;
 
   /// Wall-time breakdown of the current/last pass (µs, whole and per

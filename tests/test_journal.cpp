@@ -175,7 +175,7 @@ TEST(Journal, BadVersionRefuses) {
   EXPECT_FALSE(scan.diagnostic.empty());
 }
 
-TEST(Journal, CompactReplacesLogWithOneSnapshotRecord) {
+TEST(Journal, CompactReplacesLogWithOneStateRecord) {
   const std::string path = tempPath("compact");
   buildJournal(path, 20);
   const Bytes snapshot = {8, 1, 2, 3, 4, 5};  // any payload will do

@@ -321,9 +321,9 @@ TEST(NetChaos, KillMidSteadyStateWithLeasesMatchesPristineServer) {
   EXPECT_EQ(startsOf(remote.holder.trace, "ended #1"), 1);
 
   // The restarted daemon really ran incremental steady state: the ticker's
-  // passes classified the quiet holder as an epoch-clean lease (skipped on
-  // recapture and fed through the renew/preempt lease path) after the
-  // journal replay rebuilt its sessions.
+  // passes classified the quiet holder as a lease-clean app (key unchanged,
+  // fed through the renew/preempt lease path) after the journal replay
+  // rebuilt its sessions.
   net::RmsClient statsq(
       clientLoop,
       net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},

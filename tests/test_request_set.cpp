@@ -41,10 +41,10 @@ TEST(RequestSet, RemoveMissingIsNoop) {
 }
 
 TEST(RequestSet, VersionBumpsOnEveryMembershipMutation) {
-  // The membership version backs the snapshot's stale-skip guard: every
+  // The membership version backs the scheduler's index-cache guard: every
   // add() and every removeIf() that actually erased a member must move it,
-  // and nothing else may (a stable version is what lets the epoch-skip
-  // fast path trust its captured image).
+  // and nothing else may (a stable version is what lets a pass keep an
+  // application's SetIndex).
   Request a = makeRequest(1);
   Request b = makeRequest(2);
   RequestSet set;

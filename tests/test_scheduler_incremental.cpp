@@ -3,18 +3,17 @@
 // The incremental pass promises *bit-identical* output to the full
 // recompute — every request attribute and the exact view representation
 // (operator==, not sameAs) — over any churn rate:
-//  - epoch-clean all-started applications are served from the pass-to-pass
-//    cache (their snapshot reports viewsReused and the previous views stay
-//    exact);
+//  - lease-clean applications (key unchanged, every request started) are
+//    served from the pass-to-pass cache (their AppSchedule reports
+//    viewsReused and the previous views stay exact);
 //  - eqSchedule Step 2 re-sweeps only the breakpoint ranges whose inputs
 //    changed and splices the clean ranges from the cached output;
-//  - any fallback (population change, cluster-union change, abandoned
-//    pass) silently degrades to a full re-derivation, never to a wrong
-//    one.
+//  - any fallback (population change, cluster-union change) silently
+//    degrades to a full re-derivation, never to a wrong one.
 // The suite pins all of that on randomized churn grids (population sizes
-// × churn rates {0,1,10,100}%) driven through the real snapshot/epoch
-// machinery, and closes with a long-horizon server fuzz: the incremental
-// server must trace-match the pristine full-recompute server exactly.
+// × churn rates {0,1,10,100}%) driven through the real epoch machinery,
+// and closes with a long-horizon server fuzz: the incremental server must
+// trace-match the pristine full-recompute server exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -208,13 +207,12 @@ void churn(Population& p, std::uint64_t passSeed, int churnPct, Time now) {
   }
 }
 
-/// One scheduler + snapshot driven across passes the way the server does:
-/// recapture with epochs, schedulePass, writeBack, stash views (honouring
-/// viewsReused exactly like Server::runPass).
+/// One scheduler driven across passes the way the server does: epochs,
+/// Scheduler::schedule, stash views (honouring viewsReused exactly like
+/// Server::runPass).
 struct Runner {
   Population pop;
   Scheduler scheduler;
-  RequestSetSnapshot snapshot;
   std::vector<NonPreemptiveView> stashNp;
   std::vector<View> stashP;
 
@@ -223,10 +221,8 @@ struct Runner {
         scheduler(pop.machine, Scheduler::Config{pop.strict, incremental}) {}
 
   void pass(Time now) {
-    snapshot.recapture(pop.apps);
-    scheduler.schedulePass(snapshot, now);
-    snapshot.writeBack();
-    const std::span<AppSnapshot> apps = snapshot.apps();
+    scheduler.schedule(pop.apps, now);
+    const std::span<AppSchedule> apps = pop.apps;
     stashNp.resize(apps.size());
     stashP.resize(apps.size());
     for (std::size_t i = 0; i < apps.size(); ++i) {
@@ -315,25 +311,10 @@ TEST(SchedulerIncremental, SteadyStateServesFromCacheAndReusesRanges) {
             before[metrics::Event::kStep2RangesReused]);
   // Every stable app's views carried over without materialization.
   std::size_t reused = 0;
-  for (const AppSnapshot& app : inc.snapshot.apps()) {
+  for (const AppSchedule& app : inc.pop.apps) {
     if (app.viewsReused) ++reused;
   }
   EXPECT_GT(reused, 0u);
-}
-
-TEST(SchedulerIncremental, InvalidateForcesColdPassWithSameResults) {
-  const std::uint64_t seed = 11;
-  Runner full(seed, 32, /*incremental=*/false);
-  Runner inc(seed, 32, /*incremental=*/true);
-  for (int pass = 0; pass < 5; ++pass) {
-    const Time now = sec(60 + pass * 30);
-    churn(full.pop, seed * 1000 + static_cast<std::uint64_t>(pass), 10, now);
-    churn(inc.pop, seed * 1000 + static_cast<std::uint64_t>(pass), 10, now);
-    if (pass == 2) inc.scheduler.invalidateIncremental();  // abandoned pass
-    full.pass(now);
-    inc.pass(now);
-    expectIdentical(full, inc, "pass=" + std::to_string(pass));
-  }
 }
 
 TEST(SchedulerIncremental, PopulationChangeFallsBackToFullPass) {
@@ -523,16 +504,11 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
                               RequestType::kPreemptible, nullptr);
 
   Scheduler scheduler(p.machine);  // incremental
-  RequestSetSnapshot snapshot;
   std::vector<NonPreemptiveView> stashNp(p.apps.size());
   std::vector<View> stashP(p.apps.size());
-  const auto pass = [&](Time now) {
-    snapshot.recapture(p.apps);
-    scheduler.schedulePass(snapshot, now);
-    snapshot.writeBack();
-  };
+  const auto pass = [&](Time now) { scheduler.schedule(p.apps, now); };
   const auto stash = [&] {  // as Server::runPass does
-    const std::span<AppSnapshot> apps = snapshot.apps();
+    const std::span<AppSchedule> apps = p.apps;
     for (std::size_t i = 0; i < apps.size(); ++i) {
       if (apps[i].viewsReused) continue;
       std::swap(stashNp[i], apps[i].nonPreemptiveView);
@@ -550,7 +526,7 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
     ++p.apps[malleable].epoch;
   };
   const auto expectAbsentShareOneIdleBlock = [&] {
-    const std::span<AppSnapshot> apps = snapshot.apps();
+    const std::span<const AppSchedule> apps = p.apps;
     const StepFunction& idle = apps[0].preemptiveView.cap(c0);
     ASSERT_GT(idle.segmentCount(), SegmentStore::kInlineCapacity);
     for (std::size_t i = 0; i < apps.size(); ++i) {
@@ -581,13 +557,12 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
   EXPECT_EQ(metrics::value(metrics::Event::kNpViewsMaterialized),
             materializedBefore);
   expectAbsentShareOneIdleBlock();
-  const StepFunction& free0 =
-      snapshot.apps()[0].nonPreemptiveView.freeProfile.cap(c0);
+  const StepFunction& free0 = p.apps[0].nonPreemptiveView.freeProfile.cap(c0);
   ASSERT_GT(free0.segmentCount(), SegmentStore::kInlineCapacity);
   for (std::size_t i = 0; i < static_cast<std::size_t>(kClean); ++i) {
     SCOPED_TRACE("app " + std::to_string(i));
-    const NonPreemptiveView& published = snapshot.apps()[i].nonPreemptiveView;
-    ASSERT_FALSE(snapshot.apps()[i].viewsReused);
+    const NonPreemptiveView& published = p.apps[i].nonPreemptiveView;
+    ASSERT_FALSE(p.apps[i].viewsReused);
     EXPECT_EQ(published.freeProfile.cap(c0).segments().data(),
               free0.segments().data());
     EXPECT_NE(published.materialize(), stashNp[i].materialize());
@@ -602,7 +577,7 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
   expectAbsentShareOneIdleBlock();
   for (std::size_t i = 0; i < static_cast<std::size_t>(kClean); ++i) {
     SCOPED_TRACE("app " + std::to_string(i));
-    const NonPreemptiveView& published = snapshot.apps()[i].nonPreemptiveView;
+    const NonPreemptiveView& published = p.apps[i].nonPreemptiveView;
     EXPECT_EQ(published, stashNp[i]);
     EXPECT_EQ(published.freeProfile.cap(c0).segments().data(),
               stashNp[i].freeProfile.cap(c0).segments().data());

@@ -7,7 +7,8 @@
 // compared with operator== (not just semantic sameAs). The suite pins that
 // on randomized multi-cluster populations (cluster counts 1–8, varying app
 // counts, NEXT/COALLOC chains, started and pending requests), in filling
-// and strict mode, and pass after pass with requests starting in between.
+// and strict mode, and pass after pass with requests starting and
+// constraint edges being cut in between.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -216,7 +217,7 @@ void referenceSchedule(const Machine& machine, std::span<AppSchedule> apps,
   Scheduler::eqSchedule(apps, vp, now, strict);
 }
 
-TEST(SchedulerParallel, ScheduleMatchesPreRefactorSerialReference) {
+TEST(SchedulerReference, ScheduleMatchesPreRefactorSerialReference) {
   std::vector<std::uint64_t> seeds;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) seeds.push_back(seed);
   for (std::uint64_t seed = 100; seed <= 120; ++seed) seeds.push_back(seed);
@@ -262,13 +263,35 @@ void startOneRequest(Population& p, std::uint64_t seed, int pass, Time now) {
   }
 }
 
-TEST(SchedulerParallel, MaterializedViewsMatchReferenceAtEveryPass) {
+/// Between two passes, orphans the first pending constrained request of
+/// one seed-chosen application the way the server does when it cancels
+/// the request's parent: the request becomes FREE with no parent. Set
+/// membership stays the same; only the constraint forest and the mutation
+/// epoch move.
+void orphanOneRequest(Population& p, std::uint64_t seed, int pass) {
+  Rng rng(seed * 257 + static_cast<std::uint64_t>(pass));
+  AppSchedule& app = p.apps[static_cast<std::size_t>(
+      rng.uniformInt(0, static_cast<std::int64_t>(p.apps.size()) - 1))];
+  for (RequestSet* set :
+       {app.preAllocations, app.nonPreemptible, app.preemptible}) {
+    for (Request* r : *set) {
+      if (r->started() || r->relatedHow == Relation::kFree) continue;
+      r->relatedHow = Relation::kFree;
+      r->relatedTo = nullptr;
+      ++app.epoch;
+      return;
+    }
+  }
+}
+
+TEST(SchedulerReference, MaterializedViewsMatchReferenceAtEveryPass) {
   // The incremental scheduler publishes non-preemptive views as operand
   // pairs, which Scheduler::schedule() hands on unevaluated; pass after
   // pass, with requests starting in between (so applications turn
-  // lease-clean while the free profile ahead of them moves), their
-  // materialized values must equal the pre-refactor reference's views,
-  // bit for bit.
+  // lease-clean while the free profile ahead of them moves) and
+  // constraint edges cut under an unchanged membership (which the pass's
+  // cached SetIndex must notice), their materialized values must equal
+  // the pre-refactor reference's views, bit for bit.
   const std::uint64_t cleanBefore =
       metrics::value(metrics::Event::kPassAppsClean);
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
@@ -276,15 +299,31 @@ TEST(SchedulerParallel, MaterializedViewsMatchReferenceAtEveryPass) {
     Population tested = makePopulation(seed);
     for (AppSchedule& app : tested.apps) app.epoch = 1;
     Scheduler scheduler(tested.machine, Scheduler::Config{tested.strict});
+    std::vector<NonPreemptiveView> stashNp(tested.apps.size());
+    std::vector<View> stashP(tested.apps.size());
     for (int pass = 0; pass < 8; ++pass) {
       const Time now = reference.now + sec(30 * pass);
       if (pass > 0) {
         startOneRequest(reference, seed, pass, now);
         startOneRequest(tested, seed, pass, now);
+        orphanOneRequest(reference, seed, pass);
+        orphanOneRequest(tested, seed, pass);
       }
       referenceSchedule(reference.machine, reference.apps, now,
                         reference.strict);
       scheduler.schedule(tested.apps, now);
+      // As the server's stash does: a renewed lease keeps the views the
+      // pass that last published them left.
+      for (std::size_t i = 0; i < tested.apps.size(); ++i) {
+        AppSchedule& app = tested.apps[i];
+        if (app.viewsReused) {
+          app.nonPreemptiveView = stashNp[i];
+          app.preemptiveView = stashP[i];
+        } else {
+          stashNp[i] = app.nonPreemptiveView;
+          stashP[i] = app.preemptiveView;
+        }
+      }
       expectIdentical(reference, tested,
                       "seed=" + std::to_string(seed) +
                           " pass=" + std::to_string(pass));
@@ -293,7 +332,7 @@ TEST(SchedulerParallel, MaterializedViewsMatchReferenceAtEveryPass) {
   EXPECT_GT(metrics::value(metrics::Event::kPassAppsClean), cleanBefore);
 }
 
-TEST(SchedulerParallel, EmptyAppListIsANoop) {
+TEST(SchedulerReference, EmptyAppListIsANoop) {
   std::vector<AppSchedule> apps;
   Scheduler::eqSchedule(apps, View{}, 0, false);
   Scheduler scheduler(Machine::single(16));

@@ -1,18 +1,18 @@
-// Differential suite for the snapshot-consuming scheduler (ISSUE 4).
+// Differential suite for the indexed scheduler building blocks.
 //
-// The representation refactor promises that `toView`/`fit` on an indexed
-// RequestSetSnapshot are *bit-identical* to the pre-refactor algorithms
-// that walked the live RequestSet (re-scanning the whole set per
-// children()/contains() lookup). The pre-refactor implementations are kept
-// here verbatim as references; the suite pins the snapshot path against
-// them on randomized sets and on deep 64/128-request constraint chains,
-// and additionally pins — via FitStats — that a deep-chain fit now costs
-// *linear* work where the live walk cost quadratic.
+// `toView`/`fit` navigate a SetIndex (CSR children, O(1) per edge) and
+// must stay *bit-identical* to the original algorithms that walked the
+// live RequestSet, re-scanning the whole set per children()/contains()
+// lookup. Those implementations are kept here verbatim as references; the
+// suite pins the indexed path against them on randomized sets and on deep
+// 64/128-request constraint chains, and additionally pins — via FitStats —
+// that a deep-chain fit costs *linear* work where the live walk cost
+// quadratic.
 //
 // (eqSchedule semantics are pinned separately against the seed's
 // per-breakpoint reference in test_scheduler_eq.cpp, and whole-pass
 // composition against the binary-algebra reference in
-// test_scheduler_parallel.cpp — both run the refactored building blocks.)
+// test_scheduler_reference.cpp — both run the same building blocks.)
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -348,7 +348,7 @@ TEST(SchedulerSnapshot, DeepChainsMatchReference) {
 }
 
 TEST(SchedulerSnapshot, DeepChainFitWorkIsLinear) {
-  // A conflict-free NEXT chain on an empty machine: every record is placed
+  // A conflict-free NEXT chain on an empty machine: every request is placed
   // right where its parent ends, so the worklist processes each exactly
   // once and traverses each constraint edge exactly once. Doubling the
   // chain must exactly double the work — the live walk re-scanned the set
@@ -375,8 +375,7 @@ TEST(SchedulerSnapshot, DeepChainFitWorkIsLinear) {
     }
     View machine;
     machine.setCap(ClusterId{0}, StepFunction::constant(4096));
-    AppSnapshot snap(AppId{0}, nullptr, &np, nullptr);
-    Scheduler::fit(snap.nonPreemptible(), machine, 0, stats);
+    Scheduler::fit(np, machine, 0, stats);
     EXPECT_EQ(stats->queuePops, static_cast<std::size_t>(depth));
     EXPECT_EQ(stats->childVisits, static_cast<std::size_t>(depth - 1));
     EXPECT_EQ(stats->parentRepushes, 0u);
@@ -387,9 +386,9 @@ TEST(SchedulerSnapshot, DeepChainFitWorkIsLinear) {
 }
 
 TEST(SchedulerSnapshot, ShimsComposeLikeInPlaceAlgorithms) {
-  // The live-set shims freeze, run and write back; composing them
+  // Each building block re-indexes the set it is given; composing them
   // sequentially (toView then fit then toView again) must behave exactly
-  // like the in-place reference composition.
+  // like the reference composition.
   for (std::uint64_t seed = 50; seed <= 70; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     auto snapPop = makePopulation(seed);

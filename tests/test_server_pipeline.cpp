@@ -499,7 +499,7 @@ TEST(ServerPipeline, CleanAppReadsItsViewAfterFreeProfileMoves) {
   }
   engine.runUntil(sec(2));  // X's pre-allocation started
   oracleEngine.runUntil(sec(2));
-  server.runSchedulingPassNow();  // re-captures X: clean from here on
+  server.runSchedulingPassNow();  // re-indexes X: clean from here on
   reference.runSchedulingPassNow();
   engine.runUntil(sec(4));
   oracleEngine.runUntil(sec(4));

@@ -37,7 +37,7 @@ noise); its tables are recorded under the run's "figures" key.
 
 Runtime counter snapshots fold in two ways: `--metrics FILE` records a
 COORM_METRICS_OUT dump under the run's "metrics" key, and per-benchmark
-user counters (arena_slow_path, writeback_clean, ...) are kept on each
+user counters (arena_slow_path, pass_apps_clean, ...) are kept on each
 entry. `--require-zero COUNTER` turns such a counter into a gate — CI
 uses `--check-only --require-zero arena_slow_path` to fail the bench job
 if the segment arena ever falls back to the heap at steady state — and
@@ -77,7 +77,12 @@ _TIME_TO_US = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
 
 
 def run_binary(binary: str, benchmark_filter: str | None) -> dict:
-    """Run a Google Benchmark binary and return its parsed JSON report."""
+    """Run a Google Benchmark binary and return its parsed JSON report.
+
+    Exits non-zero when the run produced no benchmark: a filter that
+    matches nothing in this binary leaves --benchmark_out empty (Google
+    Benchmark itself exits 0), and a gate over an empty run checks
+    nothing."""
     with tempfile.TemporaryDirectory() as tmpdir:
         out_path = Path(tmpdir) / "benchmark.json"
         cmd = [
@@ -89,8 +94,12 @@ def run_binary(binary: str, benchmark_filter: str | None) -> dict:
         if benchmark_filter:
             cmd.append(f"--benchmark_filter={benchmark_filter}")
         subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-        with open(out_path, encoding="utf-8") as handle:
-            return json.load(handle)
+        text = out_path.read_text(encoding="utf-8") if out_path.exists() else ""
+        report = json.loads(text) if text.strip() else {}
+        if not report.get("benchmarks"):
+            raise SystemExit(f"{binary}: --filter {benchmark_filter!r} "
+                             "matches no benchmark")
+        return report
 
 
 def summarize(report: dict) -> tuple[dict, list[dict]]:
@@ -121,9 +130,8 @@ def summarize(report: dict) -> tuple[dict, list[dict]]:
             entry["requests_per_s"] = round(bench["requests/s"], 1)
         counters = {
             key: bench[key]
-            for key in ("arena_slow_path", "arena_hits", "writeback_clean",
-                        "writeback_dirty", "passes", "messages/s",
-                        "pass_apps_clean", "pass_apps_dirty",
+            for key in ("arena_slow_path", "arena_hits", "passes",
+                        "messages/s", "pass_apps_clean", "pass_apps_dirty",
                         "step2_ranges_reused", "wire_bytes_per_pass",
                         "views_delta_sent", "views_delta_bytes_saved",
                         "frames_coalesced", "epoll_wakeups",
