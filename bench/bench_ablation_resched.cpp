@@ -1,8 +1,10 @@
 // Ablation: re-scheduling interval (§3.2 / §5.1.3).
 //
 // The paper sets the interval to 1 s "to obtain a very reactive system".
-// We sweep it and measure the AMR end time (update grants wait for the
-// next pass) and the PSA waste on the Fig. 9 setup at overcommit 1.
+// We sweep it and measure the AMR end time and the PSA waste on the Fig. 9
+// setup at overcommit 1. An update grant waits for the pass that places
+// it; once placed, it starts on the release that frees its nodes (the
+// predecessor's DONE, the filler's shrink), not at the pass after that.
 #include <iostream>
 
 #include "bench_util.hpp"

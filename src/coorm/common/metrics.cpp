@@ -80,6 +80,8 @@ std::string_view name(Event event) noexcept {
       return "epoll_wakeups";
     case Event::kNpViewsMaterialized:
       return "np_views_materialized";
+    case Event::kStartsAtRelease:
+      return "starts_at_release";
     case Event::kCount_:
       break;
   }

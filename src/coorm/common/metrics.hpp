@@ -74,6 +74,7 @@ enum class Event : std::uint16_t {
   kFramesCoalesced,           ///< frames batched into an already-pending flush
   kEpollWakeups,              ///< epoll_wait returns with >= 1 ready fd
   kNpViewsMaterialized,       ///< published non-preemptive views evaluated for a reader
+  kStartsAtRelease,           ///< starts made on a release, not at a commit
   kCount_,                    ///< not a counter — number of events
 };
 

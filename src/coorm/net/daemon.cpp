@@ -290,6 +290,9 @@ void Daemon::handleFrame(Connection& conn, const FrameView& frame) {
       return;
     }
     case MsgType::kDone: {
+      // Covers the release's start step and its fsync (Server's shared
+      // release tail).
+      trace::Span span("done");
       DoneMsg msg;
       if (!decode(frame.payload, msg) || conn.session == nullptr) break;
       conn.session->done(msg.id, std::move(msg.released));

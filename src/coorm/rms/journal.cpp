@@ -183,6 +183,7 @@ void Journal::append(std::span<const std::uint8_t> payload) {
 void Journal::sync() {
   const trace::Phase phase("fsync", metrics::Histo::kJournalFsyncUs);
   COORM_CHECK(::fsync(fd_) == 0);
+  syncedBytes_ = bytes_;
   metrics::increment(metrics::Event::kJournalFsyncs);
 }
 
@@ -225,6 +226,7 @@ void Journal::compact(const std::vector<std::vector<std::uint8_t>>& records) {
   COORM_CHECK(::lseek(fd_, 0, SEEK_END) ==
               static_cast<off_t>(scratch_.size()));
   bytes_ = scratch_.size();
+  syncedBytes_ = bytes_;
   metrics::increment(metrics::Event::kJournalCompactions);
   metrics::increment(metrics::Event::kJournalFsyncs);
 }

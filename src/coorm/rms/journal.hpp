@@ -26,11 +26,19 @@
 //    complete record — means the log was corrupted at rest. Replay
 //    refuses with a diagnostic rather than rebuild wrong state.
 //
-// Durability: `append()` only buffers into the OS; callers decide the
-// fsync barriers via `sync()`. The Server syncs immediately for records
-// that gate a reply the client may act on (session open, accepted
-// request, ends, kills) and once per scheduling pass for the rest — the
-// pass hot path never fsyncs except at commit (ISSUE 7 / BM_JournalAppend).
+// Durability: `append()` frames the record and hands it to the kernel
+// with one write(2) — it survives a process kill, not a power loss, until
+// the next `sync()` (fsync) makes it durable. The Server fsyncs before
+// anything a client may act on leaves, at exactly these sites:
+//  - `connect` (session open) and `handleRequest` (the accepted request,
+//    before its REQ_ACK id is returned);
+//  - the release tail shared by `handleDone`, `handleDisconnect` and
+//    `killApp` (the end, close or kill, plus the starts that release
+//    allowed, before ENDED/KILLED/STARTED leave);
+//  - the pass-commit barrier in `runPass` (the commit's starts and the
+//    pass-commit record), followed by compaction past the size limit;
+//  - the server-side end of an expired pre-allocation (`onExpiryTimer`).
+// The pass hot path never fsyncs except at commit (BM_JournalAppend).
 //
 // Compaction: the Server re-emits its live state as ordinary records — a
 // Counters record first, then per live session its SessionOpen, Request,
@@ -105,8 +113,8 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Appends one record (framing + CRC added here). Buffered: durable
-  /// only after the next sync().
+  /// Appends one record (framing + CRC added here) with one write(2):
+  /// in the file at once, durable only after the next sync().
   void append(std::span<const std::uint8_t> payload);
 
   /// fsync barrier. Everything appended so far survives a crash.
@@ -121,6 +129,10 @@ class Journal {
 
   /// Current file size in bytes (header + records appended/compacted).
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
+  /// The durable prefix: the file size at the last sync() or compaction
+  /// (0 before either). A test seam for the output-commit rule — what a
+  /// power loss would keep — not a setting.
+  [[nodiscard]] std::uint64_t syncedBytes() const { return syncedBytes_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
@@ -129,6 +141,7 @@ class Journal {
   std::string path_;
   int fd_ = -1;
   std::uint64_t bytes_ = 0;
+  std::uint64_t syncedBytes_ = 0;
   std::vector<std::uint8_t> scratch_;  ///< reused per-append frame buffer
 };
 

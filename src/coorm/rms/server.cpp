@@ -380,8 +380,7 @@ void Server::handleDone(SessionState& st, RequestId id,
   } else {
     endRequest(st, *r, released);
   }
-  journalSyncNow();  // ends release nodes others may be granted: durable
-  requestReschedule();
+  commitRelease();
 }
 
 void Server::handleDisconnect(SessionState& st) {
@@ -389,8 +388,7 @@ void Server::handleDisconnect(SessionState& st) {
   const Time now = executor_.now();
   closeSession(st, now, /*killed=*/false);
   journalSessionEvent(rms::RecordType::kSessionClosed, st.app, now);
-  journalSyncNow();
-  requestReschedule();
+  commitRelease();
 }
 
 // ---------------------------------------------------------------------------
@@ -550,6 +548,15 @@ void Server::killApp(SessionState& st) {
     AppEndpoint* endpoint = st.endpoint;
     executor_.after(0, [endpoint] { endpoint->onKilled(); });
   }
+  commitRelease();
+}
+
+void Server::commitRelease() {
+  // A start the last pass decided, held back only by node IDs this release
+  // freed or by the NEXT predecessor it ended, must not wait one more
+  // re-scheduling interval. Its records ride this fsync; STARTED, posted
+  // as an event, leaves after it.
+  metrics::increment(metrics::Event::kStartsAtRelease, startDueRequests());
   journalSyncNow();
   requestReschedule();
 }
@@ -685,8 +692,9 @@ void Server::runPass() {
       << " apps=" << passApps_.size();
 }
 
-void Server::startDueRequests() {
+std::uint64_t Server::startDueRequests() {
   const Time now = executor_.now();
+  std::uint64_t starts = 0;
   bool progress = true;
   while (progress) {
     progress = false;
@@ -698,11 +706,15 @@ void Server::startDueRequests() {
         for (Request* r : setFor(*st, type)) {
           if (r->started() || r->ended()) continue;
           if (r->scheduledAt > now) continue;
-          if (tryStart(*st, *r, now)) progress = true;
+          if (tryStart(*st, *r, now)) {
+            ++starts;
+            progress = true;
+          }
         }
       }
     }
   }
+  return starts;
 }
 
 bool Server::tryStart(SessionState& st, Request& r, Time now) {
@@ -722,11 +734,11 @@ bool Server::tryStart(SessionState& st, Request& r, Time now) {
     }
   }
 
-  // `now` is the commit-level timestamp from startDueRequests: every start
-  // in one commit shares one stamp, exactly as under the simulation engine
-  // (whose clock is frozen during a pass). Per-request clock reads would
-  // let wall-clock stamps straddle a millisecond and split occupation
-  // breakpoints that the serial reference merges.
+  // `now` is the one timestamp of the startDueRequests call: every start
+  // in one commit (or one release) shares one stamp, exactly as under the
+  // simulation engine (whose clock is frozen during a pass). Per-request
+  // clock reads would let wall-clock stamps straddle a millisecond and
+  // split occupation breakpoints that the serial reference merges.
   std::vector<NodeId> grant = r.nodeIds;
   NodeCount nAlloc = r.nAlloc;
   if (r.type != RequestType::kPreAllocation) {
@@ -750,7 +762,7 @@ bool Server::tryStart(SessionState& st, Request& r, Time now) {
   }
 
   startRequest(st, r, now, r.scheduledAt, nAlloc, std::move(grant));
-  journalStarted(r, r.nodeIds);  // durable at the commit-end fsync
+  journalStarted(r, r.nodeIds);  // durable at the caller's fsync
   // Start the implicit wrapper PA together with the request it wraps.
   Request* wrapper = pairedWrapper(st, r);
   if (wrapper != nullptr && !wrapper->started()) {

@@ -16,7 +16,9 @@
 //  - when a request's computed start time arrives and enough node IDs are
 //    free, the request starts and the application is notified (startNotify);
 //    otherwise it stays pending until other applications release nodes
-//    (Appendix A.5, "nodeIDs" discussion);
+//    (Appendix A.5, "nodeIDs" discussion). The start step runs at each pass
+//    commit and again on every release (DONE, disconnect, kill), so a start
+//    a pass already decided does not wait for the next pass;
 //  - NEXT-chained requests inherit node IDs across the transition: a grown
 //    request receives additional IDs, a shrunk one returns the IDs the
 //    application chose to release (§3.1.2);
@@ -329,8 +331,18 @@ class Server {
   /// starts due requests, checks violations and journals the pass commit.
   /// Logs the Config::slowPass outlier breakdown line.
   void runPass();
-  void startDueRequests();
+  /// The start step: starts, in connection and set order, every unstarted
+  /// request a pass scheduled at or before now whose NEXT/COALLOC
+  /// constraint holds and whose node IDs are free, all under one stamp.
+  /// Journals each start (durable at the caller's fsync) and posts its
+  /// STARTED. Returns the number of requests started.
+  std::uint64_t startDueRequests();
   bool tryStart(SessionState& st, Request& r, Time now);
+  /// The shared tail of the handlers that free node IDs or end a NEXT
+  /// predecessor (handleDone, handleDisconnect, killApp): the start step,
+  /// then the fsync that makes the release and those starts durable, then
+  /// a pass for whatever the release changed beyond that.
+  void commitRelease();
   /// Pushes the latest views to every attached scheduled session that has
   /// not seen their values yet.
   void pushViews();

@@ -34,6 +34,12 @@ std::uint64_t Engine::runUntil(Time until) {
   stopped_ = false;
   std::uint64_t dispatched = 0;
   while (!stopped_ && !queue_.empty() && queue_.top().at <= until) {
+    if (queue_.top().state->cancelled) {
+      // Dropped here: step() would skip it and dispatch the next live
+      // event, which may lie past `until`.
+      queue_.pop();
+      continue;
+    }
     if (step()) ++dispatched;
   }
   now_ = std::max(now_, until);

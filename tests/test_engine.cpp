@@ -98,6 +98,20 @@ TEST(Engine, RunUntilStopsAtBoundary) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Engine, RunUntilNeverDispatchesPastItsBoundary) {
+  // A cancelled event inside the horizon must not let runUntil dispatch
+  // the live event behind it.
+  Engine engine;
+  int fired = 0;
+  Executor::cancel(engine.schedule(sec(1), [&] { ++fired; }));
+  engine.schedule(sec(5), [&] { ++fired; });
+  EXPECT_EQ(engine.runUntil(sec(3)), 0u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(engine.now(), sec(3));
+  engine.run();
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(Engine, RunUntilIncludesBoundaryEvents) {
   Engine engine;
   int fired = 0;

@@ -20,10 +20,18 @@
 // bare NP / PA / P requests, NEXT grow/shrink chains with and without
 // implicit wrappers, COALLOC, cancels, done with releases, disconnects and
 // violation kills.
+//
+// The same scenarios also check the output-commit rule: a client never
+// observes a state the journal could lose. A power loss keeps only the
+// synced prefix (Journal::syncedBytes()), so every REQ_ACK id, STARTED,
+// ENDED and KILLED an application receives must be backed by its record
+// inside that prefix when it arrives — starts made at a pass commit and
+// starts made on a release alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -32,7 +40,9 @@
 #include <utility>
 #include <vector>
 
+#include "coorm/common/metrics.hpp"
 #include "coorm/common/rng.hpp"
+#include "coorm/net/wire.hpp"
 #include "coorm/rms/journal.hpp"
 #include "coorm/rms/server.hpp"
 #include "coorm/sim/engine.hpp"
@@ -62,12 +72,88 @@ RequestSpec spec(RequestType type, NodeCount nodes, Time duration,
   return s;
 }
 
+/// The output-commit oracle: which records lie inside the synced prefix of
+/// the journal at `path`, read as the prefix grows.
+class SyncedRecords {
+ public:
+  SyncedRecords(std::string path, const rms::Journal& journal)
+      : path_(std::move(path)), journal_(journal) {}
+
+  /// Fails the test unless a `type` record naming `id` (a request id; the
+  /// app id for kAppKilled) lies inside the synced prefix.
+  void expectSynced(rms::RecordType type, std::int64_t id, const char* what) {
+    refresh();
+    ++checked[type];
+    EXPECT_TRUE(synced_.contains({type, id}))
+        << what << " " << id << " delivered before its record was synced";
+  }
+
+  std::map<rms::RecordType, int> checked;  ///< deliveries checked, by record
+
+ private:
+  /// Reads the records between the last offset read and the synced offset.
+  /// A compaction installs a new file, read again from its header; what
+  /// the old file had synced stays counted (the compacted log keeps the
+  /// live state, and what it leaves out was reclaimed).
+  void refresh() {
+    const std::uint64_t compactions =
+        metrics::value(metrics::Event::kJournalCompactions);
+    if (compactions != compactions_) {
+      compactions_ = compactions;
+      offset_ = kHeaderBytes;
+    }
+    const std::uint64_t end = journal_.syncedBytes();
+    if (end <= offset_) return;
+    std::vector<std::uint8_t> bytes(end - offset_);
+    std::ifstream in(path_, std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(offset_));
+    in.read(reinterpret_cast<char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(in) << "synced prefix shorter than syncedBytes()";
+    net::Reader frames(bytes);
+    while (frames.remaining() > 0) {
+      const std::uint32_t len = frames.u32();
+      (void)frames.u32();  // crc: the prefix was written by this process
+      net::Reader record(frames.bytes(len));
+      ASSERT_TRUE(frames.ok()) << "synced prefix ends inside a record";
+      const auto type = static_cast<rms::RecordType>(record.u8());
+      switch (type) {
+        case rms::RecordType::kRequest:
+          (void)record.i32();  // app
+          synced_.insert({type, record.i64()});
+          break;
+        case rms::RecordType::kStarted:
+        case rms::RecordType::kEnded:
+          synced_.insert({type, record.i64()});
+          break;
+        case rms::RecordType::kAppKilled:
+          synced_.insert({type, record.i32()});
+          break;
+        default:
+          break;
+      }
+    }
+    offset_ = end;
+  }
+
+  static constexpr std::uint64_t kHeaderBytes = 8;
+  std::string path_;
+  const rms::Journal& journal_;
+  std::uint64_t offset_ = kHeaderBytes;
+  std::uint64_t compactions_ =
+      metrics::value(metrics::Event::kJournalCompactions);
+  std::set<std::pair<rms::RecordType, std::int64_t>> synced_;
+};
+
 /// An application the scenario drives: remembers what it was granted and
 /// answers expiries by ending the request — unless it is `deaf`, which
-/// gets it killed after the violation grace period.
+/// gets it killed after the violation grace period. With an `oracle`, it
+/// checks every id and notification it receives against the synced
+/// journal prefix.
 class App final : public AppEndpoint {
  public:
   void onStarted(RequestId id, const std::vector<NodeId>& ids) override {
+    observed(rms::RecordType::kStarted, id.value, "STARTED");
     waiting.erase(id);
     running[id] = ids;
   }
@@ -76,22 +162,35 @@ class App final : public AppEndpoint {
     session->done(id, running[id]);
   }
   void onEnded(RequestId id) override {
+    observed(rms::RecordType::kEnded, id.value, "ENDED");
     waiting.erase(id);
     running.erase(id);
+  }
+  void onKilled() override {
+    observed(rms::RecordType::kAppKilled, session->app().value, "KILLED");
   }
 
   [[nodiscard]] bool alive() const { return !gone && !session->killed(); }
   RequestId submit(const RequestSpec& s) {
     const RequestId id = session->request(s);
-    if (id.valid()) waiting.insert(id);
+    if (id.valid()) {
+      observed(rms::RecordType::kRequest, id.value, "REQ_ACK");
+      waiting.insert(id);
+    }
     return id;
   }
 
   Session* session = nullptr;
+  SyncedRecords* oracle = nullptr;
   bool deaf = false;
   bool gone = false;  ///< disconnected by the scenario
   std::set<RequestId> waiting;  ///< submitted, neither started nor ended
   std::map<RequestId, std::vector<NodeId>> running;
+
+ private:
+  void observed(rms::RecordType type, std::int64_t id, const char* what) {
+    if (oracle != nullptr) oracle->expectSynced(type, id, what);
+  }
 };
 
 /// A server restored from the journal at `path` on its own engine.
@@ -138,9 +237,18 @@ class Scenario {
   Server& server() { return server_; }
   [[nodiscard]] int checkpoints() const { return checkpoints_; }
 
+  /// Checks every delivery to the apps connected from here on against the
+  /// synced journal prefix. Run such a scenario with run(): the round trip
+  /// compacts, and a compaction syncs whatever a missing fsync left out.
+  SyncedRecords& checkOutputCommit() {
+    oracle_ = std::make_unique<SyncedRecords>(path_, journal_);
+    return *oracle_;
+  }
+
   App& connect() {
     apps_.push_back(std::make_unique<App>());
     App& app = *apps_.back();
+    app.oracle = oracle_.get();
     app.session = server_.connect(app, "app" + std::to_string(apps_.size()));
     return app;
   }
@@ -164,6 +272,9 @@ class Scenario {
     }
     engine_.runUntil(until);  // advance the clock past trailing events
   }
+
+  /// Steps the engine to `until`, without round trips.
+  void run(Time until) { engine_.runUntil(until); }
 
  private:
   void checkRoundTrip() {
@@ -250,6 +361,7 @@ class Scenario {
   }
 
   std::string path_;
+  std::unique_ptr<SyncedRecords> oracle_;
   std::vector<std::unique_ptr<App>> apps_;  // outlive the server
   std::vector<std::unique_ptr<App>> probes_;
   Engine engine_;
@@ -563,6 +675,102 @@ TEST_P(JournalReplaySeeded, EveryCommitRoundTrips) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JournalReplaySeeded, ::testing::Range(1, 9));
+
+// ---------------------------------------------------------------------------
+// The output-commit rule.
+
+std::uint64_t startsAtRelease() {
+  return metrics::value(metrics::Event::kStartsAtRelease);
+}
+
+TEST(JournalOutputCommit, ReleaseStartsAreSyncedBeforeTheyLeave) {
+  // In each phase a preemptible lease takes the free nodes and ignores its
+  // views; a rigid request, placed at once by the pass it arms, waits for
+  // the lease's node IDs and starts on the lease's release: a DONE, a
+  // disconnect, then a violation kill.
+  Scenario s("commit_scripted");
+  SyncedRecords& oracle = s.checkOutputCommit();
+  App& rigid = s.connect();
+  App& first = s.connect();
+  const RequestId lease1 =
+      first.submit(spec(RequestType::kPreemptible, kNodes, kTimeInf));
+  s.run(sec(2));
+  ASSERT_EQ(first.running.at(lease1).size(), std::size_t{kNodes});
+
+  const RequestId np1 =
+      rigid.submit(spec(RequestType::kNonPreemptible, 4, sec(600)));
+  s.run(sec(4));
+  ASSERT_TRUE(rigid.waiting.contains(np1));
+  std::uint64_t before = startsAtRelease();
+  first.session->done(lease1, first.running.at(lease1));
+  s.run(sec(5));
+  EXPECT_TRUE(rigid.running.contains(np1)) << "start on a DONE";
+  EXPECT_EQ(s.server().findRequest(np1)->startedAt, sec(4));
+  EXPECT_EQ(startsAtRelease(), before + 1);
+
+  App& second = s.connect();
+  const RequestId lease2 =
+      second.submit(spec(RequestType::kPreemptible, 6, kTimeInf));
+  s.run(sec(7));
+  ASSERT_TRUE(second.running.contains(lease2));
+  const RequestId np2 =
+      rigid.submit(spec(RequestType::kNonPreemptible, 4, sec(600)));
+  s.run(sec(9));
+  ASSERT_TRUE(rigid.waiting.contains(np2));
+  before = startsAtRelease();
+  second.session->disconnect();
+  second.gone = true;
+  s.run(sec(10));
+  EXPECT_TRUE(rigid.running.contains(np2)) << "start on a disconnect";
+  EXPECT_EQ(s.server().findRequest(np2)->startedAt, sec(9));
+  EXPECT_EQ(startsAtRelease(), before + 1);
+
+  App& third = s.connect();
+  const RequestId lease3 =
+      third.submit(spec(RequestType::kPreemptible, 2, kTimeInf));
+  s.run(sec(12));
+  ASSERT_TRUE(third.running.contains(lease3));
+  const RequestId np3 =
+      rigid.submit(spec(RequestType::kNonPreemptible, 2, sec(600)));
+  before = startsAtRelease();
+  s.run(sec(30));  // past the violation grace
+  EXPECT_TRUE(third.session->killed());
+  ASSERT_TRUE(rigid.running.contains(np3)) << "start on a kill";
+  // Placed by the pass at 12 s, which armed the violation timer: the kill
+  // comes one grace period (5 s) later.
+  EXPECT_EQ(s.server().findRequest(np3)->startedAt, sec(17));
+  EXPECT_EQ(startsAtRelease(), before + 1);
+
+  EXPECT_EQ(oracle.checked[rms::RecordType::kRequest], 6);
+  EXPECT_GE(oracle.checked[rms::RecordType::kStarted], 6);
+  EXPECT_GE(oracle.checked[rms::RecordType::kEnded], 1);
+  EXPECT_EQ(oracle.checked[rms::RecordType::kAppKilled], 1);
+}
+
+class JournalOutputCommitSeeded : public ::testing::TestWithParam<int> {};
+
+TEST_P(JournalOutputCommitSeeded, EveryDeliveryIsBackedBySyncedRecords) {
+  Scenario s("commit_seed" + std::to_string(GetParam()));
+  SyncedRecords& oracle = s.checkOutputCommit();
+  const std::uint64_t before = startsAtRelease();
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
+  for (int i = 0; i < 3; ++i) s.connect();
+  Time at = 0;
+  while (at < sec(300)) {
+    at += msec(rng.uniformInt(200, 2500));
+    s.run(at);
+    if (HasFailure()) return;
+    randomAction(s, rng);
+  }
+  s.run(at + sec(30));
+  EXPECT_GT(oracle.checked[rms::RecordType::kRequest], 0);
+  EXPECT_GT(oracle.checked[rms::RecordType::kStarted], 0);
+  EXPECT_GT(oracle.checked[rms::RecordType::kEnded], 0);
+  EXPECT_GT(startsAtRelease(), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JournalOutputCommitSeeded,
+                         ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace coorm

@@ -22,6 +22,7 @@
 
 #include "coorm/net/client.hpp"
 #include "coorm/net/io_executor.hpp"
+#include "coorm/net/metrics_http.hpp"
 #include "net_harness.hpp"
 
 namespace coorm {
@@ -317,6 +318,70 @@ TEST(MetricsLoopback, AbruptCloseCountsAsDeadPeer) {
   EXPECT_EQ((*reply)[Event::kDeadPeerDrops], 1u);
   EXPECT_EQ((*reply)[Gauge::kLiveSessions], 0);
 
+  statsq.disconnect();
+}
+
+/// A rigid request that a pass placed at once waits for the node IDs a
+/// preemptible lease holds (the lease ignores its shrunk view); the lease's
+/// DONE starts it on the release, outside a pass commit.
+TEST(MetricsLoopback, StartOnReleaseCountsStartsAtRelease) {
+  Server::Config config;
+  config.reschedInterval = msec(50);
+  nettest::DaemonFixture daemon(config, 8);
+  metrics::reset();
+
+  nettest::ScriptApp holder;
+  nettest::ScriptApp rigid;
+  holder.onFirstViews = [&holder] {
+    RequestSpec lease;
+    lease.nodes = 8;
+    lease.duration = kTimeInf;
+    lease.type = RequestType::kPreemptible;
+    holder.submit(lease);
+  };
+  rigid.onFirstViews = [&rigid] {
+    RequestSpec job;
+    job.nodes = 4;
+    job.duration = sec(60);
+    job.type = RequestType::kNonPreemptible;
+    rigid.submit(job);
+  };
+  // The lease's last preemptive view drops from 8 nodes to 4 from now on
+  // (segment values; the first segment is the past).
+  const auto leaseShrunk = [&holder] {
+    return !holder.trace.empty() &&
+           holder.trace.back().find(" p=[8 4 ") != std::string::npos;
+  };
+
+  net::IoExecutor executor;
+  nettest::LoopbackTransport loopback(executor, daemon.port());
+  nettest::Scenario scenario;
+  scenario.steps = {
+      {[] { return true; },
+       [&] { holder.bind(loopback.add(holder, "holder")); }},
+      {[&holder] { return holder.startedCount == 1; },
+       [&] { rigid.bind(loopback.add(rigid, "rigid")); }},
+      // The pass that placed the job has shrunk the lease's view: the job
+      // waits for the lease's IDs until the lease gives them all back.
+      {[&] { return leaseShrunk() && rigid.startedCount == 0; },
+       [&holder] { holder.finish(0, holder.granted[0]); }},
+  };
+  scenario.finished = [&rigid] { return rigid.startedCount == 1; };
+  ASSERT_TRUE(nettest::runLoopback(executor, scenario))
+      << "the job never started";
+
+  net::IoExecutor statsLoop;
+  net::RmsClient statsq(
+      statsLoop,
+      net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},
+                             "statsq"});
+  statsq.dial();
+  const std::optional<metrics::Snapshot> reply = statsq.stats();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ((*reply)[Event::kStartsAtRelease], 1u);
+  EXPECT_NE(net::renderPrometheus(*reply).find(
+                "coorm_starts_at_release_total 1"),
+            std::string::npos);
   statsq.disconnect();
 }
 

@@ -294,60 +294,61 @@ void expectRequestsIdentical(const Population& a, const Population& b) {
 
 // --- differential tests -----------------------------------------------------
 
-TEST(SchedulerSnapshot, ToViewMatchesLiveWalkReference) {
+TEST(SchedulerIndex, ToViewMatchesLiveWalkReference) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    auto snapPop = makePopulation(seed);
+    auto indexedPop = makePopulation(seed);
     auto refPop = makePopulation(seed);
     for (RequestSet Population::* sets :
          {&Population::pa, &Population::np, &Population::p}) {
-      const View vs = Scheduler::toView(snapPop.get()->*sets,
-                                        &snapPop->avail, snapPop->now);
+      const View vs = Scheduler::toView(indexedPop.get()->*sets,
+                                        &indexedPop->avail, indexedPop->now);
       const View vr = referenceToView(refPop.get()->*sets, &refPop->avail,
                                       refPop->now);
       EXPECT_EQ(vs, vr);
     }
-    expectRequestsIdentical(*snapPop, *refPop);
+    expectRequestsIdentical(*indexedPop, *refPop);
   }
 }
 
-TEST(SchedulerSnapshot, FitMatchesLiveWalkReference) {
+TEST(SchedulerIndex, FitMatchesLiveWalkReference) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    auto snapPop = makePopulation(seed);
+    auto indexedPop = makePopulation(seed);
     auto refPop = makePopulation(seed);
     for (RequestSet Population::* sets :
          {&Population::pa, &Population::np, &Population::p}) {
       // toView first, as every pass does: fit honours the fixed markers.
-      Scheduler::toView(snapPop.get()->*sets, &snapPop->avail, snapPop->now);
+      Scheduler::toView(indexedPop.get()->*sets, &indexedPop->avail,
+                        indexedPop->now);
       referenceToView(refPop.get()->*sets, &refPop->avail, refPop->now);
-      const View vs =
-          Scheduler::fit(snapPop.get()->*sets, snapPop->avail, snapPop->now);
+      const View vs = Scheduler::fit(indexedPop.get()->*sets,
+                                     indexedPop->avail, indexedPop->now);
       const View vr =
           referenceFit(refPop.get()->*sets, refPop->avail, refPop->now);
       EXPECT_EQ(vs, vr);
     }
-    expectRequestsIdentical(*snapPop, *refPop);
+    expectRequestsIdentical(*indexedPop, *refPop);
   }
 }
 
-TEST(SchedulerSnapshot, DeepChainsMatchReference) {
+TEST(SchedulerIndex, DeepChainsMatchReference) {
   for (const int depth : {64, 128}) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       SCOPED_TRACE("depth=" + std::to_string(depth) +
                    " seed=" + std::to_string(seed));
-      auto snapPop = makePopulation(seed, depth);
+      auto indexedPop = makePopulation(seed, depth);
       auto refPop = makePopulation(seed, depth);
       const View vs =
-          Scheduler::fit(snapPop->np, snapPop->avail, snapPop->now);
+          Scheduler::fit(indexedPop->np, indexedPop->avail, indexedPop->now);
       const View vr = referenceFit(refPop->np, refPop->avail, refPop->now);
       EXPECT_EQ(vs, vr);
-      expectRequestsIdentical(*snapPop, *refPop);
+      expectRequestsIdentical(*indexedPop, *refPop);
     }
   }
 }
 
-TEST(SchedulerSnapshot, DeepChainFitWorkIsLinear) {
+TEST(SchedulerIndex, DeepChainFitWorkIsLinear) {
   // A conflict-free NEXT chain on an empty machine: every request is placed
   // right where its parent ends, so the worklist processes each exactly
   // once and traverses each constraint edge exactly once. Doubling the
@@ -385,19 +386,19 @@ TEST(SchedulerSnapshot, DeepChainFitWorkIsLinear) {
   EXPECT_EQ(stats256.queuePops, 2 * stats128.queuePops);
 }
 
-TEST(SchedulerSnapshot, ShimsComposeLikeInPlaceAlgorithms) {
+TEST(SchedulerIndex, BuildingBlocksComposeLikeReference) {
   // Each building block re-indexes the set it is given; composing them
   // sequentially (toView then fit then toView again) must behave exactly
   // like the reference composition.
   for (std::uint64_t seed = 50; seed <= 70; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    auto snapPop = makePopulation(seed);
+    auto indexedPop = makePopulation(seed);
     auto refPop = makePopulation(seed);
 
-    View vs = Scheduler::toView(snapPop->np);
-    vs += Scheduler::fit(snapPop->np, snapPop->avail, snapPop->now);
-    const View vs2 = Scheduler::toView(snapPop->np, &snapPop->avail,
-                                       snapPop->now);
+    View vs = Scheduler::toView(indexedPop->np);
+    vs += Scheduler::fit(indexedPop->np, indexedPop->avail, indexedPop->now);
+    const View vs2 = Scheduler::toView(indexedPop->np, &indexedPop->avail,
+                                       indexedPop->now);
 
     View vr = referenceToView(refPop->np);
     vr += referenceFit(refPop->np, refPop->avail, refPop->now);
@@ -405,7 +406,7 @@ TEST(SchedulerSnapshot, ShimsComposeLikeInPlaceAlgorithms) {
 
     EXPECT_EQ(vs, vr);
     EXPECT_EQ(vs2, vr2);
-    expectRequestsIdentical(*snapPop, *refPop);
+    expectRequestsIdentical(*indexedPop, *refPop);
   }
 }
 

@@ -215,6 +215,47 @@ TEST_F(ServerTest, NextShrinkReleasesChosenIds) {
   EXPECT_EQ(server_.pool().freeCount(kC), 6);
 }
 
+TEST_F(ServerTest, ShrinkSuccessorStartsAtItsPredecessorsDone) {
+  // An app that answers onExpired by ending the request and giving back
+  // the IDs its NEXT shrink successor does not keep.
+  class Shrinker final : public TestApp {
+   public:
+    explicit Shrinker(const Executor& exec) : exec_(exec) {}
+    void onExpired(RequestId id) override {
+      expired.push_back(id);
+      doneAt = exec_.now();
+      const std::vector<NodeId>& held = nodesOf[id];
+      session->done(id, std::vector<NodeId>(held.begin() + 4, held.end()));
+    }
+    Time doneAt = kNever;
+
+   private:
+    const Executor& exec_;
+  };
+  Shrinker app(engine_);
+  Session* s = connect(app);
+  engine_.run();
+  const RequestId r1 = s->request(np(6, sec(10)));
+  engine_.runUntil(msec(10500));
+  ASSERT_TRUE(app.hasStarted(r1));
+  ASSERT_EQ(server_.findRequest(r1)->plannedEnd(), sec(11));
+
+  // The pass this request arms (at 10.5 s) places the successor at r1's
+  // end. At that end the app answers onExpired with a DONE; the successor
+  // starts on it, with the IDs r1 kept, not at the pass the DONE arms
+  // (11.5 s).
+  const RequestId r2 = s->request(np(4, sec(100), Relation::kNext, r1));
+  engine_.runUntil(sec(20));
+  EXPECT_EQ(app.expired, std::vector<RequestId>{r1});
+  EXPECT_EQ(app.doneAt, sec(11));
+  ASSERT_TRUE(app.hasStarted(r2));
+  EXPECT_EQ(server_.findRequest(r2)->startedAt, sec(11));
+  const std::vector<NodeId>& first = app.nodesOf[r1];
+  EXPECT_EQ(app.nodesOf[r2],
+            std::vector<NodeId>(first.begin(), first.begin() + 4));
+  EXPECT_EQ(server_.pool().freeCount(kC), 6);
+}
+
 TEST_F(ServerTest, ExpiredRequestAsksAppAndEnds) {
   TestApp app;
   Session* s = connect(app);

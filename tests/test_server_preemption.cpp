@@ -1,6 +1,9 @@
 // Preemptible requests: equi-partition views, filling, yanking resources
-// back for non-preemptible growth, and protocol-violation kills.
+// back for non-preemptible growth, protocol-violation kills, and the start
+// a pass decided happening on the filler's release, not one interval later.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "coorm/rms/server.hpp"
 #include "coorm/sim/engine.hpp"
@@ -61,6 +64,7 @@ class MiniMalleable : public AppEndpoint {
       if (allowed < have) {
         released.assign(held.begin() + allowed, held.end());
         held.resize(static_cast<std::size_t>(allowed));
+        releasedAt.push_back(now());
       }
       session->done(current, released);
       current = RequestId{};
@@ -77,6 +81,7 @@ class MiniMalleable : public AppEndpoint {
   View view;
   std::vector<NodeId> held;
   RequestId current, pending;
+  std::vector<Time> releasedAt;  ///< when each shrink gave nodes back
   bool inFlight = false;
   bool killed = false;
   int viewPushes = 0;
@@ -214,6 +219,86 @@ TEST_F(PreemptionTest, PreemptibleViewSignalsFutureDrop) {
   EXPECT_EQ(std::ssize(psa.held), 0);
   // Its view promises capacity back when the NP job ends.
   EXPECT_GT(psa.view.at(kC, sec(120)), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Start on release: the start step runs on every release too, so a start
+// the last pass decided is not held to the next re-scheduling interval by
+// node IDs the preempted filler still held at that pass's commit.
+
+RequestSpec npSpec(NodeCount nodes, Time duration,
+                   Relation how = Relation::kFree, RequestId to = RequestId{}) {
+  RequestSpec spec;
+  spec.cluster = kC;
+  spec.nodes = nodes;
+  spec.duration = duration;
+  spec.type = RequestType::kNonPreemptible;
+  spec.relatedHow = how;
+  spec.relatedTo = to;
+  return spec;
+}
+
+TEST_F(PreemptionTest, RigidStartsAtTheFillersReleaseInThePassThatPlacedIt) {
+  MiniMalleable psa;
+  attach(psa);
+  RigidEndpoint rigid;
+  rigid.session = server_.connect(rigid);
+  runUntil(msec(3500));
+  ASSERT_EQ(std::ssize(psa.held), 10);
+  const std::uint64_t passesBefore = server_.passCount();
+
+  // The request arms a pass at T = 3.5 s (the last one ran over a second
+  // ago). That pass places the rigid job at T and shrinks the filler's
+  // view; the filler answers the push at T, and the job starts on that
+  // release instead of at the next pass (T + 1 s).
+  const RequestId id = rigid.session->request(npSpec(6, sec(100)));
+  runUntil(sec(10));
+  ASSERT_EQ(rigid.started, std::vector<RequestId>{id});
+  ASSERT_FALSE(psa.releasedAt.empty());
+  EXPECT_EQ(psa.releasedAt.front(), msec(3500));
+  EXPECT_EQ(server_.findRequest(id)->startedAt, msec(3500));
+  EXPECT_EQ(server_.findRequest(id)->scheduledAt, msec(3500));
+  EXPECT_GT(server_.passCount(), passesBefore);
+  EXPECT_EQ(std::ssize(psa.held), 4);
+}
+
+TEST_F(PreemptionTest, GrowSuccessorStartsAtTheFillersRelease) {
+  MiniMalleable psa;
+  attach(psa);
+  RigidEndpoint app;
+  app.session = server_.connect(app);
+  runUntil(msec(500));
+  // The rigid app runs 4 nodes from the pass at 1 s; the filler takes the
+  // other 6.
+  const RequestId first = app.session->request(npSpec(4, sec(100)));
+  runUntil(msec(5500));
+  ASSERT_EQ(app.started, std::vector<RequestId>{first});
+  ASSERT_EQ(std::ssize(psa.held), 6);
+  const std::vector<NodeId> kept = server_.findRequest(first)->nodeIds;
+  const std::size_t releases = psa.releasedAt.size();
+
+  // A spontaneous NEXT grow to 8 nodes (request, then done the current
+  // request). The pass the request arms, at T = 5.5 s, places the
+  // successor at T with the 4 inherited IDs and shrinks the filler's view;
+  // the filler answers the push at T, and the successor starts on that
+  // release instead of at the next pass (T + 1 s).
+  const RequestId grown =
+      app.session->request(npSpec(8, sec(100), Relation::kNext, first));
+  app.session->done(first);
+  runUntil(sec(10));
+  ASSERT_EQ(app.started, (std::vector<RequestId>{first, grown}));
+  ASSERT_GT(psa.releasedAt.size(), releases);
+  EXPECT_EQ(psa.releasedAt[releases], msec(5500));
+  const Request* successor = server_.findRequest(grown);
+  EXPECT_EQ(successor->scheduledAt, msec(5500));
+  EXPECT_EQ(successor->startedAt, msec(5500));
+  ASSERT_EQ(std::ssize(successor->nodeIds), 8);
+  for (const NodeId& id : kept) {
+    EXPECT_NE(std::find(successor->nodeIds.begin(), successor->nodeIds.end(),
+                        id),
+              successor->nodeIds.end());
+  }
+  EXPECT_EQ(std::ssize(psa.held), 2);
 }
 
 }  // namespace
