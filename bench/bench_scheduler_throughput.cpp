@@ -457,8 +457,8 @@ BENCHMARK(BM_ScheduleIncremental)
 // ends (the free profile moves, so every non-preemptive view is
 // re-derived) and one malleable lease changes size (the idle share that
 // every absent application receives moves). Then one Scheduler::schedule
-// pass runs and the published views are stashed the way Server::runPass
-// does (swapped into per-app slots).
+// pass runs and publishes every application's views into its AppSchedule,
+// where the next pass drops them.
 void BM_SchedulePopulation(benchmark::State& state) {
   const int napps = static_cast<int>(state.range(0));
   const ClusterId c0{0};
@@ -520,17 +520,7 @@ void BM_SchedulePopulation(benchmark::State& state) {
   malleable.preemptible->add(lease);
 
   Scheduler scheduler(population.machine);
-  std::vector<NonPreemptiveView> stashNp(population.apps.size());
-  std::vector<View> stashP(population.apps.size());
-  const auto pass = [&] {
-    scheduler.schedule(population.apps, kNow);
-    const std::span<AppSchedule> apps = population.apps;
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-      if (apps[i].viewsReused) continue;
-      std::swap(stashNp[i], apps[i].nonPreemptiveView);
-      std::swap(stashP[i], apps[i].preemptiveView);
-    }
-  };
+  const auto pass = [&] { scheduler.schedule(population.apps, kNow); };
   pass();  // cold pass primes the cache outside the measured loop
 
   bool rigidStarted = true;
@@ -553,7 +543,7 @@ void BM_SchedulePopulation(benchmark::State& state) {
   // Per pass: how many segment blocks the pass recycled from the thread's
   // arena, how many it took from the heap, and how many non-preemptive
   // views it evaluated. The CI bench job requires the last two to be zero:
-  // the cold pass above warms the pool, and the stash never reads a view.
+  // the cold pass above warms the pool, and nothing reads a view.
   const metrics::Snapshot after = metrics::snapshot();
   state.counters["apps"] = static_cast<double>(napps);
   state.counters["arena_hits"] = benchmark::Counter(

@@ -66,8 +66,11 @@ enum class Event : std::uint16_t {
   kPassAppsDirty,             ///< apps re-derived by a pass (not lease-clean)
   kPassAppsClean,             ///< apps served from the incremental cache
   kStep2RangesReused,         ///< Step 2 output profiles reused or spliced
-  kLeasesRenewed,             ///< clean apps whose allocation carried over
-  kLeasesPreempted,           ///< clean apps whose share a dirty neighbour moved
+  // The next two are always 0: every pass publishes, and the server
+  // stashes, every application's views, so no lease is renewed or counted
+  // as preempted. servebench's `--trace 1` reads them by name.
+  kLeasesRenewed,             ///< always 0 (read by name)
+  kLeasesPreempted,           ///< always 0 (read by name)
   kViewsDeltaSent,            ///< view pushes shipped as VIEWS_DELTA diffs
   kViewsDeltaBytesSaved,      ///< full-push payload bytes avoided by deltas
   kViewsResync,               ///< delta sessions resynced with a full push
@@ -95,7 +98,7 @@ enum class Histo : std::uint16_t {
   kPassPruneUs,      ///< pass phase: reclaim ended requests
   kPassCaptureUs,    ///< pass phase: build the pass's AppSchedule list
   kPassScheduleUs,   ///< pass phase: Scheduler::schedule (Steps 1-3)
-  kPassWriteBackUs,  ///< pass phase: stash views + lease accounting
+  kPassWriteBackUs,  ///< pass phase: swap every session's view stash
   kPassViewsUs,      ///< pass phase: view diff + push to sessions
   kPassCommitUs,     ///< pass phase: starts, violations, journal barrier
   kRequestRttUs,     ///< daemon-side REQUEST decode -> REQ_ACK write

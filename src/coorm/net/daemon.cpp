@@ -18,6 +18,16 @@ namespace coorm::net {
 
 namespace {
 
+/// Outbound-buffer cap per connection: a peer that does not drain its
+/// socket past this point is treated as dead (backpressure kill).
+constexpr std::size_t kMaxOutboundBytes = 64u << 20;
+
+/// Frames are batched per session and flushed once per loop turn (all
+/// frames of one pass commit become one send syscall). Safety valve: a
+/// session whose unflushed bytes reach this mark flushes immediately
+/// instead of waiting for the zero-delay flush event.
+constexpr std::size_t kFlushHighWater = 256u << 10;
+
 /// Collects the per-cluster splice windows turning `prev` into `next`.
 /// Unchanged clusters are omitted. False when the cluster sets differ —
 /// a delta cannot add or drop clusters, so such pushes go out full.
@@ -400,7 +410,7 @@ void Daemon::send(Connection& conn) {
   // dispatched by the same runOne() that delivered the inputs, so no
   // extra wakeup and no added latency. The high-water mark bounds how
   // much a burst can buffer before the kernel gets a look at it.
-  if (conn.outbound.size() - conn.outboundPos >= config_.flushHighWater) {
+  if (conn.outbound.size() - conn.outboundPos >= kFlushHighWater) {
     flush(conn);
     return;
   }
@@ -444,12 +454,12 @@ void Daemon::flush(Connection& conn) {
     return;
   }
 
-  // Backpressure: keep at most the configured amount in flight; a peer
+  // Backpressure: keep at most kMaxOutboundBytes in flight; a peer
   // that lets the buffer grow past the cap is dead for our purposes.
-  if (conn.outbound.size() - conn.outboundPos > config_.maxOutboundBytes) {
+  if (conn.outbound.size() - conn.outboundPos > kMaxOutboundBytes) {
     COORM_LOG(LogLevel::kWarn, "net")
         << conn.peerName << ": outbound buffer over "
-        << config_.maxOutboundBytes << " bytes; dropping peer";
+        << kMaxOutboundBytes << " bytes; dropping peer";
     metrics::increment(metrics::Event::kDeadPeerDrops);
     teardown(conn);
     return;

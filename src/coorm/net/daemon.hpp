@@ -42,9 +42,6 @@ class Daemon {
  public:
   struct Config {
     Endpoint listen{};  ///< port 0 picks an ephemeral port
-    /// Outbound-buffer cap per connection: a peer that does not drain its
-    /// socket past this point is treated as dead (backpressure kill).
-    std::size_t maxOutboundBytes = 64u << 20;
     /// Idle sweep: a connection silent for this long is dropped
     /// (idle_peer_drops); one silent for half of it is PINGed first, so a
     /// live-but-quiet peer only has to PONG. 0 disables the sweep.
@@ -55,11 +52,6 @@ class Daemon {
     /// reaped. 0 restores the strict PR 5 behaviour (dead peer ==
     /// disconnect) — half-open clients then cannot resume.
     Time resumeGrace = 0;
-    /// Frames are batched per session and flushed once per loop turn (all
-    /// frames of one pass commit become one send syscall). Safety valve:
-    /// a session whose unflushed bytes reach this mark flushes immediately
-    /// instead of waiting for the zero-delay flush event.
-    std::size_t flushHighWater = 256u << 10;
   };
 
   /// Binds and starts accepting. Throws std::runtime_error if the listen

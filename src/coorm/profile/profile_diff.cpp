@@ -115,38 +115,4 @@ bool spliceWindow(StepFunction& target, Time lo, Time hi,
   return true;
 }
 
-bool clampedSumsAgree(const StepFunction& own, const StepFunction& before,
-                      const StepFunction& after, Time lo, Time hi) {
-  const std::span<const Segment> series[3] = {
-      own.segments(), before.segments(), after.segments()};
-  // Per series, the index of the segment holding at the current time,
-  // starting with the one holding lo (every series starts at 0 <= lo).
-  std::size_t at[3];
-  for (int k = 0; k < 3; ++k) {
-    const auto it = std::upper_bound(
-        series[k].begin(), series[k].end(), lo,
-        [](Time t, const Segment& segment) { return t < segment.start; });
-    at[k] = static_cast<std::size_t>(it - series[k].begin()) - 1;
-  }
-  for (;;) {
-    const NodeCount base = series[0][at[0]].value;
-    if (std::max<NodeCount>(base + series[1][at[1]].value, 0) !=
-        std::max<NodeCount>(base + series[2][at[2]].value, 0)) {
-      return false;
-    }
-    Time next = kTimeInf;
-    for (int k = 0; k < 3; ++k) {
-      if (at[k] + 1 < series[k].size()) {
-        next = std::min(next, series[k][at[k] + 1].start);
-      }
-    }
-    if (next >= hi) return true;
-    for (int k = 0; k < 3; ++k) {
-      if (at[k] + 1 < series[k].size() && series[k][at[k] + 1].start == next) {
-        ++at[k];
-      }
-    }
-  }
-}
-
 }  // namespace coorm

@@ -4,9 +4,7 @@
 // Extracted from the incremental scheduler (PR 8) so both consumers share
 // one implementation:
 //  - rms/scheduler.cpp diffs Step 2 inputs into dirty ranges and splices
-//    re-swept windows back into cached output series, and decides whether
-//    a clean application's non-preemptive view moved by evaluating its
-//    clamped sum inside the free profile's diff window only;
+//    re-swept windows back into cached output series;
 //  - net/wire.cpp ships per-cluster view diffs over the wire (VIEWS_DELTA)
 //    and the client splices them onto its last-applied views.
 //
@@ -57,16 +55,5 @@ void mergeRanges(std::vector<DirtyRange>& ranges);
 /// segment starts at 0.
 bool spliceWindow(StepFunction& target, Time lo, Time hi,
                   std::span<const Segment> window);
-
-/// True when max(0, own + before) and max(0, own + after) agree pointwise
-/// on [lo, hi) (hi may be kTimeInf). With [lo, hi) a diffWindow of
-/// `before` and `after`, this decides whether moving a clamped sum's
-/// second operand from `before` to `after` changed the sum, without
-/// building either sum: only the breakpoints inside the window are
-/// visited. Requires 0 <= lo < hi.
-[[nodiscard]] bool clampedSumsAgree(const StepFunction& own,
-                                    const StepFunction& before,
-                                    const StepFunction& after, Time lo,
-                                    Time hi);
 
 }  // namespace coorm

@@ -121,23 +121,27 @@ struct PassIndex {
   std::vector<SetIndex> nonPreemptible;
   std::vector<SetIndex> preemptible;
   std::vector<char> allStarted;  ///< every member started at the last build
+  /// This pass's lease-clean classification: key unchanged and every
+  /// request started.
+  std::vector<char> leaseClean;
 
-  /// Re-indexes every application whose key moved and sets each
-  /// AppSchedule::leaseClean: key unchanged and every request started.
-  /// Started requests' pass results are independent of the pass's `now`
-  /// and of the availability views, which is what makes such an app's
-  /// whole re-derivation skippable; an app with a pending request must be
-  /// re-derived even when its key is unchanged, because fit() and
-  /// grantAtStart() anchor pending requests at max(scheduledAt, now).
-  void refresh(std::span<AppSchedule> apps) {
+  /// Re-indexes every application whose key moved and classifies each as
+  /// lease-clean or not. Started requests' pass results are independent
+  /// of the pass's `now` and of the availability views, which is what
+  /// makes a lease-clean app's whole re-derivation skippable; an app with
+  /// a pending request must be re-derived even when its key is unchanged,
+  /// because fit() and grantAtStart() anchor pending requests at
+  /// max(scheduledAt, now).
+  void refresh(std::span<const AppSchedule> apps) {
     const std::size_t napps = apps.size();
     keys.resize(napps);
     preAllocations.resize(napps);
     nonPreemptible.resize(napps);
     preemptible.resize(napps);
     allStarted.resize(napps);
+    leaseClean.resize(napps);
     for (std::size_t i = 0; i < napps; ++i) {
-      AppSchedule& app = apps[i];
+      const AppSchedule& app = apps[i];
       const RequestSet* sets[3] = {app.preAllocations, app.nonPreemptible,
                                    app.preemptible};
       Key key;
@@ -147,7 +151,7 @@ struct PassIndex {
       }
       key.epoch = app.epoch;
       if (app.epoch != 0 && key == keys[i]) {
-        app.leaseClean = allStarted[i] != 0;
+        leaseClean[i] = allStarted[i];
         continue;
       }
       // Same epoch over the same sets with moved membership: an add or
@@ -167,7 +171,7 @@ struct PassIndex {
         for (const Request* r : *set) started = started && r->started();
       }
       allStarted[i] = started ? 1 : 0;
-      app.leaseClean = false;
+      leaseClean[i] = 0;
     }
   }
 };
@@ -184,11 +188,9 @@ struct PassIndex {
 ///
 /// No non-preemptive view is cached, or built for a clean application: a
 /// pass publishes each one as its operand pair (NonPreemptiveView), the
-/// free profile at the application's loop position — one of the few
-/// `freeProfiles`, shared by every application between two placements —
-/// plus its own started pre-allocation occupation `paOcc`. Whether a clean
-/// application's view moved is decided inside the free profile's diff
-/// window only (freeProfileMoveShows below).
+/// free profile vnp at the application's loop position — shared by every
+/// application between two placements — plus its own started
+/// pre-allocation occupation `paOcc`.
 struct IncrementalState {
   /// False until a pass completes; cleared at pass start, so a pass that
   /// throws leaves the next one cold.
@@ -198,16 +200,10 @@ struct IncrementalState {
   // --- previous pass intermediates, one slot per application --------------
   std::vector<View> paOcc;       ///< started pre-allocation occupation
   std::vector<View> npOcc;       ///< started non-preemptible occupation
-  std::vector<View> occPa;       ///< NP-loop pre-allocation fit occupation
   std::vector<View> npFitted;    ///< NP-loop non-preemptible fit occupation
   std::vector<View> occupation;  ///< eqSchedule Step 1 preemptible occupation
   std::vector<View> pViews;      ///< final preemptive views (owned)
-  View vnpInitial;               ///< vnp after the pre-allocation fold
   View vp;                       ///< clamped preemptible availability
-  /// The free profiles vnp the connection-order loop went through, in
-  /// order: the initial one plus one after each placement.
-  std::vector<View> freeProfiles;
-  std::vector<std::uint32_t> freeAt;  ///< per app: index into freeProfiles
 
   // --- eqSchedule Step 2 per-cluster cache --------------------------------
   std::vector<ClusterId> clusterIds;
@@ -221,26 +217,7 @@ struct IncrementalState {
   std::vector<ClusterCache> clusters;
 
   // --- per-pass scratch, kept for capacity --------------------------------
-  std::vector<char> clean;      ///< lease-clean classification
-  std::vector<char> npChanged;  ///< clean app's non-preemptive view moved
-  std::vector<char> pChanged;   ///< preemptive view moved vs cache
-  std::vector<View> nextFreeProfiles;  ///< this pass's freeProfiles
-  /// Where the free profile moved between the previous pass's version
-  /// `before` and this pass's `after`, per cluster: computed once per
-  /// version pair, which a run of clean applications shares.
-  struct FreeProfileMove {
-    std::uint32_t before = 0;
-    std::uint32_t after = 0;
-    bool valid = false;
-    bool sameClusters = false;  ///< else every view moved; no windows
-    struct Window {
-      ClusterId cluster;
-      Time lo;
-      Time hi;
-    };
-    std::vector<Window> windows;
-  };
-  FreeProfileMove freeMove;
+  std::vector<char> clean;  ///< lease-clean apps served from the cache
   std::vector<View> oldOccupation;  ///< pre-recompute occupation (diff input)
   std::vector<const View*> operands;
   std::vector<std::vector<std::uint32_t>> candidates;
@@ -248,57 +225,6 @@ struct IncrementalState {
   std::vector<std::uint32_t> newPresent;  ///< one cluster's occupying apps
   std::vector<StepFunction> row;  ///< one cluster's all-apps recompute
 };
-
-namespace {
-
-/// Whether clean application `i`'s non-preemptive view, max(0, paOcc +
-/// vnp), moved because the free profile at its loop position did: from
-/// the previous pass's version `before` to this pass's version `after`
-/// (`current`), its own occupation unchanged. The sum is evaluated only
-/// inside diffWindow(before, after) per cluster, whose windows are kept
-/// for the whole run of applications sharing the two versions. Exact: the
-/// answer is `sum(before) != sum(after)` as View::operator== sees it.
-bool freeProfileMoveShows(IncrementalState& inc, std::size_t i,
-                          std::uint32_t current) {
-  IncrementalState::FreeProfileMove& move = inc.freeMove;
-  const std::uint32_t previous = inc.freeAt[i];
-  const View& before = inc.freeProfiles[previous];
-  const View& after = inc.nextFreeProfiles[current];
-  if (!move.valid || move.before != previous || move.after != current) {
-    move.valid = true;
-    move.before = previous;
-    move.after = current;
-    move.windows.clear();
-    const std::vector<ClusterId> clusters = after.clusters();
-    move.sameClusters = before.clusters() == clusters;
-    if (move.sameClusters) {
-      for (const ClusterId cid : clusters) {
-        Time lo = 0;
-        Time hi = 0;
-        if (diffWindow(before.cap(cid).segments(), after.cap(cid).segments(),
-                       lo, hi)) {
-          move.windows.push_back({cid, lo, hi});
-        }
-      }
-    }
-  }
-  // A cluster joined or left the free profile (a pre-allocation on a
-  // cluster the machine lacks started or ended), so the view's entry set
-  // moved with it: the app's own occupation cannot cover that cluster,
-  // since every pass subtracts it into vnp, whose clusters therefore
-  // include its clusters on both sides.
-  if (!move.sameClusters) return true;
-  const View& own = inc.paOcc[i];
-  for (const IncrementalState::FreeProfileMove::Window& w : move.windows) {
-    if (!clampedSumsAgree(own.cap(w.cluster), before.cap(w.cluster),
-                          after.cap(w.cluster), w.lo, w.hi)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 Scheduler::Scheduler(Machine machine) : Scheduler(std::move(machine), Config{}) {}
 
@@ -1018,7 +944,6 @@ void Scheduler::schedule(std::span<AppSchedule> apps, Time now) const {
     AppSchedule& app = apps[i];
     const View& ownStartedPa = paOcc[i];
 
-    app.viewsReused = false;  // the full pass always publishes views
     app.nonPreemptiveView = {vnp, ownStartedPa};
     const View occPa =
         fitIndexed(index.preAllocations[i],
@@ -1086,7 +1011,7 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
   std::size_t cleanCount = 0;
   if (warm) {
     for (std::size_t i = 0; i < napps; ++i) {
-      if (apps[i].leaseClean) {
+      if (index.leaseClean[i]) {
         inc.clean[i] = 1;
         ++cleanCount;
       }
@@ -1097,14 +1022,10 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
 
   inc.paOcc.resize(napps);
   inc.npOcc.resize(napps);
-  inc.occPa.resize(napps);
   inc.npFitted.resize(napps);
   inc.occupation.resize(napps);
   inc.pViews.resize(napps);
-  inc.freeAt.resize(napps);
   inc.oldOccupation.resize(napps);
-  inc.npChanged.assign(napps, 0);
-  inc.pChanged.assign(napps, 0);
 
   // Started pre-allocation / non-preemptible occupations (dirty apps only:
   // these depend exclusively on request attributes, so a clean app's
@@ -1121,43 +1042,22 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
   operands.reserve(napps * 2);
   for (const View& occ : inc.paOcc) operands.push_back(&occ);
   vnp.accumulate(operands, View::Op::kSubtract);
-  // While vnpSame holds, vnp at the current loop position is bit-identical
-  // to the cached pass's vnp at the same position, so a clean app's view
-  // cannot have moved. The loop then keeps publishing the previous pass's
-  // free profiles themselves, so an unchanged pair is the same blocks.
-  bool vnpSame = warm && vnp == inc.vnpInitial;
-  if (vnpSame) {
-    vnp = inc.vnpInitial;
-  } else {
-    inc.vnpInitial = vnp;
-  }
 
   // Non-preemptive views and start times, in connection order — the exact
   // full-path loop for dirty apps; lease-clean apps contribute provably
-  // empty occupations and leave vnp untouched. Each app records which free
-  // profile it saw; the views themselves are published as pairs below.
-  std::vector<View>& freeNow = inc.nextFreeProfiles;
-  freeNow.clear();
-  freeNow.push_back(vnp);
-  inc.freeMove.valid = false;
+  // empty occupations and leave vnp untouched.
   for (std::size_t i = 0; i < napps; ++i) {
-    AppSchedule& app = apps[i];
-    // Retire the view the caller left here (the server's superseded stash)
-    // before building this app's replacement: when it held a block's last
-    // reference, that block is the next one reused.
-    app.nonPreemptiveView.clear();
-    const auto current = static_cast<std::uint32_t>(freeNow.size() - 1);
+    // Publishing the pair retires the view the caller left here (the
+    // server's superseded stash) before this app's derivation builds
+    // anything: when it held a block's last reference, that block is the
+    // next one reused.
+    apps[i].nonPreemptiveView = {vnp, inc.paOcc[i]};
     if (inc.clean[i]) {
-      inc.occPa[i] = View{};
       inc.npFitted[i] = View{};
-      if (!vnpSame && freeProfileMoveShows(inc, i, current)) {
-        inc.npChanged[i] = 1;
-      }
-      inc.freeAt[i] = current;
       continue;
     }
     // The view as fit's scratch, dropped once the pre-allocations are in.
-    View occPa =
+    const View occPa =
         fitIndexed(index.preAllocations[i],
                    NonPreemptiveView::sum(vnp, inc.paOcc[i]), now, nullptr);
 
@@ -1168,23 +1068,8 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
     inc.npFitted[i] =
         fitIndexed(index.nonPreemptible[i], npAvailable, now, nullptr);
 
-    inc.freeAt[i] = current;
-    if (vnpSame && !(occPa == inc.occPa[i])) vnpSame = false;
-    if (!occPa.empty()) {
-      if (vnpSame) {
-        // Retracing the previous pass placement for placement: the next
-        // free profile is the one it computed, bit for bit.
-        COORM_DCHECK(freeNow.size() < inc.freeProfiles.size());
-        vnp = inc.freeProfiles[freeNow.size()];
-      } else {
-        accumulateOne(vnp, occPa, View::Op::kSubtract);
-      }
-      freeNow.push_back(vnp);
-    }
-    inc.occPa[i] = std::move(occPa);
+    accumulateOne(vnp, occPa, View::Op::kSubtract);
   }
-  std::swap(inc.freeProfiles, freeNow);
-  freeNow.clear();  // the previous pass's versions, no longer compared to
 
   View vp = machineView();
   operands.clear();
@@ -1193,7 +1078,8 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
   vp.accumulate(operands, View::Op::kSubtract);
   vp.clampMin(0);
 
-  for (AppSchedule& app : apps) app.preemptiveView.clear();  // likewise
+  // Retire the preemptive stash too, before Step 1 builds anything.
+  for (AppSchedule& app : apps) app.preemptiveView.clear();
 
   // eqSchedule Step 1: preliminary preemptible occupations (dirty apps;
   // an all-started app's occupation ignores both `vp` and `now`). The
@@ -1246,7 +1132,6 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
       // the union; rebuild them from scratch so the entry sets match the
       // full path's setCap-per-cluster construction exactly.
       for (std::size_t i = 0; i < napps; ++i) inc.pViews[i] = View{};
-      inc.pChanged.assign(napps, 1);
     }
     inc.clusters.resize(clusterIds.size());
 
@@ -1289,20 +1174,12 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
         }
         std::size_t k = 0;
         for (std::size_t i = 0; i < napps; ++i) {
-          const bool isPresent =
-              k < cc.present.size() && cc.present[k] == i;
-          const bool changed =
-              !step2Warm || !(row[i] == inc.pViews[i].cap(cid));
-          if (isPresent) {
+          if (k < cc.present.size() && cc.present[k] == i) {
             cc.outputs[k] = std::move(row[i]);
-            if (changed) {
-              inc.pViews[i].setCap(cid, cc.outputs[k]);
-              inc.pChanged[i] = 1;
-            }
+            inc.pViews[i].setCap(cid, cc.outputs[k]);
             ++k;
-          } else if (changed) {
+          } else {
             inc.pViews[i].setCap(cid, std::move(row[i]));
-            inc.pChanged[i] = 1;
           }
         }
         continue;
@@ -1334,9 +1211,7 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
                      idleChanged);
       for (std::size_t k = 0; k < cc.present.size(); ++k) {
         if (!slotChanged[k]) continue;
-        const std::uint32_t i = cc.present[k];
-        inc.pViews[i].setCap(cid, cc.outputs[k]);
-        inc.pChanged[i] = 1;
+        inc.pViews[cc.present[k]].setCap(cid, cc.outputs[k]);
       }
       if (idleChanged) {
         std::size_t k = 0;
@@ -1346,7 +1221,6 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
             continue;
           }
           inc.pViews[i].setCap(cid, cc.idle);
-          inc.pChanged[i] = 1;
         }
       }
     }
@@ -1361,19 +1235,9 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
   }
   inc.vp = std::move(vp);
 
-  // Publish the output views: copies share the cache's segment blocks, and
-  // the non-preemptive view goes out as its operand pair. A lease-clean
-  // app whose neither view moved publishes nothing: its AppSchedule views
-  // stay empty (retired above) and viewsReused tells the owner its stashed
-  // views are still exact.
+  // Publish the preemptive views: copies share the cache's segment blocks.
   for (std::size_t i = 0; i < napps; ++i) {
-    AppSchedule& app = apps[i];
-    app.viewsReused =
-        inc.clean[i] && inc.npChanged[i] == 0 && inc.pChanged[i] == 0;
-    if (!app.viewsReused) {
-      app.nonPreemptiveView = {inc.freeProfiles[inc.freeAt[i]], inc.paOcc[i]};
-      app.preemptiveView = inc.pViews[i];
-    }
+    apps[i].preemptiveView = inc.pViews[i];
   }
 
   // eqSchedule Step 3: reschedule dirty apps' preemptible requests against

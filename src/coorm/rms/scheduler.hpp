@@ -42,8 +42,8 @@ struct PassIndex;
     NodeCount capacity, const std::vector<NodeCount>& wants);
 
 /// Per-application scheduling state: the three request sets (input, whose
-/// requests' scheduling attributes a pass updates in place) and the pass's
-/// outputs.
+/// requests' scheduling attributes a pass updates in place), the owner's
+/// mutation epoch, and the two views the pass publishes.
 struct AppSchedule {
   AppId app{};
   RequestSet* preAllocations = nullptr;
@@ -53,14 +53,14 @@ struct AppSchedule {
   /// Mutation epoch of this application's requests, maintained by the
   /// owner (the Server bumps it on every request mutation). The scheduler
   /// keeps each application's SetIndex while the epoch, the set identities
-  /// and their membership versions stay as they were, and an application
-  /// whose key did not move and whose requests have all started is
-  /// lease-clean. 0 is the "unknown" sentinel: re-index every pass and
-  /// never treat the app as clean (the safe default for callers that do
-  /// not track mutations).
+  /// and their membership versions stay as they were, and the incremental
+  /// pass serves an application whose key did not move and whose requests
+  /// have all started (lease-clean) from its cache. 0 is the "unknown"
+  /// sentinel: re-index every pass and never treat the app as clean (the
+  /// safe default for callers that do not track mutations).
   std::uint64_t epoch = 0;
 
-  // --- outputs, written by Scheduler::schedule --------------------------
+  // --- outputs, written by every Scheduler::schedule ---------------------
 
   /// Paper V^(i)_{:P}, as the pass published it: the operand pair (free
   /// profile at this app's loop position, own started pre-allocation
@@ -69,15 +69,6 @@ struct AppSchedule {
   /// superseded stash in) just before it builds the replacement.
   NonPreemptiveView nonPreemptiveView;
   View preemptiveView;  ///< paper V^(i)_P
-  /// Set by the incremental scheduler when this app's views were served
-  /// unchanged from its pass-to-pass cache: the two views above are then
-  /// left empty, because the views the previous pass published for this
-  /// app still hold (a renewed lease). Any other derivation clears it.
-  bool viewsReused = false;
-  /// Whether the pass found this app lease-clean: key unchanged since the
-  /// previous pass and every request started. With a warm cache such an
-  /// app is served from it; viewsReused then says whether its views moved.
-  bool leaseClean = false;
 };
 
 /// Work counters of one `fit` call (optional out-parameter). With the
@@ -104,6 +95,7 @@ class Scheduler {
     /// unchanged, every request started; see AppSchedule::epoch) from that
     /// cache; eqSchedule Step 2 re-sweeps only the breakpoint ranges whose
     /// inputs changed and splices the clean ranges from the cached output.
+    /// Either way every pass publishes both views of every application.
     /// Bit-identical to the full pass (pinned by
     /// tests/test_scheduler_incremental.cpp); false always recomputes, the
     /// reference the differential suites compare with.
@@ -118,9 +110,9 @@ class Scheduler {
 
   /// Algorithm 4: compute each application's views and every request's
   /// start time / effective node-count, writing `scheduledAt`, `nAlloc`,
-  /// `fixed` and `earliestScheduleAt` into the live requests and the views
-  /// into the AppSchedules. Applications must be ordered by connection
-  /// time.
+  /// `fixed` and `earliestScheduleAt` into the live requests and both
+  /// views of every application into its AppSchedule. Applications must
+  /// be ordered by connection time.
   ///
   /// The pass runs on the calling thread. Not re-entrant: one pass at a
   /// time per Scheduler. A pass that throws leaves partial results in the

@@ -38,43 +38,27 @@ RequestId Session::request(const RequestSpec& spec) {
 }
 
 RequestId Session::request(const RequestSpec& spec, std::uint64_t cookie) {
-  Server::SessionState* st = server_->findSession(app_);
-  COORM_CHECK(st != nullptr);
-  if (st->killed || st->disconnected) return RequestId{};
-  return server_->handleRequest(*st, spec, cookie);
+  if (state_->killed || state_->disconnected) return RequestId{};
+  return server_->handleRequest(*state_, spec, cookie);
 }
 
 void Session::done(RequestId id, std::vector<NodeId> released) {
-  Server::SessionState* st = server_->findSession(app_);
-  COORM_CHECK(st != nullptr);
-  if (st->killed || st->disconnected) return;
-  server_->handleDone(*st, id, std::move(released));
+  if (state_->killed || state_->disconnected) return;
+  server_->handleDone(*state_, id, std::move(released));
 }
 
 void Session::disconnect() {
-  Server::SessionState* st = server_->findSession(app_);
-  COORM_CHECK(st != nullptr);
-  if (st->killed || st->disconnected) return;
-  server_->handleDisconnect(*st);
+  if (state_->killed || state_->disconnected) return;
+  server_->handleDisconnect(*state_);
 }
 
-bool Session::killed() const {
-  Server::SessionState* st = server_->findSession(app_);
-  COORM_CHECK(st != nullptr);
-  return st->killed;
-}
+bool Session::killed() const { return state_->killed; }
 
 View Session::nonPreemptiveView() const {
-  Server::SessionState* st = server_->findSession(app_);
-  COORM_CHECK(st != nullptr);
-  return st->lastNonPreemptive.materialize();
+  return state_->lastNonPreemptive.materialize();
 }
 
-const View& Session::preemptiveView() const {
-  Server::SessionState* st = server_->findSession(app_);
-  COORM_CHECK(st != nullptr);
-  return st->lastPreemptive;
-}
+const View& Session::preemptiveView() const { return state_->lastPreemptive; }
 
 // ---------------------------------------------------------------------------
 // Server: construction & sessions
@@ -157,7 +141,7 @@ Server::SessionState& Server::openSession(AppId app, std::uint64_t token,
   st->app = app;
   st->token = token;
   st->name = std::move(name);
-  st->session.reset(new Session(this, app));
+  st->session.reset(new Session(this, st.get()));
   sessions_.push_back(std::move(st));
   metrics::add(metrics::Gauge::kLiveSessions, 1);
   nextAppId_ = std::max(nextAppId_, app.value + 1);
@@ -512,8 +496,18 @@ void Server::onExpiryTimer(AppId app, RequestId id) {
   // must decide at their end; implicit wrappers in particular must stay
   // invisible. End them server-side.
   if (r->type == RequestType::kPreAllocation) {
+    const bool implicit = r->implicit;
     endRequest(*st, *r, {});
-    journalSyncNow();
+    if (implicit) {
+      // A wrapper expires with the request it wraps, whose DONE (over the
+      // network, for a daemon's client) runs the release tail: a pass
+      // armed here would run between the two.
+      journalSyncNow();
+      return;
+    }
+    // The capacity an explicit pre-allocation held is free now, and a pass
+    // may already have placed requests at its end: release it like a DONE.
+    commitRelease();
     return;
   }
 
@@ -620,32 +614,20 @@ void Server::runPass() {
       scheduler_.schedule(passSchedules_, lastPassAt_);
     }
     {
-      // Stashes the views and accounts for leases (the phase keeps its
-      // historical name: its histogram and trace key are read by name).
+      // Stashes every session's views (the phase keeps its historical name:
+      // its histogram and trace key are read by name). Stashed before
+      // starting requests so violation checks and pushes see consistent
+      // data. Swapped, not moved: the retired views stay in the
+      // AppSchedule, and the next pass drops them just before it builds
+      // their replacements, so blocks whose last holder was the stash are
+      // the first ones that pass reuses.
       const trace::Phase phase("write_back", metrics::Histo::kPassWriteBackUs,
                                &passPhases_.writeBackUs);
       for (std::size_t i = 0; i < passApps_.size(); ++i) {
-        AppSchedule& scheduled = passSchedules_[i];
-        // Lease renewal: a lease-clean application whose views the pass
-        // did not publish keeps its stash — the pass proved both views'
-        // values unchanged. Any published view means the app's share moved
-        // (a dirty neighbour preempted part of it) and the stash is
-        // replaced as usual.
-        if (scheduled.viewsReused) {
-          metrics::increment(metrics::Event::kLeasesRenewed);
-          continue;
-        }
-        if (config_.incremental && scheduled.leaseClean) {
-          metrics::increment(metrics::Event::kLeasesPreempted);
-        }
-        // Stash freshly computed views before starting requests so
-        // violation checks and pushes see consistent data. Swapped, not
-        // moved: the retired views stay in the AppSchedule, and the next
-        // pass drops them just before it builds their replacements, so
-        // blocks whose last holder was the stash are the first ones that
-        // pass reuses.
-        std::swap(passApps_[i]->lastNonPreemptive, scheduled.nonPreemptiveView);
-        std::swap(passApps_[i]->lastPreemptive, scheduled.preemptiveView);
+        std::swap(passApps_[i]->lastNonPreemptive,
+                  passSchedules_[i].nonPreemptiveView);
+        std::swap(passApps_[i]->lastPreemptive,
+                  passSchedules_[i].preemptiveView);
       }
     }
     {

@@ -17,8 +17,9 @@
 //    free, the request starts and the application is notified (startNotify);
 //    otherwise it stays pending until other applications release nodes
 //    (Appendix A.5, "nodeIDs" discussion). The start step runs at each pass
-//    commit and again on every release (DONE, disconnect, kill), so a start
-//    a pass already decided does not wait for the next pass;
+//    commit and again on every release (DONE, disconnect, kill, the expiry
+//    of an explicit pre-allocation), so a start a pass already decided does
+//    not wait for the next pass;
 //  - NEXT-chained requests inherit node IDs across the transition: a grown
 //    request receives additional IDs, a shrunk one returns the IDs the
 //    application chose to release (§3.1.2);
@@ -87,45 +88,7 @@ class AppEndpoint {
   virtual void onKilled() {}
 };
 
-class Server;
-
-/// An application's direct (in-process) handle on the RMS: the AppLink
-/// implementation that makes plain function calls into the Server.
-class Session final : public AppLink {
- public:
-  /// Submit a request; returns its id immediately (paper request()).
-  RequestId request(const RequestSpec& spec) override;
-
-  /// Submit with an idempotency cookie (network clients): resubmitting the
-  /// same non-zero cookie — a reconnecting client replaying a REQUEST whose
-  /// ack it never saw — returns the id already assigned instead of creating
-  /// a duplicate. Cookie 0 means "no dedup" and behaves like request(spec).
-  RequestId request(const RequestSpec& spec, std::uint64_t cookie);
-
-  /// Terminate a request now (paper done()). For NEXT-shrink transitions,
-  /// `released` names the node IDs given back. Calling done() on a request
-  /// that has not started cancels it.
-  void done(RequestId id, std::vector<NodeId> released) override;
-  using AppLink::done;
-
-  /// Leave the system, releasing everything.
-  void disconnect() override;
-
-  [[nodiscard]] AppId app() const override { return app_; }
-  [[nodiscard]] bool killed() const;
-
-  /// The latest views the RMS computed for this application (committed
-  /// state). The non-preemptive view is held as the pair a pass published
-  /// (profile/view.hpp), so each call evaluates it.
-  [[nodiscard]] View nonPreemptiveView() const;
-  [[nodiscard]] const View& preemptiveView() const;
-
- private:
-  friend class Server;
-  Session(Server* server, AppId app) : server_(server), app_(app) {}
-  Server* server_;
-  AppId app_;
-};
+class Session;
 
 /// Observer of node-ID allocation changes, used by the experiment harness
 /// to integrate per-application resource areas.
@@ -149,13 +112,13 @@ class Server {
     Time violationGrace = sec(5);
     /// Strict equi-partitioning (Fig. 11 baseline) instead of filling.
     bool strictEquiPartition = false;
-    /// Incremental scheduling passes (Scheduler::Config::incremental): in
-    /// steady state, lease-clean applications (mutation epoch unchanged
-    /// since the previous pass, every request started) keep their previous
-    /// allocation as a renewed lease (their views are served from the
-    /// scheduler's cache and the stashed views stay valid) instead of being
-    /// re-derived each pass. Bit-identical either way; `false` is the
-    /// full-recompute reference the differential suites compare with.
+    /// Incremental scheduling passes (Scheduler::Config::incremental):
+    /// lease-clean applications (mutation epoch unchanged since the
+    /// previous pass, every request started) are served from the
+    /// scheduler's cache instead of being re-derived each pass; every pass
+    /// still publishes, and the server stashes, both views of every
+    /// application. Bit-identical either way; `false` is the full-recompute
+    /// reference the differential suites compare with.
     bool incremental = true;
     /// Once an attached journal grows past this many bytes, the next pass
     /// commit rewrites it as the records of the live state (rms/journal.hpp
@@ -338,10 +301,11 @@ class Server {
   /// STARTED. Returns the number of requests started.
   std::uint64_t startDueRequests();
   bool tryStart(SessionState& st, Request& r, Time now);
-  /// The shared tail of the handlers that free node IDs or end a NEXT
-  /// predecessor (handleDone, handleDisconnect, killApp): the start step,
-  /// then the fsync that makes the release and those starts durable, then
-  /// a pass for whatever the release changed beyond that.
+  /// The shared tail of the handlers that free node IDs or capacity, or end
+  /// a NEXT predecessor (handleDone, handleDisconnect, killApp, and the
+  /// expiry of an explicit pre-allocation): the start step, then the fsync
+  /// that makes the release and those starts durable, then a pass for
+  /// whatever the release changed beyond that.
   void commitRelease();
   /// Pushes the latest views to every attached scheduled session that has
   /// not seen their values yet.
@@ -494,6 +458,47 @@ class Server {
     std::uint64_t commitUs = 0;
   };
   PassPhases passPhases_{};
+};
+
+/// An application's direct (in-process) handle on the RMS: the AppLink
+/// implementation that makes plain function calls into the Server. It
+/// points at its session's state, which the server keeps for its whole
+/// lifetime.
+class Session final : public AppLink {
+ public:
+  /// Submit a request; returns its id immediately (paper request()).
+  RequestId request(const RequestSpec& spec) override;
+
+  /// Submit with an idempotency cookie (network clients): resubmitting the
+  /// same non-zero cookie — a reconnecting client replaying a REQUEST whose
+  /// ack it never saw — returns the id already assigned instead of creating
+  /// a duplicate. Cookie 0 means "no dedup" and behaves like request(spec).
+  RequestId request(const RequestSpec& spec, std::uint64_t cookie);
+
+  /// Terminate a request now (paper done()). For NEXT-shrink transitions,
+  /// `released` names the node IDs given back. Calling done() on a request
+  /// that has not started cancels it.
+  void done(RequestId id, std::vector<NodeId> released) override;
+  using AppLink::done;
+
+  /// Leave the system, releasing everything.
+  void disconnect() override;
+
+  [[nodiscard]] AppId app() const override { return state_->app; }
+  [[nodiscard]] bool killed() const;
+
+  /// The latest views the RMS computed for this application (committed
+  /// state). The non-preemptive view is held as the pair a pass published
+  /// (profile/view.hpp), so each call evaluates it.
+  [[nodiscard]] View nonPreemptiveView() const;
+  [[nodiscard]] const View& preemptiveView() const;
+
+ private:
+  friend class Server;
+  Session(Server* server, Server::SessionState* state)
+      : server_(server), state_(state) {}
+  Server* server_;
+  Server::SessionState* state_;
 };
 
 }  // namespace coorm

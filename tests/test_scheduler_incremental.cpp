@@ -4,8 +4,8 @@
 // recompute — every request attribute and the exact view representation
 // (operator==, not sameAs) — over any churn rate:
 //  - lease-clean applications (key unchanged, every request started) are
-//    served from the pass-to-pass cache (their AppSchedule reports
-//    viewsReused and the previous views stay exact);
+//    served from the pass-to-pass cache, and their views are published
+//    like every other application's;
 //  - eqSchedule Step 2 re-sweeps only the breakpoint ranges whose inputs
 //    changed and splices the clean ranges from the cached output;
 //  - any fallback (population change, cluster-union change) silently
@@ -54,8 +54,8 @@ struct Population {
 /// pending and started requests across all three sets.
 /// `stablePct` of the applications (probabilistically) are all-started
 /// lease holders; 100 gives a pure steady-state population whose passes
-/// are renewals end to end (a pending request anywhere re-anchors at the
-/// pass's `now` and legitimately ripples every view).
+/// serve every application from the cache (a pending request anywhere
+/// re-anchors at the pass's `now` and legitimately ripples every view).
 Population makePopulation(std::uint64_t seed, int napps, int stablePct = 60) {
   Rng rng(seed);
   Population p;
@@ -90,7 +90,8 @@ Population makePopulation(std::uint64_t seed, int napps, int stablePct = 60) {
     const bool stable = rng.uniformInt(0, 99) < stablePct;
 
     if (stable) {
-      // All-started preemptible leases: the app the steady state renews.
+      // All-started preemptible leases: the app the steady state serves
+      // from the cache.
       const int leases = static_cast<int>(rng.uniformInt(1, 3));
       for (int k = 0; k < leases; ++k) {
         Request* r =
@@ -208,35 +209,23 @@ void churn(Population& p, std::uint64_t passSeed, int churnPct, Time now) {
 }
 
 /// One scheduler driven across passes the way the server does: epochs,
-/// Scheduler::schedule, stash views (honouring viewsReused exactly like
-/// Server::runPass).
+/// then Scheduler::schedule, which publishes every application's views
+/// into its AppSchedule.
 struct Runner {
   Population pop;
   Scheduler scheduler;
-  std::vector<NonPreemptiveView> stashNp;
-  std::vector<View> stashP;
 
   Runner(std::uint64_t seed, int napps, bool incremental, int stablePct = 60)
       : pop(makePopulation(seed, napps, stablePct)),
         scheduler(pop.machine, Scheduler::Config{pop.strict, incremental}) {}
 
-  void pass(Time now) {
-    scheduler.schedule(pop.apps, now);
-    const std::span<AppSchedule> apps = pop.apps;
-    stashNp.resize(apps.size());
-    stashP.resize(apps.size());
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-      if (apps[i].viewsReused) continue;  // renewed lease: stash still exact
-      stashNp[i] = apps[i].nonPreemptiveView;
-      stashP[i] = apps[i].preemptiveView;
-    }
-  }
+  void pass(Time now) { scheduler.schedule(pop.apps, now); }
 };
 
 /// Bit-level comparison: every request attribute and the exact view
 /// representation must match (operator==, not sameAs). Non-preemptive
-/// views are compared as their readers see them, materialized: a renewed
-/// lease may keep an older operand pair of the same value.
+/// views are compared as their readers see them, materialized: the two
+/// paths publish different operand pairs of the same value.
 void expectIdentical(const Runner& a, const Runner& b,
                      const std::string& label) {
   SCOPED_TRACE(label);
@@ -249,17 +238,19 @@ void expectIdentical(const Runner& a, const Runner& b,
     ASSERT_EQ(ra.fixed, rb.fixed) << "request " << i;
     ASSERT_EQ(ra.earliestScheduleAt, rb.earliestScheduleAt) << "request " << i;
   }
-  ASSERT_EQ(a.stashNp.size(), b.stashNp.size());
-  for (std::size_t i = 0; i < a.stashNp.size(); ++i) {
-    const View npA = a.stashNp[i].materialize();
-    const View npB = b.stashNp[i].materialize();
+  const std::span<const AppSchedule> appsA = a.pop.apps;
+  const std::span<const AppSchedule> appsB = b.pop.apps;
+  ASSERT_EQ(appsA.size(), appsB.size());
+  for (std::size_t i = 0; i < appsA.size(); ++i) {
+    const View npA = appsA[i].nonPreemptiveView.materialize();
+    const View npB = appsB[i].nonPreemptiveView.materialize();
     ASSERT_EQ(npA, npB) << "app " << i << " np\n"
                         << npA.toString() << "\nvs\n"
                         << npB.toString();
-    ASSERT_EQ(a.stashP[i], b.stashP[i])
+    ASSERT_EQ(appsA[i].preemptiveView, appsB[i].preemptiveView)
         << "app " << i << " p\n"
-        << a.stashP[i].toString() << "\nvs\n"
-        << b.stashP[i].toString();
+        << appsA[i].preemptiveView.toString() << "\nvs\n"
+        << appsB[i].preemptiveView.toString();
   }
 }
 
@@ -298,7 +289,8 @@ TEST(SchedulerIncremental, LargePopulationLowChurn) {
 }
 
 TEST(SchedulerIncremental, SteadyStateServesFromCacheAndReusesRanges) {
-  // Pure lease population: every pass after the first is a renewal.
+  // Pure lease population: every pass after the first serves the stable
+  // applications from the cache.
   Runner inc(/*seed=*/7, /*napps=*/48, /*incremental=*/true,
              /*stablePct=*/100);
   inc.pass(sec(60));  // cold pass primes the cache
@@ -309,12 +301,6 @@ TEST(SchedulerIncremental, SteadyStateServesFromCacheAndReusesRanges) {
             before[metrics::Event::kPassAppsClean]);
   EXPECT_GT(after[metrics::Event::kStep2RangesReused],
             before[metrics::Event::kStep2RangesReused]);
-  // Every stable app's views carried over without materialization.
-  std::size_t reused = 0;
-  for (const AppSchedule& app : inc.pop.apps) {
-    if (app.viewsReused) ++reused;
-  }
-  EXPECT_GT(reused, 0u);
 }
 
 TEST(SchedulerIncremental, PopulationChangeFallsBackToFullPass) {
@@ -510,7 +496,6 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
   const auto stash = [&] {  // as Server::runPass does
     const std::span<AppSchedule> apps = p.apps;
     for (std::size_t i = 0; i < apps.size(); ++i) {
-      if (apps[i].viewsReused) continue;
       std::swap(stashNp[i], apps[i].nonPreemptiveView);
       std::swap(stashP[i], apps[i].preemptiveView);
     }
@@ -532,7 +517,6 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
     for (std::size_t i = 0; i < apps.size(); ++i) {
       if (i == malleable) continue;  // the only app present on c0
       SCOPED_TRACE("app " + std::to_string(i));
-      ASSERT_FALSE(apps[i].viewsReused);
       EXPECT_EQ(apps[i].preemptiveView.cap(c0).segments().data(),
                 idle.segments().data());
     }
@@ -540,7 +524,7 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
 
   pass(sec(60));  // cold
   stash();
-  pass(sec(70));  // warm, nothing moved: renewals
+  pass(sec(70));  // warm, nothing moved
   stash();
 
   // The free profile and the idle share move: every app's views are
@@ -562,7 +546,6 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
   for (std::size_t i = 0; i < static_cast<std::size_t>(kClean); ++i) {
     SCOPED_TRACE("app " + std::to_string(i));
     const NonPreemptiveView& published = p.apps[i].nonPreemptiveView;
-    ASSERT_FALSE(p.apps[i].viewsReused);
     EXPECT_EQ(published.freeProfile.cap(c0).segments().data(),
               free0.segments().data());
     EXPECT_NE(published.materialize(), stashNp[i].materialize());
@@ -570,17 +553,14 @@ TEST(SchedulerIncremental, PassPublishesViewsByReference) {
   stash();
 
   // Only the idle share moves: the clean apps' non-preemptive views are
-  // re-published unchanged, the same operand blocks the previous pass
+  // re-published unchanged, operands equal to those the previous pass
   // published.
   moveIdleShare();
   pass(sec(90));
   expectAbsentShareOneIdleBlock();
   for (std::size_t i = 0; i < static_cast<std::size_t>(kClean); ++i) {
     SCOPED_TRACE("app " + std::to_string(i));
-    const NonPreemptiveView& published = p.apps[i].nonPreemptiveView;
-    EXPECT_EQ(published, stashNp[i]);
-    EXPECT_EQ(published.freeProfile.cap(c0).segments().data(),
-              stashNp[i].freeProfile.cap(c0).segments().data());
+    EXPECT_EQ(p.apps[i].nonPreemptiveView, stashNp[i]);
   }
   stash();
 }
@@ -672,7 +652,7 @@ TEST(SchedulerIncremental, BlocksDroppedOutsideAPassAreReusedByTheNext) {
 // ---------------------------------------------------------------------------
 // Long-horizon server fuzz: incremental vs pristine full recompute.
 // Applications acquire preemptible leases, then mostly idle —
-// long steady-state stretches where the incremental server renews leases —
+// long steady-state stretches the incremental server serves from its cache —
 // interleaved with bursts of new requests and releases.
 // ---------------------------------------------------------------------------
 
@@ -686,7 +666,7 @@ class LeaseApp : public AppEndpoint {
   void attach(Server& server) {
     session_ = server.connect(*this);
     // Initial leases, then sparse activity: long quiet stretches are the
-    // steady state the incremental server must renew through.
+    // steady state the incremental server serves from its cache.
     const int leases = static_cast<int>(rng_.uniformInt(1, 3));
     for (int i = 0; i < leases; ++i) acquire();
     scheduleAction();
@@ -816,7 +796,7 @@ struct ServerOutcome {
   NodeCount freeC0 = 0;
   NodeCount freeC1 = 0;
   std::uint64_t passes = 0;
-  std::uint64_t leasesRenewed = 0;
+  std::uint64_t appsClean = 0;  ///< pass_apps_clean over the run
   int chainTransitions = 0;
 };
 
@@ -870,13 +850,13 @@ ServerOutcome runServerScenario(std::uint64_t seed, bool incremental,
   outcome.freeC0 = server.pool().freeCount(kC0);
   outcome.freeC1 = server.pool().freeCount(kC1);
   outcome.passes = server.passCount();
-  outcome.leasesRenewed = metrics::snapshot()[metrics::Event::kLeasesRenewed] -
-                          before[metrics::Event::kLeasesRenewed];
+  outcome.appsClean = metrics::snapshot()[metrics::Event::kPassAppsClean] -
+                      before[metrics::Event::kPassAppsClean];
   return outcome;
 }
 
 TEST(SchedulerIncremental, ServerLongHorizonMatchesPristineSerialServer) {
-  std::uint64_t totalRenewed = 0;
+  std::uint64_t totalClean = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const ServerOutcome pristine =
         runServerScenario(seed, /*incremental=*/false);
@@ -890,10 +870,11 @@ TEST(SchedulerIncremental, ServerLongHorizonMatchesPristineSerialServer) {
     EXPECT_EQ(pristine.freeC1, inc.freeC1);
     EXPECT_EQ(pristine.passes, inc.passes);
     EXPECT_EQ(pristine.trace, inc.trace);
-    totalRenewed += inc.leasesRenewed;
+    totalClean += inc.appsClean;
   }
-  // The horizon must actually exercise the steady state: leases renewed.
-  EXPECT_GT(totalRenewed, 0u);
+  // The horizon must actually exercise the steady state: applications
+  // served from the cache.
+  EXPECT_GT(totalClean, 0u);
 }
 
 TEST(SchedulerIncremental, LeaseChainMatchesPristineSerialServer) {

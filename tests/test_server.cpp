@@ -277,6 +277,34 @@ TEST_F(ServerTest, IgnoringExpiryGetsTheAppKilled) {
   EXPECT_EQ(server_.pool().freeCount(kC), 10);  // resources reclaimed
 }
 
+TEST_F(ServerTest, RequestAtAPreAllocationsEndStartsWhenItExpires) {
+  // A's explicit pre-allocation fills the machine for 100 s, so the pass
+  // places B's request at its end. The pre-allocation's expiry frees the
+  // capacity and nothing else happens: B must start right then, not wait
+  // for a later message to arm a pass.
+  TestApp a, b;
+  Session* sa = connect(a);
+  Session* sb = connect(b);
+  RequestSpec pa = np(10, sec(100));
+  pa.type = RequestType::kPreAllocation;
+  const RequestId held = sa->request(pa);
+  const RequestId job = sb->request(np(5, sec(60)));
+  engine_.runUntil(sec(2));
+  ASSERT_TRUE(a.hasStarted(held));
+  const Request* r = server_.findRequest(job);
+  ASSERT_NE(r, nullptr);
+  ASSERT_EQ(r->scheduledAt, sec(100));
+  ASSERT_FALSE(r->started());
+
+  const std::uint64_t atRelease =
+      metrics::value(metrics::Event::kStartsAtRelease);
+  engine_.runUntil(sec(101));
+  EXPECT_TRUE(a.hasEnded(held));
+  ASSERT_TRUE(b.hasStarted(job));
+  EXPECT_EQ(r->startedAt, sec(100));
+  EXPECT_EQ(metrics::value(metrics::Event::kStartsAtRelease) - atRelease, 1u);
+}
+
 TEST_F(ServerTest, ImplicitWrapperPreallocationIsCreated) {
   TestApp app;
   Session* s = connect(app);

@@ -413,7 +413,7 @@ class ViewRecorder : public AppEndpoint {
   std::vector<RequestId> started;
 };
 
-TEST(ServerPipeline, FreeProfileMovingOnlyWhereTheViewClampsRenewsTheLease) {
+TEST(ServerPipeline, FreeProfileMovingOnlyWhereTheViewClampsKeepsTheView) {
   // X (first in connection order) holds a started 2-node pre-allocation
   // and nothing else: from its third pass on it is lease-clean. A holds
   // three started 8-node pre-allocations, the later two placed inside its
@@ -440,40 +440,29 @@ TEST(ServerPipeline, FreeProfileMovingOnlyWhereTheViewClampsRenewsTheLease) {
   EXPECT_EQ(before.at(kC0, sec(100)), 0);   // 2 + 10 - 2 - 16, clamped
   EXPECT_EQ(before.at(kC0, sec(2000)), 2);  // 2 + 10 - 2 - 8
 
-  // Each pass below moves the free profile X sees; the lease counters
-  // must read as when every pass rebuilt X's view and compared it.
-  const auto expectLeases = [&](std::uint64_t renewed,
-                                std::uint64_t preempted,
-                                const std::function<void()>& step) {
+  // Each step below runs one pass that moves the free profile X sees.
+  const auto onePass = [&](const std::function<void()>& step) {
     const std::uint64_t passes = server.passCount();
-    const std::uint64_t renewed0 =
-        metrics::value(metrics::Event::kLeasesRenewed);
-    const std::uint64_t preempted0 =
-        metrics::value(metrics::Event::kLeasesPreempted);
     step();
     engine.runUntil(engine.now() + sec(2));
     ASSERT_EQ(server.passCount(), passes + 1);
-    EXPECT_EQ(metrics::value(metrics::Event::kLeasesRenewed) - renewed0,
-              renewed);
-    EXPECT_EQ(metrics::value(metrics::Event::kLeasesPreempted) - preempted0,
-              preempted);
   };
   // The third pre-allocation, started at the last commit, enters the free
   // profile: -8 -> -16 over [6 s, 1206 s), where X's view clamps to 0
-  // either way. Ending it moves it back. X's lease is renewed both times.
-  expectLeases(1, 0, [&] { server.runSchedulingPassNow(); });
+  // either way. Ending it moves it back. X's view keeps its value.
+  onePass([&] { server.runSchedulingPassNow(); });
   EXPECT_EQ(xs->nonPreemptiveView(), before);
-  expectLeases(1, 0, [&] { as->done(pa3); });
+  onePass([&] { as->done(pa3); });
   EXPECT_EQ(xs->nonPreemptiveView(), before);
 
   // Control: ending the first one lifts the free profile by 8 up to
   // 3602 s, past where X's view clamps (0 -> 2 up to 1804 s, 2 -> 10
-  // after): a preempted lease.
-  expectLeases(0, 1, [&] { as->done(pa1); });
+  // after).
+  onePass([&] { as->done(pa1); });
   EXPECT_EQ(xs->nonPreemptiveView().at(kC0, sec(2000)), 10);
 }
 
-TEST(ServerPipeline, CleanAppReadsItsViewAfterFreeProfileMoves) {
+TEST(ServerPipeline, CleanAppReadsItsViewAfterFreeProfileChanges) {
   // The incremental server against the full-recompute oracle
   // configuration. D, connected first, places a fresh
   // pre-allocation before each of three passes, moving the free profile
@@ -504,16 +493,16 @@ TEST(ServerPipeline, CleanAppReadsItsViewAfterFreeProfileMoves) {
   engine.runUntil(sec(4));
   oracleEngine.runUntil(sec(4));
   for (int step = 0; step < 3; ++step) {
-    const std::uint64_t preempted =
-        metrics::value(metrics::Event::kLeasesPreempted);
+    const std::uint64_t clean =
+        metrics::value(metrics::Event::kPassAppsClean);
     const RequestSpec pa = specOf(RequestType::kPreAllocation, 2 + step,
                                   sec(600 + 300 * step));
     ds->request(pa);
     dsRef->request(pa);
     engine.runUntil(sec(6 + 2 * step));
     oracleEngine.runUntil(sec(6 + 2 * step));
-    // X was served as a clean lease whose view the move reached.
-    EXPECT_EQ(metrics::value(metrics::Event::kLeasesPreempted) - preempted, 1u)
+    // X was served from the cache (the oracle server counts nothing).
+    EXPECT_EQ(metrics::value(metrics::Event::kPassAppsClean) - clean, 1u)
         << "step " << step;
     const View view = xs->nonPreemptiveView();
     EXPECT_EQ(view, xsRef->nonPreemptiveView()) << "step " << step;

@@ -234,7 +234,6 @@ TEST(SetIndex, EpochSkipOnlyWhenCleanAndIdentical) {
   apps[0].epoch = 5;
   EXPECT_EQ(pass(scheduler, apps).dirty, 1u);  // first sight: re-indexed
   EXPECT_EQ(pass(scheduler, apps).clean, 1u);
-  EXPECT_TRUE(apps[0].leaseClean);
   EXPECT_EQ(pass(scheduler, apps).clean, 1u);
 
   // Any mutation comes with an epoch bump; the pass re-derives the app
@@ -249,8 +248,9 @@ TEST(SetIndex, EpochSkipOnlyWhenCleanAndIdentical) {
   Fixture other;
   other.addStarted(other.np, RequestType::kNonPreemptible);
   std::vector<AppSchedule> swapped{other.schedule(AppId{1}, 6)};
-  EXPECT_EQ(pass(scheduler, swapped).dirty, 1u);
-  EXPECT_FALSE(swapped[0].leaseClean);
+  const PassCounts moved = pass(scheduler, swapped);
+  EXPECT_EQ(moved.dirty, 1u);
+  EXPECT_EQ(moved.clean, 0u);
 
 #ifdef NDEBUG
   // A membership change whose owner forgot the epoch bump is caught by the
@@ -308,9 +308,9 @@ TEST(SetIndex, ServerSkipsUntouchedAppsInSteadyState) {
 }
 
 TEST(SetIndex, AppAddedMidSteadyState) {
-  // A connect() while everyone else is clean re-indexes exactly the new
-  // slot: the established app's key holds (leaseClean) even though the
-  // population change runs that one pass cold.
+  // A connect() while everyone else is clean runs that one pass cold (the
+  // population changed): both apps are re-derived. The next pass serves
+  // the established app from the cache again.
   Fixture fx;
   fx.addStarted(fx.p, RequestType::kPreemptible);
   std::vector<AppSchedule> apps{fx.schedule(AppId{1}, 4)};
@@ -324,8 +324,7 @@ TEST(SetIndex, AppAddedMidSteadyState) {
 
   const PassCounts joined = pass(scheduler, apps);
   EXPECT_EQ(joined.clean, 0u);  // cold: the population changed
-  EXPECT_TRUE(apps[0].leaseClean);
-  EXPECT_FALSE(apps[1].leaseClean);
+  EXPECT_EQ(joined.dirty, 2u);
   const PassCounts after = pass(scheduler, apps);
   EXPECT_EQ(after.clean, 1u);  // app 1 again; the joiner is pending
   EXPECT_EQ(after.dirty, 1u);
@@ -346,12 +345,12 @@ TEST(SetIndex, AppPrunedWhileCleanShiftsWithoutStaleSkips) {
 
   apps.erase(apps.begin());  // app 1 disconnects while clean
   seven->nAlloc = 0;
-  EXPECT_EQ(pass(scheduler, apps).dirty, 1u);
-  EXPECT_FALSE(apps[0].leaseClean);
+  const PassCounts shifted = pass(scheduler, apps);
+  EXPECT_EQ(shifted.dirty, 1u);
+  EXPECT_EQ(shifted.clean, 0u);
   EXPECT_EQ(seven->nAlloc, 7);  // re-derived from its own request
   // The new slot assignment re-arms the classification.
   EXPECT_EQ(pass(scheduler, apps).clean, 1u);
-  EXPECT_TRUE(apps[0].leaseClean);
 }
 
 TEST(SetIndex, EpochZeroAlwaysWalksEvenAfterWrap) {
@@ -394,8 +393,9 @@ TEST(SetIndex, AllStartedTracksReindexing) {
   fx.add(fx.p, RequestType::kPreemptible, Relation::kFree, nullptr);
   apps[0].epoch = 3;
   EXPECT_EQ(pass(scheduler, apps).dirty, 1u);
-  EXPECT_EQ(pass(scheduler, apps).dirty, 1u);
-  EXPECT_FALSE(apps[0].leaseClean);
+  const PassCounts pending = pass(scheduler, apps);
+  EXPECT_EQ(pending.dirty, 1u);
+  EXPECT_EQ(pending.clean, 0u);
 }
 
 }  // namespace
