@@ -335,20 +335,24 @@ BENCHMARK(BM_ServerPipeline)
     ->Unit(benchmark::kMillisecond);
 
 // Args: {napps, churnPct, incremental}. Steady-state lease population:
-// every application holds one started preemptible lease on one of 16
-// congested 64-node clusters (sum of wants far above capacity, so the
-// Step 2 equipartition works every breakpoint), with finite staggered
-// durations spreading ~napps/16 breakpoints per cluster. Each iteration
-// churns `churnPct`% of the applications (a small lease extension — a
-// local breakpoint move — plus the epoch bump the server does) and runs
-// one Scheduler::schedule pass at a fixed `now`.
+// every application holds one started preemptible lease (asking 4-12
+// nodes, holding one) on one of 16 64-node clusters, every 5th open-ended
+// and the rest ending staggered (~napps/16 breakpoints per cluster). Each
+// iteration churns `churnPct`% of the applications (a small lease
+// extension plus the epoch bump the server does) and runs one
+// Scheduler::schedule pass at a fixed `now`.
 //
-// incremental=0 is the full-recompute reference; the /1 variant divided
-// into it is the O(changed) pass-latency claim (ISSUE 8 gates on >= 5x at
-// 10000 apps / 1% churn). The pass_apps_clean / step2_ranges_reused
-// counters (process-global deltas over the measured loop) pin that the
-// steady state really is served from the cache — CI fails the bench job
-// if either stays at zero.
+// At 10000 applications each cluster holds ~625 leases, ten times its 64
+// nodes, so the equi-partition share (64 nodes over ~626 partitions) is 0
+// and the idle series every absent application receives is constantly
+// 0. This is not servebench `population`'s shape (one cluster,
+// one preemptible application, an idle share that moves every pass:
+// BM_SchedulePopulation below). incremental=0 is the full-recompute
+// reference; both variants run eqSchedule Step 2 whole, so the gap
+// between /1 and /0 is the lease-clean skip alone (the NP loop and Steps
+// 1 and 3 of clean applications). The pass_apps_clean counter (a
+// process-global delta over the measured loop) pins that the skip
+// engages: CI fails the bench job if it stays at zero.
 void BM_ScheduleIncremental(benchmark::State& state) {
   const int napps = static_cast<int>(state.range(0));
   const int churnPct = static_cast<int>(state.range(1));
@@ -379,13 +383,8 @@ void BM_ScheduleIncremental(benchmark::State& state) {
     r->id = RequestId{nextId++};
     r->cluster = ClusterId{a % kClusters};
     r->nodes = rng.uniformInt(4, 12);
-    // Every 5th lease is open-ended: a congestion floor whose wants alone
-    // exceed the cluster everywhere. The rest end staggered, spreading real
-    // Step 2 breakpoints. The idle share (capacity over the active
-    // partitions) is therefore not zero: it steps at every lease end, and
-    // a churned lease end moves it for every application absent from that
-    // cluster — as in servebench `population`, where the idle share moves
-    // on every pass (BM_SchedulePopulation below).
+    // Every 5th lease is open-ended; the rest end staggered, spreading real
+    // Step 2 breakpoints.
     r->duration = a % 5 == 0 ? kTimeInf : sec(600 + 11 * (a % 797));
     r->type = RequestType::kPreemptible;
     r->startedAt = 0;
@@ -434,9 +433,6 @@ void BM_ScheduleIncremental(benchmark::State& state) {
     state.counters["pass_apps_dirty"] = static_cast<double>(
         after[metrics::Event::kPassAppsDirty] -
         before[metrics::Event::kPassAppsDirty]);
-    state.counters["step2_ranges_reused"] = static_cast<double>(
-        after[metrics::Event::kStep2RangesReused] -
-        before[metrics::Event::kStep2RangesReused]);
   }
 }
 

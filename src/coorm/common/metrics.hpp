@@ -65,10 +65,11 @@ enum class Event : std::uint16_t {
   kReconnects,                ///< client reconnects completed (both ends count)
   kPassAppsDirty,             ///< apps re-derived by a pass (not lease-clean)
   kPassAppsClean,             ///< apps served from the incremental cache
-  kStep2RangesReused,         ///< Step 2 output profiles reused or spliced
-  // The next two are always 0: every pass publishes, and the server
-  // stashes, every application's views, so no lease is renewed or counted
-  // as preempted. servebench's `--trace 1` reads them by name.
+  // The next three are always 0, and servebench's `--trace 1` reads them
+  // by name: eqSchedule Step 2 runs whole every pass, so no output profile
+  // is reused; every pass publishes, and the server stashes, every
+  // application's views, so no lease is renewed or counted as preempted.
+  kStep2RangesReused,         ///< always 0 (read by name)
   kLeasesRenewed,             ///< always 0 (read by name)
   kLeasesPreempted,           ///< always 0 (read by name)
   kViewsDeltaSent,            ///< view pushes shipped as VIEWS_DELTA diffs

@@ -38,47 +38,9 @@ bool diffWindow(std::span<const Segment> a, std::span<const Segment> b,
   return true;
 }
 
-void mergeRanges(std::vector<DirtyRange>& ranges) {
-  std::sort(ranges.begin(), ranges.end(),
-            [](const DirtyRange& a, const DirtyRange& b) {
-              return a.lo < b.lo;
-            });
-  std::size_t out = 0;
-  for (std::size_t i = 1; i < ranges.size(); ++i) {
-    if (ranges[i].lo <= ranges[out].hi) {
-      ranges[out].hi = std::max(ranges[out].hi, ranges[i].hi);
-    } else {
-      ranges[++out] = ranges[i];
-    }
-  }
-  if (!ranges.empty()) ranges.resize(out + 1);
-}
-
 bool spliceWindow(StepFunction& target, Time lo, Time hi,
                   std::span<const Segment> window) {
   const std::span<const Segment> old = target.segments();
-  {
-    // Unchanged fast path, O(log + |window|): emit-on-change against the
-    // cached value at lo-1 reproduces exactly the cached breakpoints in
-    // [lo, hi) when the re-sweep computed the same function — most present
-    // applications in a congested cluster, where a moved breakpoint only
-    // shifts a handful of integer fair shares. The O(|series|) rebuild
-    // below is reserved for the few that actually moved.
-    const auto atLeast = [&](Time t) {
-      return static_cast<std::size_t>(
-          std::lower_bound(old.begin(), old.end(), t,
-                           [](const Segment& seg, Time value) {
-                             return seg.start < value;
-                           }) -
-          old.begin());
-    };
-    const std::size_t p = atLeast(lo);
-    const std::size_t q = isInf(hi) ? old.size() : atLeast(hi);
-    if (q - p == window.size() &&
-        std::equal(window.begin(), window.end(), old.begin() + p)) {
-      return false;
-    }
-  }
   SegmentStore out;
   out.reserve(old.size() + window.size() + 1);
   std::size_t i = 0;
@@ -87,7 +49,7 @@ bool spliceWindow(StepFunction& target, Time lo, Time hi,
     if (out.empty() || out.back().value != seg.value) out.push_back(seg);
   }
   if (!isInf(hi)) {
-    // Index of the cached segment containing hi (old[0].start == 0 <= hi).
+    // Index of the target's segment containing hi (old[0].start == 0 <= hi).
     std::size_t j = old.size() - 1;
     {
       std::size_t l = 0;
@@ -109,7 +71,7 @@ bool spliceWindow(StepFunction& target, Time lo, Time hi,
 
   if (out.size() == old.size() &&
       std::equal(out.begin(), out.end(), old.begin())) {
-    return false;  // the re-swept range reproduced the cached values
+    return false;  // the window reproduced the target's values
   }
   target = StepFunction::fromCanonical(std::move(out));
   return true;

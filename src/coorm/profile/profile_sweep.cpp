@@ -18,22 +18,6 @@ ProfileSweep::ProfileSweep(std::span<const StepFunction* const> functions) {
   std::make_heap(heap_.begin(), heap_.end(), later);
 }
 
-ProfileSweep::ProfileSweep(std::span<const StepFunction* const> functions,
-                           Time startTime)
-    : time_(startTime) {
-  cursors_.reserve(functions.size());
-  heap_.reserve(functions.size());
-  changed_.reserve(functions.size());
-  for (std::size_t i = 0; i < functions.size(); ++i) {
-    cursors_.emplace_back(*functions[i], startTime);
-    if (!cursors_.back().atLastSegment()) {
-      heap_.push_back({cursors_.back().nextChange(),
-                       static_cast<std::uint32_t>(i)});
-    }
-  }
-  std::make_heap(heap_.begin(), heap_.end(), later);
-}
-
 bool ProfileSweep::advance() {
   if (heap_.empty()) return false;
   const Time next = heap_.front().time;

@@ -35,25 +35,6 @@ class SegmentCursor {
   SegmentCursor() = default;
   explicit SegmentCursor(const StepFunction& fn) : segments_(fn.segments()) {}
 
-  /// Positioned start: the cursor lands on the segment whose
-  /// [start, nextChange) half-open span contains `startTime` — O(log S)
-  /// once, instead of stepping from t=0. This is what lets a windowed
-  /// re-sweep of a dirty breakpoint range begin mid-profile.
-  SegmentCursor(const StepFunction& fn, Time startTime)
-      : segments_(fn.segments()) {
-    std::size_t lo = 0;
-    std::size_t hi = segments_.size();  // canonical form: never empty
-    while (hi - lo > 1) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (segments_[mid].start <= startTime) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    index_ = lo;
-  }
-
   /// Value holding on the cursor's segment, up to nextChange().
   [[nodiscard]] NodeCount value() const { return segments_[index_].value; }
 
@@ -89,26 +70,14 @@ class ProfileSweep {
  public:
   explicit ProfileSweep(std::span<const StepFunction* const> functions);
 
-  /// Positioned start: the sweep begins at `startTime` with every cursor
-  /// already on the segment holding there (time() == startTime before the
-  /// first advance()). Merged breakpoints at or before `startTime` are
-  /// never visited — a windowed re-sweep of [startTime, end) does work
-  /// proportional to the window, not the whole profiles.
-  ProfileSweep(std::span<const StepFunction* const> functions, Time startTime);
-
   [[nodiscard]] std::size_t size() const { return cursors_.size(); }
 
   /// Current breakpoint (0 before the first advance()).
   [[nodiscard]] Time time() const { return time_; }
 
-  /// Value of function i on [time(), peek()).
+  /// Value of function i from time() up to the next merged breakpoint.
   [[nodiscard]] NodeCount value(std::size_t i) const {
     return cursors_[i].value();
-  }
-
-  /// Next merged breakpoint strictly after time(), or kTimeInf if none.
-  [[nodiscard]] Time peek() const {
-    return heap_.empty() ? kTimeInf : heap_.front().time;
   }
 
   /// Move to the next merged breakpoint. Returns false — leaving the sweep

@@ -7,7 +7,6 @@
 #include "coorm/common/check.hpp"
 #include "coorm/common/metrics.hpp"
 #include "coorm/common/trace.hpp"
-#include "coorm/profile/profile_diff.hpp"
 #include "coorm/profile/profile_sweep.hpp"
 
 namespace coorm {
@@ -181,16 +180,17 @@ struct PassIndex {
 /// order, so positions are stable between passes unless the population
 /// itself changed — which invalidates the cache wholesale).
 ///
-/// The cached profiles are plain StepFunctions/Views whose segment blocks
-/// the published views share (segment_arena.hpp): blocks are reference-
+/// The cached profiles are plain Views whose segment blocks the published
+/// non-preemptive views share (segment_arena.hpp): blocks are reference-
 /// counted anonymous heap memory, so holding them across passes and
 /// dropping the last reference from any later thread is safe by design.
 ///
-/// No non-preemptive view is cached, or built for a clean application: a
-/// pass publishes each one as its operand pair (NonPreemptiveView), the
-/// free profile vnp at the application's loop position — shared by every
-/// application between two placements — plus its own started
-/// pre-allocation occupation `paOcc`.
+/// No published view is cached. A pass publishes each non-preemptive view
+/// as its operand pair (NonPreemptiveView), the free profile vnp at the
+/// application's loop position — shared by every application between two
+/// placements — plus its own started pre-allocation occupation `paOcc`;
+/// eqSchedule Step 2 runs whole over the Step 1 occupations and builds
+/// every preemptive view afresh.
 struct IncrementalState {
   /// False until a pass completes; cleared at pass start, so a pass that
   /// throws leaves the next one cold.
@@ -202,28 +202,10 @@ struct IncrementalState {
   std::vector<View> npOcc;       ///< started non-preemptible occupation
   std::vector<View> npFitted;    ///< NP-loop non-preemptible fit occupation
   std::vector<View> occupation;  ///< eqSchedule Step 1 preemptible occupation
-  std::vector<View> pViews;      ///< final preemptive views (owned)
-  View vp;                       ///< clamped preemptible availability
-
-  // --- eqSchedule Step 2 per-cluster cache --------------------------------
-  std::vector<ClusterId> clusterIds;
-  NodeCount strictParticipants = 0;
-  struct ClusterCache {
-    std::vector<std::uint32_t> present;  ///< occupying apps (ascending)
-    std::vector<StepFunction> outputs;   ///< one per present slot
-    StepFunction idle;                   ///< series of every absent app
-    bool hasIdle = false;
-  };
-  std::vector<ClusterCache> clusters;
 
   // --- per-pass scratch, kept for capacity --------------------------------
   std::vector<char> clean;  ///< lease-clean apps served from the cache
-  std::vector<View> oldOccupation;  ///< pre-recompute occupation (diff input)
   std::vector<const View*> operands;
-  std::vector<std::vector<std::uint32_t>> candidates;
-  std::vector<ClusterId> newClusterIds;
-  std::vector<std::uint32_t> newPresent;  ///< one cluster's occupying apps
-  std::vector<StepFunction> row;  ///< one cluster's all-apps recompute
 };
 
 Scheduler::Scheduler(Machine machine) : Scheduler(std::move(machine), Config{}) {}
@@ -467,98 +449,10 @@ View Scheduler::fit(const RequestSet& set, const View& available, Time t0,
 // ---------------------------------------------------------------------------
 namespace {
 
-/// The per-breakpoint arithmetic of eqSchedule Step 2, shared between the
-/// full cluster sweep (eqScheduleCluster) and the incremental windowed
-/// re-sweep so both compute byte-identical values. An instance tracks the
-/// running per-application demands of one sweep over
-/// [avail, occupation...]; emitAt() computes every occupying application's
-/// entitlement and the idle share at the sweep's current breakpoint.
-class Step2Values {
- public:
-  Step2Values(const ProfileSweep& sweep, std::size_t napps, bool strict,
-              NodeCount strictParticipants)
-      : napps_(napps),
-        strict_(strict),
-        strictParticipants_(strictParticipants),
-        wants_(sweep.size() - 1) {
-    for (std::size_t k = 0; k < wants_.size(); ++k) {
-      wants_[k] = std::max<NodeCount>(sweep.value(k + 1), 0);
-      sumWant_ += wants_[k];
-      if (wants_[k] > 0) ++active_;
-    }
-  }
-
-  /// Applies the most recent advance()'s changed() set to the running
-  /// demands.
-  void applyChanges(const ProfileSweep& sweep) {
-    for (const std::uint32_t idx : sweep.changed()) {
-      if (idx == 0) continue;  // avail changed; vin is re-read anyway
-      const std::size_t k = idx - 1;
-      const NodeCount want = std::max<NodeCount>(sweep.value(idx), 0);
-      sumWant_ += want - wants_[k];
-      if ((want > 0) != (wants_[k] > 0)) active_ += want > 0 ? 1 : -1;
-      wants_[k] = want;
-    }
-  }
-
-  /// Values at sweep.time(): invokes emitApp(k, value) for every occupying
-  /// application slot k and returns the idle value (what an application
-  /// without demand on this cluster may have).
-  template <typename EmitApp>
-  NodeCount emitAt(const ProfileSweep& sweep, EmitApp&& emitApp) {
-    const NodeCount vin = std::max<NodeCount>(sweep.value(0), 0);
-    const bool anyInactive = active_ < static_cast<NodeCount>(napps_);
-
-    if (strict_) {
-      // Strict equi-partitioning (§5.4 baseline): a fixed share per
-      // application that uses preemptible resources, with no filling of
-      // unused partitions.
-      return vin / std::max<NodeCount>(strictParticipants_, 1);
-    }
-    if (sumWant_ > vin) {
-      // Congested: distribute equally until nothing is left (paper lines
-      // 8–18). Every application's view shows at least the partition it
-      // is entitled to.
-      fairDistributeInto(vin, wants_, gives_);
-      const NodeCount partitions = active_ + (anyInactive ? 1 : 0);
-      const NodeCount share = partitions > 0 ? vin / partitions : 0;
-      for (std::size_t k = 0; k < wants_.size(); ++k) {
-        emitApp(k, std::max(gives_[k], share));
-      }
-      return share;
-    }
-    // Uncongested: each application sees what the others leave unused,
-    // but never less than its equi-partition (paper lines 19–25). The
-    // partition count only depends on whether the application is active,
-    // so two divisions cover every application.
-    const NodeCount shareActive = active_ > 0 ? vin / active_ : vin;
-    const NodeCount shareIdle = vin / (active_ + 1);
-    const NodeCount freeLeft = vin - sumWant_;
-    for (std::size_t k = 0; k < wants_.size(); ++k) {
-      if (wants_[k] > 0) {
-        emitApp(k, std::max(freeLeft + wants_[k], shareActive));
-      } else {
-        emitApp(k, std::max(freeLeft, shareIdle));
-      }
-    }
-    return std::max(freeLeft, shareIdle);
-  }
-
- private:
-  std::size_t napps_;
-  bool strict_;
-  NodeCount strictParticipants_;
-  NodeCount sumWant_ = 0;
-  NodeCount active_ = 0;
-  std::vector<NodeCount> wants_;
-  std::vector<NodeCount> gives_;
-};
-
 /// Step 2 of eqSchedule for one cluster: one synchronized sweep over the
 /// merged breakpoints of `avail` and the occupation profiles decides what
-/// each application may have, writing each application's profile into
-/// `out` (pre-sized to one slot per application; every slot is written).
-/// Pure in everything but `out`.
+/// each application may have, writing that profile as the cluster's entry
+/// of every application's preemptive view.
 ///
 /// Applications with no preemptible occupation on this cluster ("absent")
 /// have identically-zero demand: they neither contribute breakpoints nor
@@ -578,7 +472,7 @@ void eqScheduleCluster(ClusterId cid, const View& avail,
                        std::span<const View> occupation,
                        std::span<const std::uint32_t> candidates, bool strict,
                        NodeCount strictParticipants,
-                       std::span<StepFunction> out) {
+                       std::span<AppSchedule> apps) {
   const std::size_t napps = occupation.size();
 
   std::vector<std::uint32_t> present;  // apps occupying this cluster
@@ -600,7 +494,15 @@ void eqScheduleCluster(ClusterId cid, const View& avail,
     fns.push_back(&occupation[i].cap(cid));
   }
   ProfileSweep sweep(fns);
-  Step2Values values(sweep, napps, strict, strictParticipants);
+
+  NodeCount sumWant = 0;
+  NodeCount active = 0;
+  std::vector<NodeCount> wants(present.size());
+  for (std::size_t k = 0; k < present.size(); ++k) {
+    wants[k] = std::max<NodeCount>(sweep.value(k + 1), 0);
+    sumWant += wants[k];
+    if (wants[k] > 0) ++active;
+  }
 
   // Arena-backed scratch: per breakpoint the emitted profiles reuse pooled
   // blocks from the thread's arena instead of fresh vectors.
@@ -610,6 +512,7 @@ void eqScheduleCluster(ClusterId cid, const View& avail,
   // mode, where it doubles as the shared fixed-share series).
   SegmentStore idleSegments;
   const bool needIdle = strict || present.size() < napps;
+  std::vector<NodeCount> gives;
   // Emit a breakpoint only when the value changes, so each output is born
   // canonical and stays proportional to its own change count rather than
   // to the merged breakpoint count.
@@ -620,19 +523,57 @@ void eqScheduleCluster(ClusterId cid, const View& avail,
   };
   for (;;) {
     const Time t = sweep.time();
-    const NodeCount idle = values.emitAt(sweep, [&](std::size_t k,
-                                                    NodeCount value) {
-      emit(outSegments[k], t, value);
-    });
-    if (needIdle) emit(idleSegments, t, idle);
+    const NodeCount vin = std::max<NodeCount>(sweep.value(0), 0);
+    const bool anyInactive = active < static_cast<NodeCount>(napps);
+
+    if (strict) {
+      // Strict equi-partitioning (§5.4 baseline): a fixed share per
+      // application that uses preemptible resources, with no filling of
+      // unused partitions.
+      emit(idleSegments, t, vin / std::max<NodeCount>(strictParticipants, 1));
+    } else if (sumWant > vin) {
+      // Congested: distribute equally until nothing is left (paper lines
+      // 8–18). Every application's view shows at least the partition it
+      // is entitled to.
+      fairDistributeInto(vin, wants, gives);
+      const NodeCount partitions = active + (anyInactive ? 1 : 0);
+      const NodeCount share = partitions > 0 ? vin / partitions : 0;
+      for (std::size_t k = 0; k < present.size(); ++k) {
+        emit(outSegments[k], t, std::max(gives[k], share));
+      }
+      if (needIdle) emit(idleSegments, t, share);
+    } else {
+      // Uncongested: each application sees what the others leave unused,
+      // but never less than its equi-partition (paper lines 19–25). The
+      // partition count only depends on whether the application is
+      // active, so two divisions cover every application.
+      const NodeCount shareActive = active > 0 ? vin / active : vin;
+      const NodeCount shareIdle = vin / (active + 1);
+      const NodeCount freeLeft = vin - sumWant;
+      for (std::size_t k = 0; k < present.size(); ++k) {
+        if (wants[k] > 0) {
+          emit(outSegments[k], t, std::max(freeLeft + wants[k], shareActive));
+        } else {
+          emit(outSegments[k], t, std::max(freeLeft, shareIdle));
+        }
+      }
+      if (needIdle) emit(idleSegments, t, std::max(freeLeft, shareIdle));
+    }
 
     if (!sweep.advance()) break;
-    values.applyChanges(sweep);
+    for (const std::uint32_t idx : sweep.changed()) {
+      if (idx == 0) continue;  // avail changed; vin is re-read anyway
+      const std::size_t k = idx - 1;
+      const NodeCount want = std::max<NodeCount>(sweep.value(idx), 0);
+      sumWant += want - wants[k];
+      if ((want > 0) != (wants[k] > 0)) active += want > 0 ? 1 : -1;
+      wants[k] = want;
+    }
   }
 
   for (std::size_t k = 0; k < present.size(); ++k) {
-    out[present[k]] =
-        StepFunction::fromCanonical(std::move(outSegments[k]));
+    apps[present[k]].preemptiveView.setCap(
+        cid, StepFunction::fromCanonical(std::move(outSegments[k])));
   }
   if (needIdle) {
     const StepFunction idle =
@@ -643,126 +584,8 @@ void eqScheduleCluster(ClusterId cid, const View& avail,
         ++k;
         continue;
       }
-      out[i] = idle;
+      apps[i].preemptiveView.setCap(cid, idle);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental Step 2: dirty-range diffing, windowed re-sweeps, splicing.
-//
-// DirtyRange / diffWindow / mergeRanges / spliceWindow live in
-// profile/profile_diff.{hpp,cpp} since PR 9 — the VIEWS_DELTA wire path
-// shares them. For Step 2 the pointwise property of the arithmetic (each
-// output value at t depends only on input values at t) is what makes the
-// input diff window also bound the output change.
-// ---------------------------------------------------------------------------
-
-/// Re-sweeps every dirty range of one cluster and splices the recomputed
-/// values into the cached outputs in place. `slotChanged` / `idleChanged`
-/// accumulate (OR) which cached series actually moved.
-///
-/// One positioned sweep serves all ranges: construction (cursor placement,
-/// heap build, demand totals) is paid once per cluster, gaps between
-/// ranges are crossed with applyChanges() only — O(breakpoints crossed),
-/// no per-application work — and the O(present) emit runs solely at
-/// breakpoints inside a range. `ranges` must be sorted, merged and
-/// disjoint (mergeRanges), which also guarantees the cached value just
-/// before each range start is untouched by earlier splices.
-void resweepCluster(ClusterId cid, const StepFunction& availCap,
-                    std::span<const View> occupation, bool strict,
-                    NodeCount strictParticipants, std::size_t napps,
-                    std::span<const DirtyRange> ranges,
-                    IncrementalState::ClusterCache& cache,
-                    std::vector<char>& slotChanged, bool& idleChanged) {
-  const std::vector<std::uint32_t>& present = cache.present;
-  std::vector<const StepFunction*> fns;
-  fns.reserve(present.size() + 1);
-  fns.push_back(&availCap);
-  for (const std::uint32_t i : present) {
-    fns.push_back(&occupation[i].cap(cid));
-  }
-  ProfileSweep sweep(fns, ranges.front().lo);
-  Step2Values values(sweep, napps, strict, strictParticipants);
-
-  std::vector<SegmentStore> windows(present.size());
-  std::vector<NodeCount> lastVal(present.size());
-  std::vector<char> hasLast(present.size());
-  SegmentStore idleWindow;
-  NodeCount idleLast = 0;
-  bool idleHasLast = false;
-
-  std::size_t ri = 0;
-  // Window emit state: each series starts from the value its spliced
-  // prefix holds just before lo (no prefix when lo == 0, so the first
-  // breakpoint is emitted unconditionally and lands at t == 0).
-  const auto seed = [&](Time lo) {
-    const bool hasPrev = lo > 0;
-    std::fill(hasLast.begin(), hasLast.end(), hasPrev ? 1 : 0);
-    if (hasPrev) {
-      for (std::size_t k = 0; k < present.size(); ++k) {
-        lastVal[k] = cache.outputs[k].at(lo - 1);
-      }
-    }
-    idleHasLast = hasPrev;
-    idleLast = hasPrev && cache.hasIdle ? cache.idle.at(lo - 1) : 0;
-  };
-  const auto splice = [&](const DirtyRange& r) {
-    for (std::size_t k = 0; k < present.size(); ++k) {
-      if (spliceWindow(cache.outputs[k], r.lo, r.hi, windows[k].span())) {
-        slotChanged[k] = 1;
-      }
-      windows[k].clear();
-    }
-    if (cache.hasIdle &&
-        spliceWindow(cache.idle, r.lo, r.hi, idleWindow.span())) {
-      idleChanged = true;
-    }
-    idleWindow.clear();
-  };
-  seed(ranges.front().lo);
-  bool seeded = true;
-
-  for (;;) {
-    const Time t = sweep.time();
-    const Time nxt = sweep.peek();  // kTimeInf once exhausted
-    // The value interval [t, nxt) may reach several ranges: emit into each
-    // it intersects and retire every range it covers through its end.
-    while (ri < ranges.size() && ranges[ri].lo < nxt) {
-      const DirtyRange& r = ranges[ri];
-      if (t < r.hi) {
-        if (!seeded) {
-          seed(r.lo);
-          seeded = true;
-        }
-        // Clamp the first emission of the range onto its start; later
-        // breakpoints lie strictly inside, so times stay increasing.
-        const Time at = std::max(t, r.lo);
-        const NodeCount idle =
-            values.emitAt(sweep, [&](std::size_t k, NodeCount value) {
-              if (!hasLast[k] || lastVal[k] != value) {
-                windows[k].push_back({at, value});
-                lastVal[k] = value;
-                hasLast[k] = 1;
-              }
-            });
-        if (cache.hasIdle && (!idleHasLast || idleLast != idle)) {
-          idleWindow.push_back({at, idle});
-          idleLast = idle;
-          idleHasLast = true;
-        }
-      }
-      if (r.hi <= nxt) {  // no further breakpoint falls inside this range
-        splice(r);
-        ++ri;
-        seeded = false;
-      } else {
-        break;
-      }
-    }
-    if (ri >= ranges.size()) break;
-    if (!sweep.advance()) break;  // unreachable: nxt was kTimeInf above
-    values.applyChanges(sweep);
   }
 }
 
@@ -787,6 +610,38 @@ void collectCandidates(std::span<const View> occupation,
       candidates[static_cast<std::size_t>(it - clusterIds.begin())]
           .push_back(static_cast<std::uint32_t>(i));
     }
+  }
+}
+
+/// eqSchedule Step 2, whole, on both pass paths: per piece-wise-constant
+/// interval, decide what each application may have, given `avail` (clamped
+/// at zero) and every application's Step 1 occupation. The sweep
+/// partitions cleanly by cluster: each cluster's profiles land in the
+/// preemptive views (empty on entry) before the next cluster is swept, and
+/// each cluster sweep only probes the applications whose occupation names
+/// it.
+void eqScheduleStep2(std::span<AppSchedule> apps,
+                     std::span<const SetIndex> preemptible,
+                     std::span<const View> occupation, const View& avail,
+                     bool strict) {
+  std::vector<ClusterId> clusterIds;
+  avail.appendClusterIds(clusterIds);
+  for (const View& occ : occupation) occ.appendClusterIds(clusterIds);
+  View::sortUniqueClusterIds(clusterIds);
+
+  std::vector<std::vector<std::uint32_t>> candidates;
+  collectCandidates(occupation, clusterIds, candidates);
+
+  NodeCount strictParticipants = 0;  // breakpoint-invariant
+  if (strict) {
+    for (const SetIndex& set : preemptible) {
+      if (!set.empty()) ++strictParticipants;
+    }
+  }
+
+  for (std::size_t c = 0; c < clusterIds.size(); ++c) {
+    eqScheduleCluster(clusterIds[c], avail, occupation, candidates[c], strict,
+                      strictParticipants, apps);
   }
 }
 
@@ -834,34 +689,7 @@ void eqScheduleIndexed(std::span<AppSchedule> apps,
   const std::uint64_t step2Start = metrics::nowNanos();
   trace::span("eq_step1", step1Start, step2Start);
 
-  // Step 2: per piece-wise-constant interval, decide what each application
-  // may have. The sweep partitions cleanly by cluster: each cluster's row
-  // of per-application profiles lands in the views before the next
-  // cluster is swept. Each cluster sweep only probes the applications
-  // whose occupation names it.
-  std::vector<ClusterId> clusterIds;
-  avail.appendClusterIds(clusterIds);
-  for (const View& occ : occupation) occ.appendClusterIds(clusterIds);
-  View::sortUniqueClusterIds(clusterIds);
-
-  std::vector<std::vector<std::uint32_t>> candidates;
-  collectCandidates(occupation, clusterIds, candidates);
-
-  NodeCount strictParticipants = 0;  // breakpoint-invariant
-  if (strict) {
-    for (const SetIndex& set : preemptible) {
-      if (!set.empty()) ++strictParticipants;
-    }
-  }
-
-  std::vector<StepFunction> row(napps);
-  for (std::size_t c = 0; c < clusterIds.size(); ++c) {
-    eqScheduleCluster(clusterIds[c], avail, occupation, candidates[c],
-                      strict, strictParticipants, row);
-    for (std::size_t i = 0; i < napps; ++i) {
-      apps[i].preemptiveView.setCap(clusterIds[c], std::move(row[i]));
-    }
-  }
+  eqScheduleStep2(apps, preemptible, occupation, avail, strict);
 
   const std::uint64_t step3Start = metrics::nowNanos();
   trace::span("eq_step2", step2Start, step3Start);
@@ -980,16 +808,16 @@ void Scheduler::schedule(std::span<AppSchedule> apps, Time now) const {
 //    scheduledAt = startedAt / nAlloc = held IDs / fixed = true, and fit
 //    has no non-fixed requests to place (empty occupation, no vnp change).
 // Such a lease-clean app's entire per-app derivation is served from the
-// cache; everything else is recomputed with exactly the full path's
-// arithmetic, in the same order, which keeps results bit-identical (pinned
-// by tests/test_scheduler_incremental.cpp).
+// cache; everything else, and eqSchedule Step 2 (which couples every
+// application), is recomputed with exactly the full path's arithmetic, in
+// the same order, which keeps results bit-identical (pinned by
+// tests/test_scheduler_incremental.cpp).
 // ---------------------------------------------------------------------------
 void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
                                     Time now) const {
   IncrementalState& inc = *inc_;
   const PassIndex& index = *index_;
   const std::size_t napps = apps.size();
-  const bool strict = config_.strictEquiPartition;
 
   // The cache is positional: it describes the previous pass over this same
   // application sequence. Any membership or order change re-derives
@@ -1024,8 +852,6 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
   inc.npOcc.resize(napps);
   inc.npFitted.resize(napps);
   inc.occupation.resize(napps);
-  inc.pViews.resize(napps);
-  inc.oldOccupation.resize(napps);
 
   // Started pre-allocation / non-preemptible occupations (dirty apps only:
   // these depend exclusively on request attributes, so a clean app's
@@ -1082,17 +908,13 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
   for (AppSchedule& app : apps) app.preemptiveView.clear();
 
   // eqSchedule Step 1: preliminary preemptible occupations (dirty apps;
-  // an all-started app's occupation ignores both `vp` and `now`). The
-  // pre-recompute views are kept aside as the Step 2 diff baseline.
+  // an all-started app's occupation ignores both `vp` and `now`).
   const std::uint64_t step1Start = metrics::nowNanos();
   for (std::size_t i = 0; i < napps; ++i) {
     if (inc.clean[i]) continue;
-    inc.oldOccupation[i] = std::move(inc.occupation[i]);
+    inc.occupation[i].clear();
     const SetIndex& set = index.preemptible[i];
-    if (set.empty()) {
-      inc.occupation[i] = View{};
-      continue;
-    }
+    if (set.empty()) continue;
     inc.occupation[i] = toViewIndexed(set, &vp, now);
     if (inc.occupation[i].empty()) {
       inc.occupation[i] = fitIndexed(set, vp, now, nullptr);
@@ -1106,139 +928,8 @@ void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
   const std::uint64_t step2Start = metrics::nowNanos();
   trace::span("eq_step1", step1Start, step2Start);
 
-  if (napps > 0) {
-    // eqSchedule Step 2, cached per cluster.
-    std::vector<ClusterId>& clusterIds = inc.newClusterIds;
-    clusterIds.clear();
-    vp.appendClusterIds(clusterIds);
-    for (const View& occ : inc.occupation) occ.appendClusterIds(clusterIds);
-    View::sortUniqueClusterIds(clusterIds);
-
-    NodeCount strictParticipants = 0;
-    if (strict) {
-      for (const SetIndex& set : index.preemptible) {
-        if (!set.empty()) ++strictParticipants;
-      }
-    }
-
-    // The per-cluster caches are keyed by position in clusterIds; a change
-    // to the cluster union (or the strict participant count, a global
-    // input of every cluster) recomputes every cluster.
-    const bool step2Warm = warm && clusterIds == inc.clusterIds &&
-                           strictParticipants == inc.strictParticipants &&
-                           inc.clusters.size() == clusterIds.size();
-    if (!step2Warm) {
-      // The cached per-app views may hold entries for clusters that left
-      // the union; rebuild them from scratch so the entry sets match the
-      // full path's setCap-per-cluster construction exactly.
-      for (std::size_t i = 0; i < napps; ++i) inc.pViews[i] = View{};
-    }
-    inc.clusters.resize(clusterIds.size());
-
-    collectCandidates(inc.occupation, clusterIds, inc.candidates);
-
-    // Cluster by cluster, in cluster order like the full path: each
-    // cluster's outcome lands in its cache and the per-app preemptive
-    // views before the next cluster is swept.
-    std::uint64_t rangesReused = 0;
-    for (std::size_t c = 0; c < clusterIds.size(); ++c) {
-      const ClusterId cid = clusterIds[c];
-      IncrementalState::ClusterCache& cc = inc.clusters[c];
-
-      std::vector<std::uint32_t>& present = inc.newPresent;
-      present.clear();
-      if (!strict) {
-        for (const std::uint32_t i : inc.candidates[c]) {
-          if (!inc.occupation[i].cap(cid).isZero()) present.push_back(i);
-        }
-      }
-      if (!step2Warm || present != cc.present) {
-        // Cold cache or membership change on this cluster: the sweep
-        // structure itself moved — recompute the whole cluster.
-        std::vector<StepFunction>& row = inc.row;
-        row.resize(napps);
-        eqScheduleCluster(cid, vp, inc.occupation, inc.candidates[c], strict,
-                          strictParticipants, row);
-        cc.present.swap(present);  // the old list's buffer is next scratch
-        cc.outputs.resize(cc.present.size());
-        cc.hasIdle = strict || cc.present.size() < napps;
-        if (cc.hasIdle) {
-          // Any absent slot holds (a share of) the idle series.
-          std::size_t absent = 0;
-          std::size_t k = 0;
-          while (k < cc.present.size() && cc.present[k] == absent) {
-            ++k;
-            ++absent;
-          }
-          cc.idle = row[absent];
-        }
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < napps; ++i) {
-          if (k < cc.present.size() && cc.present[k] == i) {
-            cc.outputs[k] = std::move(row[i]);
-            inc.pViews[i].setCap(cid, cc.outputs[k]);
-            ++k;
-          } else {
-            inc.pViews[i].setCap(cid, std::move(row[i]));
-          }
-        }
-        continue;
-      }
-
-      // Same membership: collect the ranges where any input moved.
-      std::vector<DirtyRange> ranges;
-      Time lo = 0;
-      Time hi = 0;
-      if (diffWindow(inc.vp.cap(cid).segments(), vp.cap(cid).segments(), lo,
-                     hi)) {
-        ranges.push_back({lo, hi});
-      }
-      for (const std::uint32_t i : cc.present) {
-        if (inc.clean[i]) continue;  // occupation unchanged by definition
-        if (diffWindow(inc.oldOccupation[i].cap(cid).segments(),
-                       inc.occupation[i].cap(cid).segments(), lo, hi)) {
-          ranges.push_back({lo, hi});
-        }
-      }
-      rangesReused += cc.present.size() + (cc.hasIdle ? 1 : 0);
-      if (ranges.empty()) continue;  // every series reused outright
-
-      mergeRanges(ranges);
-      std::vector<char> slotChanged(cc.present.size(), 0);
-      bool idleChanged = false;
-      resweepCluster(cid, vp.cap(cid), inc.occupation, strict,
-                     strictParticipants, napps, ranges, cc, slotChanged,
-                     idleChanged);
-      for (std::size_t k = 0; k < cc.present.size(); ++k) {
-        if (!slotChanged[k]) continue;
-        inc.pViews[cc.present[k]].setCap(cid, cc.outputs[k]);
-      }
-      if (idleChanged) {
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < napps; ++i) {
-          if (!strict && k < cc.present.size() && cc.present[k] == i) {
-            ++k;
-            continue;
-          }
-          inc.pViews[i].setCap(cid, cc.idle);
-        }
-      }
-    }
-    metrics::increment(metrics::Event::kStep2RangesReused, rangesReused);
-
-    inc.clusterIds = clusterIds;
-    inc.strictParticipants = strictParticipants;
-  } else {
-    inc.clusterIds.clear();
-    inc.clusters.clear();
-    inc.strictParticipants = 0;
-  }
-  inc.vp = std::move(vp);
-
-  // Publish the preemptive views: copies share the cache's segment blocks.
-  for (std::size_t i = 0; i < napps; ++i) {
-    apps[i].preemptiveView = inc.pViews[i];
-  }
+  eqScheduleStep2(apps, index.preemptible, inc.occupation, vp,
+                  config_.strictEquiPartition);
 
   // eqSchedule Step 3: reschedule dirty apps' preemptible requests against
   // their final views. Lease-clean apps are exact already: toView would

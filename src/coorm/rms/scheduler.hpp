@@ -93,9 +93,8 @@ class Scheduler {
     /// Incremental passes: the scheduler keeps the previous pass's
     /// intermediates and serves every lease-clean application (key
     /// unchanged, every request started; see AppSchedule::epoch) from that
-    /// cache; eqSchedule Step 2 re-sweeps only the breakpoint ranges whose
-    /// inputs changed and splices the clean ranges from the cached output.
-    /// Either way every pass publishes both views of every application.
+    /// cache; eqSchedule Step 2 runs whole every pass. Either way every
+    /// pass publishes both views of every application.
     /// Bit-identical to the full pass (pinned by
     /// tests/test_scheduler_incremental.cpp); false always recomputes, the
     /// reference the differential suites compare with.
@@ -158,8 +157,8 @@ class Scheduler {
   /// The incremental variant of the pass: same outputs, organised around
   /// the pass-to-pass cache in `inc_`. Cold cache (first pass, population
   /// change, after a pass that threw) re-derives everything while priming
-  /// the cache; warm cache re-derives only the dirty applications and the
-  /// dirty Step 2 breakpoint ranges.
+  /// the cache; warm cache skips the lease-clean applications' per-app
+  /// work (the NP loop, eqSchedule Steps 1 and 3).
   void scheduleIncremental(std::span<AppSchedule> apps, Time now) const;
 
   Machine machine_;

@@ -27,6 +27,11 @@ std::uint64_t mixToken(std::uint64_t x) {
 
 constexpr std::size_t kCookieCacheCap = 1024;
 
+/// Once an attached journal grows past this many bytes, the next pass
+/// commit rewrites it as the records of the live state (rms/journal.hpp
+/// compaction) instead of letting it grow without bound.
+constexpr std::uint64_t kJournalCompactBytes = 1u << 20;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -655,7 +660,7 @@ void Server::runPass() {
         w.i64(lastPassAt_);
         journalAppend(journalScratch_);
         journalSyncNow();
-        if (journal_->bytes() > config_.journalCompactBytes) compactJournal();
+        if (journal_->bytes() > kJournalCompactBytes) compactJournal();
       }
     }
   }

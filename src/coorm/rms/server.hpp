@@ -39,7 +39,7 @@
 #include "coorm/common/executor.hpp"
 #include "coorm/common/ids.hpp"
 #include "coorm/common/metrics.hpp"
-#include "coorm/common/runtime_options.hpp"
+#include "coorm/common/time.hpp"
 #include "coorm/profile/view.hpp"
 #include "coorm/rms/app_link.hpp"
 #include "coorm/rms/machine.hpp"
@@ -120,24 +120,10 @@ class Server {
     /// application. Bit-identical either way; `false` is the full-recompute
     /// reference the differential suites compare with.
     bool incremental = true;
-    /// Once an attached journal grows past this many bytes, the next pass
-    /// commit rewrites it as the records of the live state (rms/journal.hpp
-    /// compaction) instead of letting it grow without bound.
-    std::uint64_t journalCompactBytes = 1u << 20;
     /// Log a structured one-line phase breakdown for any pass whose wall
     /// time reaches this (milliseconds; 0 = never). Outlier forensics —
     /// `--slow-pass-ms` on the tools.
     Time slowPass = 0;
-
-    /// Projection of the shared runtime-tuning surface
-    /// (common/runtime_options.hpp): the two shared knobs come from
-    /// `runtime`, everything else keeps its default.
-    [[nodiscard]] static Config fromRuntime(const RuntimeOptions& runtime) {
-      Config config;
-      config.reschedInterval = runtime.reschedInterval;
-      config.strictEquiPartition = runtime.strictEquiPartition;
-      return config;
-    }
   };
 
   Server(Executor& executor, Machine machine);  // default config
@@ -203,7 +189,7 @@ class Server {
 
   /// Compact the attached journal now: rewrite it as the records that
   /// rebuild the live state (ops/test hook; pass commits do this
-  /// automatically past Config::journalCompactBytes).
+  /// automatically once the journal passes 1 MiB).
   void journalSnapshotNow();
 
   /// Register an allocation observer (several may be attached; they are

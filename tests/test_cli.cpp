@@ -25,7 +25,7 @@ TEST(Cli, DefaultsWithNoArguments) {
   EXPECT_TRUE(r.options.psaTasks.empty());
   EXPECT_TRUE(r.options.swfPath.empty());
   EXPECT_EQ(r.options.until, hours(24));
-  EXPECT_FALSE(r.options.runtime.strictEquiPartition);
+  EXPECT_FALSE(r.options.strictEquiPartition);
   EXPECT_FALSE(r.options.showTimeline);
   EXPECT_FALSE(r.options.showTrace);
   EXPECT_FALSE(r.options.statsQuery);
@@ -85,7 +85,7 @@ TEST(Cli, ParsesFlagsAndHorizon) {
                                "--until", "3600", "--jobs", "50",
                                "--seed", "7"});
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.options.runtime.strictEquiPartition);
+  EXPECT_TRUE(r.options.strictEquiPartition);
   EXPECT_TRUE(r.options.showTimeline);
   EXPECT_TRUE(r.options.showTrace);
   EXPECT_EQ(r.options.until, secF(3600.0));
@@ -212,7 +212,7 @@ TEST(Cli, MalformedEndpointsAreErrors) {
 TEST(Cli, ParsesReschedInterval) {
   const ParseResult r = parse({"--resched", "0.05"});
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.options.runtime.reschedInterval, msec(50));
+  EXPECT_EQ(r.options.reschedInterval, msec(50));
   EXPECT_EQ(parse({"--resched", "0"}).status, ParseStatus::kError);
   EXPECT_EQ(parse({"--resched", "-1"}).status, ParseStatus::kError);
 }

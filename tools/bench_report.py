@@ -42,10 +42,10 @@ entry. `--require-zero COUNTER` turns such a counter into a gate — CI
 uses `--check-only --require-zero arena_slow_path` to fail the bench job
 if the segment arena ever falls back to the heap at steady state — and
 `--require-nonzero COUNTER` is the inverse gate: CI runs the incremental
-scheduling bench under `--check-only --require-nonzero step2_ranges_reused
---require-nonzero pass_apps_clean` to fail the job if the pass-to-pass
-cache ever stops engaging (a silent fall-back to full recomputes would
-keep results correct but void the O(changed) claim).
+scheduling bench under `--check-only --require-nonzero pass_apps_clean`
+to fail the job if the lease-clean skip ever stops engaging (a silent
+fall-back to full recomputes would keep results correct but void the
+skip).
 
 `--compare BASE [--against LABEL]` reads two committed runs (LABEL
 defaults to the newest) and prints, per benchmark, the median real time
@@ -132,7 +132,7 @@ def summarize(report: dict) -> tuple[dict, list[dict]]:
             key: bench[key]
             for key in ("arena_slow_path", "arena_hits", "passes",
                         "messages/s", "pass_apps_clean", "pass_apps_dirty",
-                        "step2_ranges_reused", "wire_bytes_per_pass",
+                        "wire_bytes_per_pass",
                         "views_delta_sent", "views_delta_bytes_saved",
                         "frames_coalesced", "epoll_wakeups",
                         "pass_latency_samples", "request_rtt_samples",
@@ -176,8 +176,8 @@ def check_nonzero_counters(entries: list[dict], names: list[str]) -> None:
 
     Every entry that carries the counter must have it > 0, and at least
     one entry must carry it at all — a silently dropped counter would
-    otherwise pass the gate (e.g. the incremental cache never engaging
-    would show up as a missing or zero step2_ranges_reused).
+    otherwise pass the gate (e.g. the lease-clean skip never engaging
+    would show up as a missing or zero pass_apps_clean).
     """
     offenders = []
     for name in names:

@@ -88,7 +88,7 @@ ParseResult parseArgs(int argc, const char* const* argv) {
     } else if (arg == "--swf" && (v = value(i))) {
       options.swfPath = v;
     } else if (arg == "--strict") {
-      options.runtime.strictEquiPartition = true;
+      options.strictEquiPartition = true;
     } else if (arg == "--until" && (v = value(i))) {
       options.until = secF(std::atof(v));
     } else if (arg == "--timeline") {
@@ -108,7 +108,7 @@ ParseResult parseArgs(int argc, const char* const* argv) {
         return result;
       }
     } else if (arg == "--resched" && (v = value(i))) {
-      options.runtime.reschedInterval = secF(std::atof(v));
+      options.reschedInterval = secF(std::atof(v));
     } else if (arg == "--stats") {
       options.statsQuery = true;
     } else if (arg == "--journal" && (v = value(i))) {
@@ -139,7 +139,7 @@ ParseResult parseArgs(int argc, const char* const* argv) {
     }
   }
   if (options.nodes <= 0 || options.amrSteps <= 0 ||
-      options.overcommit <= 0.0 || options.runtime.reschedInterval <= 0 ||
+      options.overcommit <= 0.0 || options.reschedInterval <= 0 ||
       options.idleDeadline < 0 || options.resumeGrace < 0 ||
       options.connections <= 0 || options.probes < 0 ||
       options.slowPassMs < 0) {

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "coorm/common/runtime_options.hpp"
 #include "coorm/common/time.hpp"
 #include "coorm/net/socket.hpp"
 #include "coorm/rms/machine.hpp"
@@ -34,10 +33,12 @@ struct Options {
   std::vector<Time> psaTasks;
   int syntheticJobs = 0;
   std::string swfPath;
-  /// The shared runtime-tuning knobs (resched interval, strict
-  /// equi-partitioning), parsed once here and projected into
-  /// Server::Config by the drivers (--strict, --resched).
-  RuntimeOptions runtime;
+  /// coorm_sim / coorm_rmsd: re-scheduling interval (--resched; paper:
+  /// 1 s).
+  Time reschedInterval = sec(1);
+  /// coorm_sim / coorm_rmsd: strict equi-partitioning, no filling
+  /// (--strict).
+  bool strictEquiPartition = false;
   Time until = hours(24);
   bool showTimeline = false;
   bool showTrace = false;

@@ -117,7 +117,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Server::Config config = Server::Config::fromRuntime(options.runtime);
+  Server::Config config;
+  config.reschedInterval = options.reschedInterval;
+  config.strictEquiPartition = options.strictEquiPartition;
   config.slowPass = options.slowPassMs;
   // The slow-pass breakdown logs at kWarn; make it visible even though
   // the default level is off.

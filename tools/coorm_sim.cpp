@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
 
   ScenarioConfig config;
   config.nodes = options.nodes;
-  config.server = Server::Config::fromRuntime(options.runtime);
+  config.server.reschedInterval = options.reschedInterval;
+  config.server.strictEquiPartition = options.strictEquiPartition;
   config.server.slowPass = options.slowPassMs;
   if (options.slowPassMs > 0 && logLevel() > LogLevel::kWarn) {
     setLogLevel(LogLevel::kWarn);
