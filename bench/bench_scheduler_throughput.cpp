@@ -347,12 +347,14 @@ BENCHMARK(BM_ServerPipeline)
 // and the idle series every absent application receives is constantly
 // 0. This is not servebench `population`'s shape (one cluster,
 // one preemptible application, an idle share that moves every pass:
-// BM_SchedulePopulation below). incremental=0 is the full-recompute
-// reference; both variants run eqSchedule Step 2 whole, so the gap
-// between /1 and /0 is the lease-clean skip alone (the NP loop and Steps
-// 1 and 3 of clean applications). The pass_apps_clean counter (a
-// process-global delta over the measured loop) pins that the skip
-// engages: CI fails the bench job if it stays at zero.
+// BM_SchedulePopulation below). incremental=0 is the same pass with no
+// application clean, the full-recompute reference; both variants run
+// eqSchedule Step 2 whole, so the gap between /1 and /0 is the lease-clean
+// skip alone (the NP loop and Steps 1 and 3 of clean applications). The
+// pass_apps_clean and pass_apps_dirty counters (process-global deltas over
+// the measured loop) show the split: /0 reads 0 clean and every
+// application dirty, and CI fails the bench job if a /1 row's
+// pass_apps_clean stays at zero.
 void BM_ScheduleIncremental(benchmark::State& state) {
   const int napps = static_cast<int>(state.range(0));
   const int churnPct = static_cast<int>(state.range(1));
@@ -426,14 +428,12 @@ void BM_ScheduleIncremental(benchmark::State& state) {
   }
   const metrics::Snapshot after = metrics::snapshot();
   state.counters["apps"] = static_cast<double>(napps);
-  if (incremental) {
-    state.counters["pass_apps_clean"] = static_cast<double>(
-        after[metrics::Event::kPassAppsClean] -
-        before[metrics::Event::kPassAppsClean]);
-    state.counters["pass_apps_dirty"] = static_cast<double>(
-        after[metrics::Event::kPassAppsDirty] -
-        before[metrics::Event::kPassAppsDirty]);
-  }
+  state.counters["pass_apps_clean"] = static_cast<double>(
+      after[metrics::Event::kPassAppsClean] -
+      before[metrics::Event::kPassAppsClean]);
+  state.counters["pass_apps_dirty"] = static_cast<double>(
+      after[metrics::Event::kPassAppsDirty] -
+      before[metrics::Event::kPassAppsDirty]);
 }
 
 BENCHMARK(BM_ScheduleIncremental)

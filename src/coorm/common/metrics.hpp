@@ -63,7 +63,8 @@ enum class Event : std::uint16_t {
   kJournalRecordsReplayed,    ///< records replayed at startup recovery
   kSessionsResumed,           ///< RESUME handshakes re-attaching a session
   kReconnects,                ///< client reconnects completed (both ends count)
-  kPassAppsDirty,             ///< apps re-derived by a pass (not lease-clean)
+  kPassAppsDirty,             ///< apps re-derived by a pass (all of a full
+                              ///< recompute's: incremental = false)
   kPassAppsClean,             ///< apps served from the incremental cache
   // The next three are always 0, and servebench's `--trace 1` reads them
   // by name: eqSchedule Step 2 runs whole every pass, so no output profile

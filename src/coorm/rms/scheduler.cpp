@@ -101,46 +101,87 @@ std::vector<NodeCount> fairDistribute(NodeCount capacity,
   return gives;
 }
 
-/// The SetIndex cache of the pass, by application position: each
-/// application's three indices stay valid, and are kept, while its key —
-/// the set identities, their membership versions and the owner's mutation
-/// epoch — stays as it was. Membership alone is not enough: the server
-/// orphans a cancelled request's children and unlinks reclaimed parents,
-/// which edits constraint edges without changing membership but bumps the
-/// epoch. Epoch 0 re-indexes every pass.
-struct PassIndex {
+/// The pass's cache, one slot per application by position (the scheduler
+/// requires connection order, so positions are stable between passes
+/// unless the population itself changed, which makes the cache cold).
+///
+/// Each application's three SetIndexes stay valid, and are kept, while its
+/// key — the set identities, their membership versions and the owner's
+/// mutation epoch — stays as it was. Membership alone is not enough: the
+/// server orphans a cancelled request's children and unlinks reclaimed
+/// parents, which edits constraint edges without changing membership but
+/// bumps the epoch. Epoch 0 re-indexes every pass.
+///
+/// The cached occupations are plain Views whose segment blocks the
+/// published non-preemptive views share (segment_arena.hpp): blocks are
+/// reference-counted anonymous heap memory, so holding them across passes
+/// and dropping the last reference from any later thread is safe by design.
+///
+/// No published view is cached. A pass publishes each non-preemptive view
+/// as its operand pair (NonPreemptiveView), the free profile vnp at the
+/// application's loop position — shared by every application between two
+/// placements — plus its own started pre-allocation occupation `paOcc`;
+/// eqSchedule Step 2 runs whole over the Step 1 occupations and builds
+/// every preemptive view afresh.
+struct PassCache {
   struct Key {
     const RequestSet* sets[3] = {nullptr, nullptr, nullptr};
     std::uint64_t versions[3] = {0, 0, 0};
     std::uint64_t epoch = 0;
     friend bool operator==(const Key&, const Key&) = default;
   };
+  /// False until a pass completes; cleared at pass start, so a pass that
+  /// throws leaves the next one cold.
+  bool valid = false;
+  std::vector<AppId> appIds;
   std::vector<Key> keys;
   std::vector<SetIndex> preAllocations;
   std::vector<SetIndex> nonPreemptible;
   std::vector<SetIndex> preemptible;
   std::vector<char> allStarted;  ///< every member started at the last build
-  /// This pass's lease-clean classification: key unchanged and every
-  /// request started.
-  std::vector<char> leaseClean;
+  std::vector<char> clean;       ///< this pass serves the app from its slots
 
-  /// Re-indexes every application whose key moved and classifies each as
-  /// lease-clean or not. Started requests' pass results are independent
-  /// of the pass's `now` and of the availability views, which is what
-  /// makes a lease-clean app's whole re-derivation skippable; an app with
-  /// a pending request must be re-derived even when its key is unchanged,
-  /// because fit() and grantAtStart() anchor pending requests at
-  /// max(scheduledAt, now).
-  void refresh(std::span<const AppSchedule> apps) {
+  // --- previous pass intermediates ----------------------------------------
+  std::vector<View> paOcc;       ///< started pre-allocation occupation
+  std::vector<View> npOcc;       ///< started non-preemptible occupation
+  std::vector<View> npFitted;    ///< NP-loop non-preemptible fit occupation
+  std::vector<View> occupation;  ///< eqSchedule Step 1 preemptible occupation
+
+  std::vector<const View*> operands;  ///< per-pass scratch, kept for capacity
+
+  /// Re-indexes every application whose key moved and decides which
+  /// applications this pass serves from the cache, returning their count.
+  /// An application is clean when the pass is incremental, the cache is
+  /// warm (the previous pass completed over this same application
+  /// sequence), its key is unchanged and every request started. Started
+  /// requests' pass results are independent of the pass's `now` and of the
+  /// availability views, which is what makes a clean app's whole
+  /// re-derivation skippable; an app with a pending request must be
+  /// re-derived even when its key is unchanged, because fit() and
+  /// grantAtStart() anchor pending requests at max(scheduledAt, now).
+  /// With `incremental` false no application is clean: a full recompute.
+  std::size_t refresh(std::span<const AppSchedule> apps, bool incremental) {
     const std::size_t napps = apps.size();
+    bool warm = incremental && valid && appIds.size() == napps;
+    for (std::size_t i = 0; warm && i < napps; ++i) {
+      warm = appIds[i] == apps[i].app;
+    }
+    valid = false;  // re-armed only when this pass completes
+    appIds.resize(napps);
     keys.resize(napps);
     preAllocations.resize(napps);
     nonPreemptible.resize(napps);
     preemptible.resize(napps);
     allStarted.resize(napps);
-    leaseClean.resize(napps);
+    clean.resize(napps);
+    paOcc.resize(napps);
+    npOcc.resize(napps);
+    npFitted.resize(napps);
+    occupation.resize(napps);
+    std::size_t cleanCount = 0;
     for (std::size_t i = 0; i < napps; ++i) {
       const AppSchedule& app = apps[i];
+      appIds[i] = app.app;
       const RequestSet* sets[3] = {app.preAllocations, app.nonPreemptible,
                                    app.preemptible};
       Key key;
@@ -150,7 +191,8 @@ struct PassIndex {
       }
       key.epoch = app.epoch;
       if (app.epoch != 0 && key == keys[i]) {
-        leaseClean[i] = allStarted[i];
+        clean[i] = warm && allStarted[i];
+        cleanCount += clean[i];
         continue;
       }
       // Same epoch over the same sets with moved membership: an add or
@@ -170,42 +212,10 @@ struct PassIndex {
         for (const Request* r : *set) started = started && r->started();
       }
       allStarted[i] = started ? 1 : 0;
-      leaseClean[i] = 0;
+      clean[i] = 0;
     }
+    return cleanCount;
   }
-};
-
-/// Pass-to-pass cache of the incremental scheduling path. Everything is
-/// indexed by application position (the scheduler requires connection
-/// order, so positions are stable between passes unless the population
-/// itself changed — which invalidates the cache wholesale).
-///
-/// The cached profiles are plain Views whose segment blocks the published
-/// non-preemptive views share (segment_arena.hpp): blocks are reference-
-/// counted anonymous heap memory, so holding them across passes and
-/// dropping the last reference from any later thread is safe by design.
-///
-/// No published view is cached. A pass publishes each non-preemptive view
-/// as its operand pair (NonPreemptiveView), the free profile vnp at the
-/// application's loop position — shared by every application between two
-/// placements — plus its own started pre-allocation occupation `paOcc`;
-/// eqSchedule Step 2 runs whole over the Step 1 occupations and builds
-/// every preemptive view afresh.
-struct IncrementalState {
-  /// False until a pass completes; cleared at pass start, so a pass that
-  /// throws leaves the next one cold.
-  bool valid = false;
-  std::vector<AppId> appIds;
-
-  // --- previous pass intermediates, one slot per application --------------
-  std::vector<View> paOcc;       ///< started pre-allocation occupation
-  std::vector<View> npOcc;       ///< started non-preemptible occupation
-  std::vector<View> npFitted;    ///< NP-loop non-preemptible fit occupation
-  std::vector<View> occupation;  ///< eqSchedule Step 1 preemptible occupation
-
-  // --- per-pass scratch, kept for capacity --------------------------------
-  std::vector<char> clean;  ///< lease-clean apps served from the cache
-  std::vector<const View*> operands;
 };
 
 Scheduler::Scheduler(Machine machine) : Scheduler(std::move(machine), Config{}) {}
@@ -213,11 +223,7 @@ Scheduler::Scheduler(Machine machine) : Scheduler(std::move(machine), Config{}) 
 Scheduler::Scheduler(Machine machine, Config config)
     : machine_(std::move(machine)),
       config_(config),
-      index_(std::make_unique<PassIndex>()) {
-  if (config.incremental) {
-    inc_ = std::make_unique<IncrementalState>();
-  }
-}
+      cache_(std::make_unique<PassCache>()) {}
 
 Scheduler::~Scheduler() = default;
 Scheduler::Scheduler(Scheduler&&) noexcept = default;
@@ -613,7 +619,7 @@ void collectCandidates(std::span<const View> occupation,
   }
 }
 
-/// eqSchedule Step 2, whole, on both pass paths: per piece-wise-constant
+/// eqSchedule Step 2, whole, on every pass: per piece-wise-constant
 /// interval, decide what each application may have, given `avail` (clamped
 /// at zero) and every application's Step 1 occupation. The sweep
 /// partitions cleanly by cluster: each cluster's profiles land in the
@@ -646,37 +652,36 @@ void eqScheduleStep2(std::span<AppSchedule> apps,
 }
 
 /// Algorithm 3 over indexed preemptible sets (`preemptible[i]` indexes
-/// apps[i].preemptible).
+/// apps[i].preemptible) against the non-negative `avail`. Steps 1 and 3
+/// skip the applications marked `clean`: each clean slot of `occupation`
+/// holds the Step 1 result of the pass that cached it, and its requests
+/// hold that pass's results. Every other slot is recomputed.
 void eqScheduleIndexed(std::span<AppSchedule> apps,
                        std::span<const SetIndex> preemptible,
-                       const View& available, Time now, bool strict) {
+                       std::span<const char> clean, std::span<View> occupation,
+                       const View& avail, Time now, bool strict) {
   const std::size_t napps = apps.size();
-  if (napps == 0) return;
 
-  // Callers (the pass) usually hand in an already-clamped view; only
-  // copy when the clamp would actually change something.
-  View clamped;
-  if (!available.nonNegative()) {
-    clamped = available;
-    clamped.clampMin(0);
-  }
-  const View& avail = clamped.empty() ? available : clamped;
+  // Retire the preemptive stash the caller left here before Step 1 builds
+  // anything.
+  for (AppSchedule& app : apps) app.preemptiveView.clear();
 
   // Step 1: preliminary occupation views (started + newly fitted
   // requests). Each application's step touches only its own requests and
-  // occupation slot (constraints never cross applications).
-  // Applications with an empty preemptible set have no requests to fix and
-  // an empty occupation — skip the algebra entirely.
+  // occupation slot (constraints never cross applications); an all-started
+  // app's occupation ignores both `avail` and `now`. Applications with an
+  // empty preemptible set have no requests to fix and an empty occupation
+  // — skip the algebra entirely.
   const std::uint64_t step1Start = metrics::nowNanos();
-  std::vector<View> occupation(napps);
   for (std::size_t i = 0; i < napps; ++i) {
-    apps[i].preemptiveView = View{};
+    if (clean[i]) continue;
+    occupation[i].clear();
     const SetIndex& set = preemptible[i];
     if (set.empty()) continue;
     occupation[i] = toViewIndexed(set, &avail, now);
     if (occupation[i].empty()) {
-      // Nothing started: avail - 0 clamped is avail itself (clamped on
-      // entry), so fit directly against it and adopt the result outright.
+      // Nothing started: avail - 0 clamped is avail itself, so fit directly
+      // against it and adopt the result outright.
       occupation[i] = fitIndexed(set, avail, now, nullptr);
     } else {
       View freeForMe = avail;
@@ -685,7 +690,6 @@ void eqScheduleIndexed(std::span<AppSchedule> apps,
       occupation[i] += fitIndexed(set, freeForMe, now, nullptr);
     }
   }
-
   const std::uint64_t step2Start = metrics::nowNanos();
   trace::span("eq_step1", step1Start, step2Start);
 
@@ -696,8 +700,10 @@ void eqScheduleIndexed(std::span<AppSchedule> apps,
 
   // Step 3: reschedule every application's preemptible requests against its
   // final view so scheduledAt and nAlloc are consistent with what we will
-  // actually grant.
+  // actually grant. Clean apps are exact already: toView would rewrite
+  // identical values and fit has nothing to place.
   for (std::size_t i = 0; i < napps; ++i) {
+    if (clean[i]) continue;
     const SetIndex& set = preemptible[i];
     if (set.empty()) continue;
     const View own = toViewIndexed(set, &apps[i].preemptiveView, now);
@@ -723,82 +729,22 @@ void Scheduler::eqSchedule(std::span<AppSchedule> apps, const View& available,
   for (std::size_t i = 0; i < apps.size(); ++i) {
     indexes[i].build(apps[i].preemptible);
   }
-  eqScheduleIndexed(apps, std::span(indexes.data(), apps.size()), available,
-                    now, strict);
+  // Callers usually hand in an already-clamped view; only copy when the
+  // clamp would actually change something.
+  View clamped;
+  if (!available.nonNegative()) {
+    clamped = available;
+    clamped.clampMin(0);
+  }
+  const std::vector<char> noneClean(apps.size(), 0);
+  std::vector<View> occupation(apps.size());
+  eqScheduleIndexed(apps, std::span(indexes.data(), apps.size()), noneClean,
+                    occupation, clamped.empty() ? available : clamped, now,
+                    strict);
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm 4: main scheduling algorithm
-// ---------------------------------------------------------------------------
-void Scheduler::schedule(std::span<AppSchedule> apps, Time now) const {
-  // Every profile built on this thread below (occupation folds, fit
-  // scratch, view algebra) draws its segment blocks from the thread's one
-  // arena, where blocks dropped anywhere on this thread park. The views the
-  // caller left in the AppSchedules (the server's superseded stash) are
-  // dropped below just before each app's new views are built, so the
-  // blocks whose last holder they were are the first ones reused.
-  index_->refresh(apps);
-  if (inc_ != nullptr) {
-    scheduleIncremental(apps, now);
-    return;
-  }
-  const PassIndex& index = *index_;
-  View vnp = machineView();  // non-preemptible resources still available
-  View vp = machineView();   // preemptible resources still available
-
-  // Subtract resources held by started pre-allocations / NP requests: one
-  // N-ary sweep each, instead of a fold of binary subtractions that
-  // re-merges the accumulated view once per application.
-  std::vector<View> paOcc(apps.size());
-  std::vector<View> npOcc(apps.size());
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    paOcc[i] = toViewIndexed(index.preAllocations[i], nullptr, 0);
-    npOcc[i] = toViewIndexed(index.nonPreemptible[i], nullptr, 0);
-  }
-  std::vector<const View*> operands;
-  operands.reserve(apps.size() * 2);
-  for (const View& occ : paOcc) operands.push_back(&occ);
-  vnp.accumulate(operands, View::Op::kSubtract);
-
-  // Non-preemptive views and start times, in connection order. The toView
-  // results above stay valid through this loop: fit() only mutates the
-  // set it is given, so application i's occupation views cannot change
-  // before iteration i reads them. vnp is consumed inside the loop and
-  // must be updated eagerly; vp is only read after it, so the fitted NP
-  // occupations are collected and folded in one sweep at the end.
-  std::vector<View> npFitted;
-  npFitted.reserve(apps.size());
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    AppSchedule& app = apps[i];
-    const View& ownStartedPa = paOcc[i];
-
-    app.nonPreemptiveView = {vnp, ownStartedPa};
-    const View occPa =
-        fitIndexed(index.preAllocations[i],
-                   NonPreemptiveView::sum(vnp, ownStartedPa), now, nullptr);
-
-    View npAvailable = ownStartedPa;
-    accumulateOne(npAvailable, occPa, View::Op::kAdd);
-    accumulateOne(npAvailable, npOcc[i], View::Op::kSubtract,
-                  /*clampAtZero=*/true);
-    npFitted.push_back(
-        fitIndexed(index.nonPreemptible[i], npAvailable, now, nullptr));
-
-    accumulateOne(vnp, occPa, View::Op::kSubtract);
-  }
-
-  operands.clear();
-  for (const View& occ : npOcc) operands.push_back(&occ);
-  for (const View& occ : npFitted) operands.push_back(&occ);
-  vp.accumulate(operands, View::Op::kSubtract);
-
-  vp.clampMin(0);
-  eqScheduleIndexed(apps, index.preemptible, vp, now,
-                    config_.strictEquiPartition);
-}
-
-// ---------------------------------------------------------------------------
-// Incremental pass: Algorithm 4 organised around the pass-to-pass cache.
+// Algorithm 4: main scheduling algorithm, organised around the pass cache.
 //
 // Cleanliness argument, applied per application below:
 //  - an unchanged key means nothing about the app's requests mutated since
@@ -809,149 +755,83 @@ void Scheduler::schedule(std::span<AppSchedule> apps, Time now) const {
 //    has no non-fixed requests to place (empty occupation, no vnp change).
 // Such a lease-clean app's entire per-app derivation is served from the
 // cache; everything else, and eqSchedule Step 2 (which couples every
-// application), is recomputed with exactly the full path's arithmetic, in
-// the same order, which keeps results bit-identical (pinned by
+// application), is recomputed, in the same order, which keeps results
+// bit-identical to the pass with no application clean — the full
+// recompute of Config::incremental = false (pinned by
 // tests/test_scheduler_incremental.cpp).
 // ---------------------------------------------------------------------------
-void Scheduler::scheduleIncremental(std::span<AppSchedule> apps,
-                                    Time now) const {
-  IncrementalState& inc = *inc_;
-  const PassIndex& index = *index_;
+void Scheduler::schedule(std::span<AppSchedule> apps, Time now) const {
+  // Every profile built on this thread below (occupation folds, fit
+  // scratch, view algebra) draws its segment blocks from the thread's one
+  // arena, where blocks dropped anywhere on this thread park. The views the
+  // caller left in the AppSchedules (the server's superseded stash) are
+  // dropped below just before each app's new views are built, so the
+  // blocks whose last holder they were are the first ones reused.
+  PassCache& cache = *cache_;
   const std::size_t napps = apps.size();
-
-  // The cache is positional: it describes the previous pass over this same
-  // application sequence. Any membership or order change re-derives
-  // everything (while still priming the cache).
-  bool warm = inc.valid && inc.appIds.size() == napps;
-  if (warm) {
-    for (std::size_t i = 0; i < napps; ++i) {
-      if (inc.appIds[i] != apps[i].app) {
-        warm = false;
-        break;
-      }
-    }
-  }
-  inc.valid = false;  // re-armed only when this pass completes
-  inc.appIds.resize(napps);
-  for (std::size_t i = 0; i < napps; ++i) inc.appIds[i] = apps[i].app;
-
-  inc.clean.assign(napps, 0);
-  std::size_t cleanCount = 0;
-  if (warm) {
-    for (std::size_t i = 0; i < napps; ++i) {
-      if (index.leaseClean[i]) {
-        inc.clean[i] = 1;
-        ++cleanCount;
-      }
-    }
-  }
+  const std::size_t cleanCount = cache.refresh(apps, config_.incremental);
   metrics::increment(metrics::Event::kPassAppsClean, cleanCount);
   metrics::increment(metrics::Event::kPassAppsDirty, napps - cleanCount);
-
-  inc.paOcc.resize(napps);
-  inc.npOcc.resize(napps);
-  inc.npFitted.resize(napps);
-  inc.occupation.resize(napps);
 
   // Started pre-allocation / non-preemptible occupations (dirty apps only:
   // these depend exclusively on request attributes, so a clean app's
   // cached views are exact).
   for (std::size_t i = 0; i < napps; ++i) {
-    if (inc.clean[i]) continue;
-    inc.paOcc[i] = toViewIndexed(index.preAllocations[i], nullptr, 0);
-    inc.npOcc[i] = toViewIndexed(index.nonPreemptible[i], nullptr, 0);
+    if (cache.clean[i]) continue;
+    cache.paOcc[i] = toViewIndexed(cache.preAllocations[i], nullptr, 0);
+    cache.npOcc[i] = toViewIndexed(cache.nonPreemptible[i], nullptr, 0);
   }
 
-  View vnp = machineView();
-  std::vector<const View*>& operands = inc.operands;
+  // Subtract resources held by started pre-allocations: one N-ary sweep,
+  // instead of a fold of binary subtractions that re-merges the
+  // accumulated view once per application.
+  View vnp = machineView();  // non-preemptible resources still available
+  std::vector<const View*>& operands = cache.operands;
   operands.clear();
   operands.reserve(napps * 2);
-  for (const View& occ : inc.paOcc) operands.push_back(&occ);
+  for (const View& occ : cache.paOcc) operands.push_back(&occ);
   vnp.accumulate(operands, View::Op::kSubtract);
 
-  // Non-preemptive views and start times, in connection order — the exact
-  // full-path loop for dirty apps; lease-clean apps contribute provably
-  // empty occupations and leave vnp untouched.
+  // Non-preemptive views and start times, in connection order. vnp is
+  // consumed inside the loop and must be updated eagerly; vp is only read
+  // after it, so the fitted NP occupations are collected and folded in one
+  // sweep at the end. Lease-clean apps contribute provably empty
+  // occupations and leave vnp untouched.
   for (std::size_t i = 0; i < napps; ++i) {
     // Publishing the pair retires the view the caller left here (the
     // server's superseded stash) before this app's derivation builds
     // anything: when it held a block's last reference, that block is the
     // next one reused.
-    apps[i].nonPreemptiveView = {vnp, inc.paOcc[i]};
-    if (inc.clean[i]) {
-      inc.npFitted[i] = View{};
+    apps[i].nonPreemptiveView = {vnp, cache.paOcc[i]};
+    if (cache.clean[i]) {
+      cache.npFitted[i] = View{};
       continue;
     }
     // The view as fit's scratch, dropped once the pre-allocations are in.
     const View occPa =
-        fitIndexed(index.preAllocations[i],
-                   NonPreemptiveView::sum(vnp, inc.paOcc[i]), now, nullptr);
+        fitIndexed(cache.preAllocations[i],
+                   NonPreemptiveView::sum(vnp, cache.paOcc[i]), now, nullptr);
 
-    View npAvailable = inc.paOcc[i];
+    View npAvailable = cache.paOcc[i];
     accumulateOne(npAvailable, occPa, View::Op::kAdd);
-    accumulateOne(npAvailable, inc.npOcc[i], View::Op::kSubtract,
+    accumulateOne(npAvailable, cache.npOcc[i], View::Op::kSubtract,
                   /*clampAtZero=*/true);
-    inc.npFitted[i] =
-        fitIndexed(index.nonPreemptible[i], npAvailable, now, nullptr);
+    cache.npFitted[i] =
+        fitIndexed(cache.nonPreemptible[i], npAvailable, now, nullptr);
 
     accumulateOne(vnp, occPa, View::Op::kSubtract);
   }
 
-  View vp = machineView();
+  View vp = machineView();  // preemptible resources still available
   operands.clear();
-  for (const View& occ : inc.npOcc) operands.push_back(&occ);
-  for (const View& occ : inc.npFitted) operands.push_back(&occ);
+  for (const View& occ : cache.npOcc) operands.push_back(&occ);
+  for (const View& occ : cache.npFitted) operands.push_back(&occ);
   vp.accumulate(operands, View::Op::kSubtract);
   vp.clampMin(0);
 
-  // Retire the preemptive stash too, before Step 1 builds anything.
-  for (AppSchedule& app : apps) app.preemptiveView.clear();
-
-  // eqSchedule Step 1: preliminary preemptible occupations (dirty apps;
-  // an all-started app's occupation ignores both `vp` and `now`).
-  const std::uint64_t step1Start = metrics::nowNanos();
-  for (std::size_t i = 0; i < napps; ++i) {
-    if (inc.clean[i]) continue;
-    inc.occupation[i].clear();
-    const SetIndex& set = index.preemptible[i];
-    if (set.empty()) continue;
-    inc.occupation[i] = toViewIndexed(set, &vp, now);
-    if (inc.occupation[i].empty()) {
-      inc.occupation[i] = fitIndexed(set, vp, now, nullptr);
-    } else {
-      View freeForMe = vp;
-      accumulateOne(freeForMe, inc.occupation[i], View::Op::kSubtract,
-                    /*clampAtZero=*/true);
-      inc.occupation[i] += fitIndexed(set, freeForMe, now, nullptr);
-    }
-  }
-  const std::uint64_t step2Start = metrics::nowNanos();
-  trace::span("eq_step1", step1Start, step2Start);
-
-  eqScheduleStep2(apps, index.preemptible, inc.occupation, vp,
-                  config_.strictEquiPartition);
-
-  // eqSchedule Step 3: reschedule dirty apps' preemptible requests against
-  // their final views. Lease-clean apps are exact already: toView would
-  // rewrite identical values and fit has nothing to place.
-  const std::uint64_t step3Start = metrics::nowNanos();
-  trace::span("eq_step2", step2Start, step3Start);
-  for (std::size_t i = 0; i < napps; ++i) {
-    if (inc.clean[i]) continue;
-    const SetIndex& set = index.preemptible[i];
-    if (set.empty()) continue;
-    const View own = toViewIndexed(set, &apps[i].preemptiveView, now);
-    if (own.empty()) {
-      fitIndexed(set, apps[i].preemptiveView, now, nullptr);
-    } else {
-      View rest = apps[i].preemptiveView;
-      accumulateOne(rest, own, View::Op::kSubtract, /*clampAtZero=*/true);
-      fitIndexed(set, rest, now, nullptr);
-    }
-  }
-  trace::span("eq_step3", step3Start, metrics::nowNanos());
-
-  inc.valid = true;
+  eqScheduleIndexed(apps, cache.preemptible, cache.clean, cache.occupation,
+                    vp, now, config_.strictEquiPartition);
+  cache.valid = true;
 }
 
 }  // namespace coorm

@@ -29,8 +29,7 @@
 
 namespace coorm {
 
-struct IncrementalState;
-struct PassIndex;
+struct PassCache;
 
 /// Fair distribution of `capacity` among `wants` (paper Algorithm 3, lines
 /// 10–18). Every demand is raised to a common water-filling level (capped
@@ -90,14 +89,13 @@ class Scheduler {
     /// available resources: an application cannot fill what another leaves
     /// unused. This is the "strict equi-partitioning" baseline of §5.4.
     bool strictEquiPartition = false;
-    /// Incremental passes: the scheduler keeps the previous pass's
-    /// intermediates and serves every lease-clean application (key
-    /// unchanged, every request started; see AppSchedule::epoch) from that
-    /// cache; eqSchedule Step 2 runs whole every pass. Either way every
-    /// pass publishes both views of every application.
-    /// Bit-identical to the full pass (pinned by
-    /// tests/test_scheduler_incremental.cpp); false always recomputes, the
-    /// reference the differential suites compare with.
+    /// Incremental passes: the pass serves every lease-clean application
+    /// (key unchanged, every request started; see AppSchedule::epoch) from
+    /// the previous pass's intermediates; eqSchedule Step 2 runs whole
+    /// every pass, and every pass publishes both views of every
+    /// application. false is the same pass with no application clean — a
+    /// full recompute, the reference the differential suites compare with
+    /// (bit-identical, pinned by tests/test_scheduler_incremental.cpp).
     bool incremental = true;
   };
 
@@ -115,8 +113,8 @@ class Scheduler {
   ///
   /// The pass runs on the calling thread. Not re-entrant: one pass at a
   /// time per Scheduler. A pass that throws leaves partial results in the
-  /// requests and the incremental cache invalid, so the next pass
-  /// re-derives every application.
+  /// requests and the pass cache cold, so the next pass re-derives every
+  /// application.
   void schedule(std::span<AppSchedule> apps, Time now) const;
 
   // --- building blocks, public for tests and benchmarks -------------------
@@ -154,21 +152,12 @@ class Scheduler {
   [[nodiscard]] const Machine& machine() const { return machine_; }
 
  private:
-  /// The incremental variant of the pass: same outputs, organised around
-  /// the pass-to-pass cache in `inc_`. Cold cache (first pass, population
-  /// change, after a pass that threw) re-derives everything while priming
-  /// the cache; warm cache skips the lease-clean applications' per-app
-  /// work (the NP loop, eqSchedule Steps 1 and 3).
-  void scheduleIncremental(std::span<AppSchedule> apps, Time now) const;
-
   Machine machine_;
   Config config_;
-  /// Per-application SetIndex cache, by position (scheduler.cpp). A pass
-  /// is logically const; the cache is its scratch, hence mutable.
-  mutable std::unique_ptr<PassIndex> index_;
-  /// Pass-to-pass cache of the incremental path (scheduler.cpp); null when
-  /// Config::incremental is false. Mutable for the same reason.
-  mutable std::unique_ptr<IncrementalState> inc_;
+  /// The pass's positional cache (scheduler.cpp): per-application
+  /// SetIndexes, clean bits and the previous pass's occupations. A pass is
+  /// logically const; the cache is its scratch, hence mutable.
+  mutable std::unique_ptr<PassCache> cache_;
 };
 
 }  // namespace coorm

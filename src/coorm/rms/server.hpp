@@ -117,8 +117,9 @@ class Server {
     /// previous pass, every request started) are served from the
     /// scheduler's cache instead of being re-derived each pass; every pass
     /// still publishes, and the server stashes, both views of every
-    /// application. Bit-identical either way; `false` is the full-recompute
-    /// reference the differential suites compare with.
+    /// application. `false` runs the same pass with no application clean,
+    /// the full-recompute reference the differential suites compare with;
+    /// results are bit-identical either way.
     bool incremental = true;
     /// Log a structured one-line phase breakdown for any pass whose wall
     /// time reaches this (milliseconds; 0 = never). Outlier forensics —

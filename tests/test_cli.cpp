@@ -69,6 +69,22 @@ TEST(Cli, PsaIsRepeatable) {
   EXPECT_EQ(r.options.psaTasks[1], secF(60.0));
 }
 
+TEST(Cli, NonPositivePsaAndAmrAreErrors) {
+  // A PSA task that rounds to 0 ms, or an AMR working set of no size, would
+  // abort the simulation on a check; the parser refuses them instead.
+  for (const char* psa : {"0", "-5", "0.0004"}) {
+    const ParseResult r = parse({"--psa", "60", "--psa", psa});
+    EXPECT_EQ(r.status, ParseStatus::kError) << "--psa " << psa;
+    EXPECT_EQ(r.error, "invalid numeric option") << "--psa " << psa;
+  }
+  for (const char* amr : {"0", "-1"}) {
+    const ParseResult r = parse({"--amr", amr});
+    EXPECT_EQ(r.status, ParseStatus::kError) << "--amr " << amr;
+    EXPECT_EQ(r.error, "invalid numeric option") << "--amr " << amr;
+  }
+  EXPECT_TRUE(parse({"--psa", "0.001", "--amr", "0.5"}).ok());
+}
+
 TEST(Cli, ParsesSwfPath) {
   const ParseResult r = parse({"--swf", "trace.swf", "--nodes", "512"});
   ASSERT_TRUE(r.ok());

@@ -299,6 +299,22 @@ TEST(SchedulerIncremental, SteadyStateServesFromCache) {
   const metrics::Snapshot after = metrics::snapshot();
   EXPECT_GT(after[metrics::Event::kPassAppsClean],
             before[metrics::Event::kPassAppsClean]);
+
+  // The full-recompute reference runs the same pass with no application
+  // clean: every one of the 48 is re-derived, or every differential
+  // against it would compare the cache with itself.
+  Runner full(/*seed=*/7, /*napps=*/48, /*incremental=*/false,
+              /*stablePct=*/100);
+  full.pass(sec(60));
+  const metrics::Snapshot fullBefore = metrics::snapshot();
+  full.pass(sec(90));
+  const metrics::Snapshot fullAfter = metrics::snapshot();
+  EXPECT_EQ(fullAfter[metrics::Event::kPassAppsClean] -
+                fullBefore[metrics::Event::kPassAppsClean],
+            0u);
+  EXPECT_EQ(fullAfter[metrics::Event::kPassAppsDirty] -
+                fullBefore[metrics::Event::kPassAppsDirty],
+            48u);
 }
 
 TEST(SchedulerIncremental, PopulationChangeFallsBackToFullPass) {
@@ -868,6 +884,7 @@ TEST(SchedulerIncremental, ServerLongHorizonMatchesPristineSerialServer) {
     EXPECT_EQ(pristine.freeC1, inc.freeC1);
     EXPECT_EQ(pristine.passes, inc.passes);
     EXPECT_EQ(pristine.trace, inc.trace);
+    EXPECT_EQ(pristine.appsClean, 0u);  // the reference never skips
     totalClean += inc.appsClean;
   }
   // The horizon must actually exercise the steady state: applications
@@ -896,6 +913,7 @@ TEST(SchedulerIncremental, LeaseChainMatchesPristineSerialServer) {
     EXPECT_EQ(pristine.freeC1, inc.freeC1);
     EXPECT_EQ(pristine.passes, inc.passes);
     EXPECT_EQ(pristine.trace, inc.trace);
+    EXPECT_EQ(pristine.appsClean, 0u);  // the reference never skips
   }
 }
 

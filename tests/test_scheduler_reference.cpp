@@ -2,9 +2,11 @@
 //
 // `Scheduler::schedule` batches its view algebra (N-ary sweeps, per-cluster
 // Step 2 rows, occupation-view reuse, pair-published non-preemptive views)
-// and must still reproduce a reference pass built from plain binary view
-// algebra *bit for bit*: every request attribute and every view entry,
-// compared with operator== (not just semantic sameAs). The suite pins that
+// and must still reproduce, *bit for bit*, a reference pass built from
+// plain binary view algebra and the seed's Algorithm 3
+// (tests/eq_reference.hpp, independent of the pass's Step 2 sweep): every
+// request attribute and every view entry, compared with operator== (not
+// just semantic sameAs). The suite pins that
 // on randomized multi-cluster populations (cluster counts 1–8, varying app
 // counts, NEXT/COALLOC chains, started and pending requests), in filling
 // and strict mode, and pass after pass with requests starting and
@@ -19,6 +21,7 @@
 #include "coorm/common/metrics.hpp"
 #include "coorm/common/rng.hpp"
 #include "coorm/rms/scheduler.hpp"
+#include "eq_reference.hpp"
 
 namespace coorm {
 namespace {
@@ -181,9 +184,10 @@ void expectIdentical(const Population& a, const Population& b,
 
 /// The pre-refactor scheduling pass (Algorithm 4 as of PR 2), rebuilt from
 /// the public building blocks with plain binary view algebra: no N-ary
-/// batching, no occupation-view reuse. The refactored pass must reproduce
-/// it bit for bit. Each non-preemptive view is stored
-/// evaluated, as the pair (view, nothing), whose value is the view itself.
+/// batching, no occupation-view reuse, and the seed's eqSchedule for
+/// Algorithm 3. The refactored pass must reproduce it bit for bit. Each
+/// non-preemptive view is stored evaluated, as the pair (view, nothing),
+/// whose value is the view itself.
 void referenceSchedule(const Machine& machine, std::span<AppSchedule> apps,
                        Time now, bool strict) {
   const Scheduler plain(machine);
@@ -214,7 +218,7 @@ void referenceSchedule(const Machine& machine, std::span<AppSchedule> apps,
   for (const View& occ : npOcc) vp -= occ;
   for (const View& occ : npFitted) vp -= occ;
   vp.clampMin(0);
-  Scheduler::eqSchedule(apps, vp, now, strict);
+  testing_support::referenceEqSchedule(apps, vp, now, strict);
 }
 
 TEST(SchedulerReference, ScheduleMatchesPreRefactorSerialReference) {

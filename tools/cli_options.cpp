@@ -1,5 +1,6 @@
 #include "cli_options.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <ostream>
 
@@ -142,7 +143,10 @@ ParseResult parseArgs(int argc, const char* const* argv) {
       options.overcommit <= 0.0 || options.reschedInterval <= 0 ||
       options.idleDeadline < 0 || options.resumeGrace < 0 ||
       options.connections <= 0 || options.probes < 0 ||
-      options.slowPassMs < 0) {
+      options.slowPassMs < 0 ||
+      (options.amrPeakGiB && *options.amrPeakGiB <= 0.0) ||
+      std::any_of(options.psaTasks.begin(), options.psaTasks.end(),
+                  [](Time task) { return task <= 0; })) {
     result.error = "invalid numeric option";
     return result;
   }
